@@ -1,9 +1,9 @@
 """Command-line harness around the experiment drivers.
 
 Exit codes: 0 success, 2 configuration or input-format problem, 3 capacity
-guard tripped, 4 numeric failure.  Every subcommand accepts ``--seed``,
-``--out``, ``--threads``, and ``--paper-scale``; results are deterministic
-for a fixed seed at ``--threads 1``.
+guard tripped or memory exhausted, 4 numeric failure.  Every subcommand
+accepts ``--seed``, ``--out``, ``--threads``, and ``--paper-scale``; results
+are deterministic for a fixed seed at ``--threads 1``.
 """
 
 from __future__ import annotations
@@ -275,7 +275,7 @@ def main(argv=None) -> int:
     except (ConfigError, FormatError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except CapacityError as e:
+    except (CapacityError, MemoryError) as e:
         print(f"capacity guard: {e}", file=sys.stderr)
         return 3
     except NumericError as e:

@@ -144,6 +144,15 @@ class TestMera12:
         code = run(["mera12", "--layers", "0"])
         assert code == 2
 
+    def test_memory_exhaustion_exit_code(self, monkeypatch, capsys):
+        def exhausted(**kwargs):
+            raise MemoryError("Unable to allocate 29.1 GiB")
+
+        monkeypatch.setattr("ttmera.experiments.run_mera12", exhausted)
+        code = run(["mera12", "--paper-scale"])
+        assert code == 3
+        assert "capacity" in capsys.readouterr().err
+
 
 class TestParser:
     def test_missing_command_is_usage_error(self):

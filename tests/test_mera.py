@@ -1,6 +1,8 @@
 """MERA structures, the shuffle bookkeeping, disentangler search, and the
 train/MERA conversions in both directions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from ttmera.mera import (
     Isometry,
     Mera,
     MeraLayer,
+    _hosvd_disentangler,
     disentangler_positions,
     find_disentangler,
     isometry_positions,
@@ -118,6 +121,12 @@ class TestConstituents:
                     (1, Disentangler(dims=(2, 2), data=np.eye(4))),
                 ),
             )
+        with pytest.raises(ValueError, match="does not fit"):
+            MeraLayer(
+                input_arity=4,
+                isometries=((1, iso), (3, iso)),
+                disentanglers=((2, Disentangler(dims=(4, 1), data=np.eye(4))),),
+            )
 
     def test_mera_arity_chain_validated(self):
         plant = random_mera_plant(2, 2, arity=2, order=8, layers=2, seed=0)
@@ -203,6 +212,29 @@ def dense_from_mera_two_isometries(m):
     return DenseTensor(T)
 
 
+def dense_from_mera(m):
+    """Independent dense evaluation of any MERA, one constituent at a time."""
+    T = m.top.to_array()
+    for layer in reversed(m.layers):
+        # Contracting the leading coarse axis and appending the group's fine
+        # axes at the end leaves all fine axes in order after a full pass.
+        for _, iso in sorted(layer.isometries, key=lambda t: t[0]):
+            W = np.reshape(iso.data, iso.input_dims + (iso.output_dim,), order="F")
+            T = np.tensordot(T, W, axes=([0], [len(iso.input_dims)]))
+        for pos, dis in layer.disentanglers:
+            il, ir = dis.dims
+            G = np.reshape(dis.data.T, (il, ir, il, ir), order="F")
+            T = np.tensordot(G, T, axes=([2, 3], [pos - 1, pos]))
+            T = np.moveaxis(T, (0, 1), (pos - 1, pos))
+    return T
+
+
+ORACLE_PLANTS = [
+    pytest.param(dict(I=3, S=2, arity=2, order=8, layers=2, seed=0), id="2-layer-arity-2"),
+    pytest.param(dict(I=3, S=2, arity=3, order=9, layers=1, seed=1), id="1-layer-arity-3"),
+]
+
+
 class TestMeraToTrain:
     def test_dense_oracle_one_layer(self):
         m = random_mera_plant(2, 2, arity=2, order=4, layers=1, seed=3)
@@ -213,6 +245,34 @@ class TestMeraToTrain:
             ref.to_array(),
             atol=1e-12 * ref.norm(),
         )
+
+    @pytest.mark.parametrize("plant", ORACLE_PLANTS)
+    def test_dense_oracle(self, plant):
+        m = random_mera_plant(**plant)
+        ref = dense_from_mera(m)
+        got = tt_contract(mera_to_tt(m, 0.0)).to_array()
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("plant", ORACLE_PLANTS)
+    def test_truncation_error_within_budget(self, plant):
+        # each layer's discards add up exactly to at most
+        # (round_eps * |t|)^2, and the layers add by the triangle inequality
+        m = random_mera_plant(**plant)
+        round_eps = 3e-2
+        exact = mera_to_tt(m, 0.0)
+        tt = mera_to_tt(m, round_eps)
+        assert sum(tt.ranks) < sum(exact.ranks)
+        ref = dense_from_mera(m)
+        err = np.linalg.norm(tt_contract(tt).to_array() - ref)
+        assert err <= len(m.layers) * round_eps * np.linalg.norm(ref)
+
+    def test_result_is_canonical_at_last_site(self):
+        m = random_mera_plant(3, 2, arity=2, order=8, layers=2, seed=4)
+        tt = mera_to_tt(m)
+        assert tt.canonical_site == tt.order
+        for c in tt.cores[:-1]:
+            L = np.reshape(c, (-1, c.shape[2]), order="F")
+            np.testing.assert_allclose(L.T @ L, np.eye(c.shape[2]), atol=1e-12)
 
     def test_norm_preserved(self):
         # isometries and disentanglers are orthogonal maps, so the train
@@ -232,6 +292,35 @@ class TestMeraToTrain:
         # layer 1: 5 disentanglers (16x16) + 6 isometries (16x2);
         # layer 2: 2 disentanglers (4x4) + 3 isometries (4x2); top 2^3
         assert mera_storage(m) == 5 * 256 + 6 * 32 + 2 * 16 + 3 * 8 + 8
+
+
+class TestHosvdDisentangler:
+    @pytest.mark.parametrize("shape", [(3, 16, 2), (4, 16, 5)], ids=["tall", "wide"])
+    def test_energy_ordered_in_leading_rows(self, shape):
+        # row k of the mixed free unfolding carries the k-th singular value
+        core = standard_normal(stream(5), shape)
+        r, n, s = shape
+        _, transformed = _hosvd_disentangler(core, (4, 4))
+        center = np.reshape(core.transpose(1, 0, 2), (n, r * s), order="F")
+        mixed = np.reshape(
+            transformed.to_array().transpose(1, 0, 2), (n, r * s), order="F"
+        )
+        sigma = np.linalg.svd(center, compute_uv=False)
+        rows = np.zeros(n)
+        rows[: sigma.size] = sigma
+        np.testing.assert_allclose(np.linalg.norm(mixed, axis=1), rows, atol=1e-12)
+
+    def test_wide_centre_allocates_no_right_factor(self):
+        # a (16 x 3600) centre; its full SVD's right factor alone would be
+        # 3600 x 3600 doubles, 104 MB
+        core = standard_normal(stream(6), (60, 16, 60))
+        tracemalloc.start()
+        try:
+            _hosvd_disentangler(core, (4, 4))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestTrainToMera:
