@@ -48,7 +48,6 @@ from .train import (
     orthogonalize,
     split_core,
     tt_contract,
-    tt_dense_inner,
     tt_norm,
     tt_round,
     tt_storage,
@@ -84,7 +83,6 @@ __all__ = [
     "tt_norm",
     "tt_round",
     "tt_contract",
-    "tt_dense_inner",
     "tt_storage",
     "orthogonalize",
     "merge_cores",

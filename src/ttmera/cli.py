@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 configuration or input-format problem, 3 capacity
 guard tripped or memory exhausted, 4 numeric failure.  Every subcommand
-accepts ``--seed``, ``--out``, ``--threads``, and ``--paper-scale``; results
-are deterministic for a fixed seed at ``--threads 1``.
+takes ``--out``; each also takes those of ``--seed``, ``--threads`` and
+``--paper-scale`` that it reads, and refuses the others as a usage error.
+Results are deterministic for a fixed seed at ``--threads 1``.
 """
 
 from __future__ import annotations
@@ -40,15 +41,18 @@ def _int_list(text: str) -> list[int]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=_u64, default=0,
-                        help="root seed for all random constituents")
-    common.add_argument("--out", metavar="DIR", default=None,
-                        help="directory for CSV/JSON/binary artifacts")
-    common.add_argument("--threads", type=int, default=1,
-                        help="parallel scan points (scans only)")
-    common.add_argument("--paper-scale", action="store_true",
-                        help="full-size configuration instead of desk scale")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", metavar="DIR", default=None,
+                     help="directory for CSV/JSON/binary artifacts")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=_u64, default=0,
+                      help="root seed for all random constituents")
+    threads = argparse.ArgumentParser(add_help=False)
+    threads.add_argument("--threads", type=int, default=1,
+                         help="parallel scan points")
+    scale = argparse.ArgumentParser(add_help=False)
+    scale.add_argument("--paper-scale", action="store_true",
+                       help="full-size configuration instead of desk scale")
 
     parser = argparse.ArgumentParser(
         prog="ttmera",
@@ -57,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
-        "heat2d", parents=[common],
+        "heat2d", parents=[out, scale],
         help="generate the heat-equation snapshot tensor",
     )
     p.add_argument("--ds", type=float, default=None,
@@ -69,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_heat2d)
 
     p = sub.add_parser(
-        "compress", parents=[common],
+        "compress", parents=[out],
         help="compare decompositions of a stored tensor",
     )
     p.add_argument("input", help="tensor file to compress")
@@ -83,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_compress)
 
     p = sub.add_parser(
-        "planted", parents=[common],
+        "planted", parents=[out, seed, scale],
         help="recover a planted rank-lowering disentangler",
     )
     p.add_argument("--I", type=int, default=None,
@@ -101,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_planted)
 
     p = sub.add_parser(
-        "rmin-scan", parents=[common],
+        "rmin-scan", parents=[out, seed, threads, scale],
         help="smallest convergent target rank per index size",
     )
     p.add_argument("--I-values", type=_int_list, default=None,
@@ -115,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_rmin_scan)
 
     p = sub.add_parser(
-        "mera12", parents=[common],
+        "mera12", parents=[out, seed, scale],
         help="plant a deep network, expand it, and recover it",
     )
     p.add_argument("--I", type=int, default=None,
@@ -135,7 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_mera12)
 
     p = sub.add_parser(
-        "iters-vs-rank", parents=[common],
+        "iters-vs-rank", parents=[out, seed, threads, scale],
         help="search iterations as the target rank varies",
     )
     p.add_argument("--I", type=int, default=None,

@@ -107,11 +107,6 @@ class Disentangler:
         if np.max(np.abs(self.data.T @ self.data - np.eye(n))) > ORTHO_TOL:
             raise ValueError("disentangler is not orthogonal")
 
-    def as_tensor(self) -> DenseTensor:
-        """4-way view with dimensions ``(I_1, I_2, I_1, I_2)``."""
-        i, j = self.dims
-        return DenseTensor.from_flat(self.data.ravel(order="F"), (i, j, i, j))
-
 
 @dataclass(frozen=True)
 class MeraLayer:
@@ -299,7 +294,6 @@ def find_disentangler(
     gap_threshold: float = 1e12,
     max_iters: int = 50_000,
     trace_stride: int = 0,
-    fixed_reference: bool = False,
 ) -> tuple[Disentangler, DenseTensor, DisentanglerReport]:
     """Search for an orthogonal mix of the two free indices that drops the
     supercore's internal rank to ``target_rank``.
@@ -310,10 +304,6 @@ def find_disentangler(
     rows of ``M`` closest to that approximation.  Convergence is declared
     when ``sigma_R' / sigma_{R'+1} >= gap_threshold``; exhausting the
     iteration budget reports ``converged=False`` instead of raising.
-
-    ``fixed_reference`` freezes the low-rank reference at the first iterate
-    instead of refreshing it every sweep; refreshing is the default because
-    it keeps each Procrustes step optimal for the current iterate.
 
     Returns ``(disentangler, transformed supercore, report)``.
     """
@@ -330,7 +320,6 @@ def find_disentangler(
     A0 = _shuf_mat(M, rl, il, ir, rr)
     V = np.eye(il * ir)
     trace: list[tuple[int, np.ndarray]] = []
-    reference: np.ndarray | None = None
     iterations = 0
     while True:
         U, s, Wt = np.linalg.svd(M, full_matrices=False)
@@ -346,10 +335,9 @@ def find_disentangler(
             converged = False
             break
         iterations += 1
-        if reference is None or not fixed_reference:
-            reference = U[:, :target_rank] @ (
-                s[:target_rank, None] * Wt[:target_rank]
-            )
+        reference = U[:, :target_rank] @ (
+            s[:target_rank, None] * Wt[:target_rank]
+        )
         A = _shuf_mat(M, rl, il, ir, rr)
         A_low = _shuf_mat(reference, rl, il, ir, rr)
         Vhat = procrustes_solve(A, A_low)

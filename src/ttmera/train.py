@@ -37,7 +37,6 @@ __all__ = [
     "split_core",
     "interface_matrices",
     "tt_storage",
-    "tt_dense_inner",
 ]
 
 DENSE_ENTRY_BUDGET = 10**8
@@ -225,18 +224,6 @@ def tt_contract(tt: TensorTrain) -> DenseTensor:
         G = G @ np.reshape(c, (r, n * s), order="F")
         G = np.reshape(G, (-1, s), order="F")
     return DenseTensor.from_flat(G.ravel(order="F"), tt.dims)
-
-
-def tt_dense_inner(tt: TensorTrain, t: DenseTensor) -> float:
-    """Inner product ``<t, tt>`` without materializing the train."""
-    if t.dims != tt.dims:
-        raise ValueError(f"dimension mismatch: {t.dims} vs {tt.dims}")
-    C = t.data.reshape(1, -1)
-    for c in tt.cores:
-        r, n, s = c.shape
-        C = np.reshape(C, (r * n, -1), order="F")
-        C = _left_mat(c).T @ C
-    return float(C.reshape(()))
 
 
 def tt_round(tt: TensorTrain, epsilon: float) -> TensorTrain:

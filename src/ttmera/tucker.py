@@ -156,43 +156,33 @@ def tucker_reconstruct_tt(t: TuckerTT) -> TensorTrain:
 
 
 def sthosvd_dense(
-    t: DenseTensor, epsilon: float, ascending: bool = False
+    t: DenseTensor, epsilon: float
 ) -> tuple[list[np.ndarray], DenseTensor, np.ndarray]:
     """Sequentially truncated Tucker decomposition of a dense tensor.
 
     Processes modes in index order, shrinking the working core after each
     factor is split off; each truncation gets budget
-    ``epsilon * |t|_F / sqrt(D)``.  With ``ascending`` the modes are first
-    permuted so the dimensions increase, which tends to shrink the working
-    core sooner; factors and core are returned in the original mode order.
-    Returns ``(factors, core, mode_discarded)``.
+    ``epsilon * |t|_F / sqrt(D)``.  Returns ``(factors, core,
+    mode_discarded)``.
     """
     if epsilon < 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
     D = t.order
-    perm = list(range(1, D + 1))
-    if ascending:
-        perm = sorted(perm, key=lambda d: t.dims[d - 1])
-        t = t.permute(perm)
     delta = epsilon * t.norm() / math.sqrt(D)
     core = t
-    factors_p: list[np.ndarray] = []
-    discarded_p = np.zeros(D)
+    factors: list[np.ndarray] = []
+    discarded = np.zeros(D)
     for d in range(1, D + 1):
         # The right factor of the unfolding can be as large as the core
         # itself, so skip it and release the result before the projection.
         f = svd_trunc(core.unfold(d), delta, want_v=False)
         if f.rank == 0:
-            raise ValueError(f"mode {perm[d - 1]} fully truncated; epsilon too large")
+            raise ValueError(f"mode {d} fully truncated; epsilon too large")
         U = f.U
-        factors_p.append(U)
-        discarded_p[d - 1] = f.discarded_energy
+        factors.append(U)
+        discarded[d - 1] = f.discarded_energy
         del f
         core = core.mode_product(d, U.T)
-    inverse = np.argsort(perm)
-    factors = [factors_p[inverse[d]] for d in range(D)]
-    discarded = discarded_p[inverse]
-    core = core.permute([int(p) + 1 for p in inverse])
     return factors, core, discarded
 
 

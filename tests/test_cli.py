@@ -166,3 +166,19 @@ class TestParser:
     def test_seed_range_enforced(self):
         with pytest.raises(SystemExit):
             main(["rmin-scan", "--seed", "-1"])
+
+    @pytest.mark.parametrize("argv", [
+        ["compress", "heat.mrt1", "--threads", "2"],
+        ["compress", "heat.mrt1", "--seed", "1"],
+        ["compress", "heat.mrt1", "--paper-scale"],
+        ["heat2d", "--seed", "1"],
+        ["heat2d", "--threads", "2"],
+        ["planted", "--threads", "2"],
+        ["mera12", "--threads", "2"],
+    ])
+    def test_unread_flag_is_usage_error(self, argv, capsys):
+        # a flag the subcommand would ignore is refused before any work
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

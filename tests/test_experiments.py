@@ -2,6 +2,7 @@
 
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from ttmera.dense import DenseTensor
 from ttmera.errors import ConfigError
 from ttmera.experiments import (
     DESK_HEAT,
+    _relative_error,
     planted_pair_tensor,
     random_mera_plant,
     run_compress,
@@ -20,9 +22,10 @@ from ttmera.experiments import (
     run_rmin_scan,
 )
 from ttmera.formats import load_mera, load_tensor
-from ttmera.heat import HeatConfig
+from ttmera.heat import HeatConfig, reshape_to_factors, solve_heat
 from ttmera.mera import mera_storage, mera_to_tt
-from ttmera.train import tt_contract, tt_storage, tt_svd
+from ttmera.train import tt_contract, tt_round, tt_storage, tt_svd
+from ttmera.tucker import sthosvd_dense, tucker_reconstruct_tt
 
 from conftest import decaying_train
 
@@ -58,14 +61,62 @@ class TestRunCompress:
                 t.size / r.storage_count
             )
 
-    def test_three_way_streamed_error_matches_dense(self):
-        # The 3-way path never materialises the reconstruction; cross-check
-        # it against the direct dense computation.
-        t = small_tensor(seed=3, dims=(8, 7, 9))
-        (rep,) = run_compress(t, epsilon=5e-2, methods=["tt"])
-        tt = tt_svd(t, 5e-2)
-        direct = np.linalg.norm(tt_contract(tt).data - t.data) / t.norm()
-        assert rep.relative_error == pytest.approx(direct, rel=1e-9)
+    def test_three_way_streamed_error_matches_dense(self, monkeypatch):
+        # Every method's error is one streamed difference, whatever the
+        # order or memory layout of the input.  Cross-check it against the
+        # dense difference, at 1e-8 too, where an inner-product expansion or
+        # a norm gap keeps no correct digit.
+        tucker_trains = []
+
+        def keep(tuck):
+            tucker_trains.append(tucker_reconstruct_tt(tuck))
+            return tucker_trains[-1]
+
+        monkeypatch.setattr("ttmera.experiments.tucker_reconstruct_tt", keep)
+        heat = reshape_to_factors(solve_heat(HeatConfig(ds=0.05, t_end=0.25)))
+        assert heat.order == 12 and heat.to_array().flags.c_contiguous
+        cases = [
+            (small_tensor(seed=3, dims=(8, 7, 9)), 5e-2),
+            (small_tensor(seed=5, dims=(30, 20)), 1e-2),
+            (small_tensor(seed=6), 1e-2),
+            (heat, 1e-3),
+            (heat, 1e-8),
+        ]
+        for t, epsilon in cases:
+            a = t.to_array()
+            for method in ("sthosvd", "tt", "tt-tucker"):
+                (rep,) = run_compress(t, epsilon, methods=[method])
+                if method == "sthosvd":
+                    factors, recon, _ = sthosvd_dense(t, epsilon)
+                    for d, U in enumerate(factors, start=1):
+                        recon = recon.mode_product(d, U)
+                elif method == "tt":
+                    recon = tt_contract(tt_svd(t, epsilon))
+                else:
+                    recon = tt_contract(tucker_trains[-1])
+                direct = np.linalg.norm(a - recon.to_array()) / np.linalg.norm(a)
+                case = (t.dims, epsilon, method)
+                assert rep.relative_error == pytest.approx(direct, rel=1e-6), case
+                assert rep.relative_error <= epsilon, case
+
+        # The measurement copies neither the input nor the reconstruction,
+        # whether the input is stored first- or last-index-fastest.
+        base = decaying_train(7, (32,) * 4, max_rank=6)
+        tt = tt_round(base, 1e-1)
+        c_order = tt_contract(base)
+        f_order = DenseTensor(np.asfortranarray(c_order.to_array()))
+        assert not c_order.to_array().flags.f_contiguous
+        assert f_order.to_array().flags.f_contiguous
+        direct = np.linalg.norm(c_order.to_array() - tt_contract(tt).to_array())
+        for t in (c_order, f_order):
+            tracemalloc.start()
+            try:
+                err = _relative_error(tt, t, 1.0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < t.to_array().nbytes / 4
+            assert err == pytest.approx(direct, rel=1e-9)
 
     def test_factorize_splits_dims(self):
         t = small_tensor(seed=1, dims=(4, 6, 9))

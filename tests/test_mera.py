@@ -100,8 +100,7 @@ class TestConstituents:
 
     def test_disentangler_requires_orthogonal(self):
         Q = random_orthogonal(stream(1), 6)
-        dis = Disentangler(dims=(2, 3), data=Q)
-        assert dis.as_tensor().dims == (2, 3, 2, 3)
+        Disentangler(dims=(2, 3), data=Q)
         with pytest.raises(ValueError, match="orthogonal"):
             Disentangler(dims=(2, 3), data=Q + 0.01)
 
@@ -172,15 +171,6 @@ class TestFindDisentangler:
         iters = [k for k, _ in trace]
         assert iters == sorted(iters)
         assert all(sig.size == 16 for _, sig in trace)
-
-    def test_fixed_reference_stops_after_one_update(self):
-        # with the reference frozen, the first Procrustes solve is already
-        # the fixed point of the remaining iteration
-        _, sc = planted_supercore(4, 2, seed=4)
-        _, _, rep = find_disentangler(
-            sc, (4, 4), 2, max_iters=5, fixed_reference=True
-        )
-        assert rep.iterations <= 5
 
     def test_parameter_validation(self):
         _, sc = planted_supercore(4, 2, seed=4)
@@ -324,17 +314,25 @@ class TestHosvdDisentangler:
 
 
 class TestTrainToMera:
-    @settings(max_examples=10, deadline=None)
-    @given(st.integers(0, 10_000))
-    def test_single_layer_error_bound(self, seed):
-        tt = decaying_train(seed, (3,) * 8, max_rank=6)
-        m, discarded = tt_to_mera(tt, arity=2, epsilon=1e-1)
-        err = mera_relative_error(m, tt)
-        assert err <= 1e-1 * (1 + 1e-9)
-        # the reported per-isometry energies account for the error exactly
-        assert err**2 * tt_norm(tt) ** 2 == pytest.approx(
-            sum(discarded), rel=1e-6, abs=1e-12 * tt_norm(tt) ** 2
-        )
+    def test_single_layer_error_bound(self):
+        # One and two arity-2 layers on order 8, one arity-3 layer on order 9.
+        # This corpus is not exactly representable: the isometry truncations
+        # spend a real share of the budget, so the bound is exercised.
+        for layers, arity, order in [(1, 2, 8), (2, 2, 8), (1, 3, 9)]:
+            for epsilon in (1e-1, 1e-2):
+                for seed in range(6):
+                    tt = decaying_train(seed, (3,) * order, max_rank=8, decay=0.45)
+                    m, discarded = tt_to_mera(
+                        tt, arity=arity, epsilon=epsilon, layers=layers
+                    )
+                    err = mera_relative_error(m, tt)
+                    case = (layers, arity, epsilon, seed)
+                    assert epsilon / 10 <= err <= epsilon * (1 + 1e-9), case
+                    # the reported per-isometry energies account for the
+                    # error exactly
+                    assert err**2 * tt_norm(tt) ** 2 == pytest.approx(
+                        sum(discarded), rel=1e-6, abs=1e-12 * tt_norm(tt) ** 2
+                    ), case
 
     def test_two_layer_shapes(self):
         tt = decaying_train(5, (2,) * 8, max_rank=6)

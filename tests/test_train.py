@@ -16,7 +16,6 @@ from ttmera.train import (
     orthogonalize,
     split_core,
     tt_contract,
-    tt_dense_inner,
     tt_norm,
     tt_round,
     tt_storage,
@@ -145,14 +144,6 @@ class TestCanonicalForms:
     def test_norm_matches_dense(self, seed):
         tt = decaying_train(seed, (3, 2, 4, 3))
         assert tt_norm(tt) == pytest.approx(tt_contract(tt).norm(), rel=1e-12)
-
-    @settings(max_examples=30, deadline=None)
-    @given(SEEDS)
-    def test_inner_product_against_dense(self, seed):
-        tt = decaying_train(seed, (3, 4, 2))
-        t = random_dense(seed + 1, (3, 4, 2))
-        ref = float(tt_contract(tt).data @ t.data)
-        assert tt_dense_inner(tt, t) == pytest.approx(ref, rel=1e-11, abs=1e-11)
 
     def test_site_validated(self):
         tt = decaying_train(0, (2, 3, 2))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import decaying_train, random_dense
+from conftest import decaying_train
 from ttmera.tucker import (
     TuckerTT,
     compression_ratio,
@@ -100,10 +100,10 @@ class TestRankCaps:
 
 class TestSthosvdDense:
     @settings(max_examples=30, deadline=None)
-    @given(SEEDS, st.booleans())
-    def test_projection_identity(self, seed, ascending):
+    @given(SEEDS)
+    def test_projection_identity(self, seed):
         t = tt_contract(decaying_train(seed, (4, 3, 5)))
-        factors, core, discarded = sthosvd_dense(t, 1e-1, ascending=ascending)
+        factors, core, discarded = sthosvd_dense(t, 1e-1)
         recon = core
         for d, U in enumerate(factors, start=1):
             recon = recon.mode_product(d, U)
@@ -116,12 +116,6 @@ class TestSthosvdDense:
         assert t.norm() ** 2 - recon.norm() ** 2 == pytest.approx(
             total, rel=1e-9, abs=1e-12 * t.norm() ** 2
         )
-
-    def test_ascending_matches_original_mode_order(self):
-        t = random_dense(3, (5, 2, 4))
-        factors, core, _ = sthosvd_dense(t, 1e-1, ascending=True)
-        assert [U.shape[0] for U in factors] == [5, 2, 4]
-        assert core.order == 3
 
     def test_agrees_with_train_route_on_ranks(self):
         # both routes see the same per-mode singular spectra, so at a clear
