@@ -1,10 +1,13 @@
 """Dense matrix factorizations with a deterministic sign convention.
 
 Singular vectors and Q columns are only defined up to sign, which would make
-downstream decompositions run-to-run unstable.  Convention used everywhere:
-in each left singular vector (or Q column) the entry of largest magnitude is
+downstream decompositions run-to-run unstable.  Convention used by every
+factorization returned here (``svd_trunc``, ``svd_full``, ``qr_thin``): in
+each left singular vector (or Q column) the entry of largest magnitude is
 made non-negative, ties resolved toward the lowest row index, and the
-compensating sign is pushed into the right factor.
+compensating sign is pushed into the right factor.  ``procrustes_solve``
+applies none: it returns the product ``P @ Q.T``, in which the sign of each
+singular-vector pair cancels exactly.
 """
 
 from __future__ import annotations
@@ -31,12 +34,25 @@ def _require_matrix(M: np.ndarray, name: str) -> np.ndarray:
 
 def _fix_signs(U: np.ndarray, W: np.ndarray) -> None:
     """Flip columns of ``U`` (rows of ``W``) so the largest-magnitude entry
-    of each ``U`` column is non-negative.  In place."""
-    for j in range(U.shape[1]):
-        i = int(np.argmax(np.abs(U[:, j])))
-        if U[i, j] < 0.0:
-            U[:, j] = -U[:, j]
-            W[j, :] = -W[j, :]
+    of each ``U`` column is non-negative.  In place.
+
+    The column's maximum and minimum decide, unless their magnitudes tie:
+    then the lower-index one wins, and an all-zero column never flips.
+    ``W`` may have more rows than ``U`` has columns (``svd_full`` with
+    ``m < n``); only its first ``U.shape[1]`` rows can flip.
+    """
+    # max/min reduce a C-ordered U without copying it; argmax along axis 0
+    # would copy all of U.
+    pos = U.max(axis=0)
+    neg = -U.min(axis=0)
+    flip = neg > pos
+    for j in np.flatnonzero((neg == pos) & (pos > 0.0)):
+        flip[j] = U[int(np.argmax(np.abs(U[:, j]))), j] < 0.0
+    # Multiplying by 1.0 changes no bit and by -1.0 is exact negation, so
+    # one in-place pass flips exactly the chosen columns and rows.
+    signs = np.where(flip, -1.0, 1.0)
+    U *= signs
+    W[: signs.size] *= signs[:, None]
 
 
 @dataclass(frozen=True)
@@ -189,8 +205,16 @@ def procrustes_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     B = _require_matrix(B, "B")
     if A.shape != B.shape:
         raise ValueError(f"shape mismatch: A is {A.shape}, B is {B.shape}")
+    return _procrustes(A, B)
+
+
+def _procrustes(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """:func:`procrustes_solve` without input checks, for same-shaped finite
+    matrices built inside the package.
+
+    No sign convention is applied: negating column ``j`` of ``P`` together
+    with row ``j`` of ``Q.T`` leaves every bit of ``P @ Q.T`` unchanged,
+    because negation is exact.
+    """
     P, _, Qt = np.linalg.svd(B @ A.T, full_matrices=True)
-    P = np.ascontiguousarray(P)
-    Qt = np.ascontiguousarray(Qt)
-    _fix_signs(P, Qt)
     return P @ Qt

@@ -25,7 +25,7 @@ import numpy as np
 
 from .dense import DenseTensor
 from .errors import NumericError
-from .kernels import procrustes_solve, qr_thin, svd_full, svd_trunc
+from .kernels import _procrustes, qr_thin, svd_full, svd_trunc
 from .train import (
     TensorTrain,
     merge_cores,
@@ -340,7 +340,7 @@ def find_disentangler(
         )
         A = _shuf_mat(M, rl, il, ir, rr)
         A_low = _shuf_mat(reference, rl, il, ir, rr)
-        Vhat = procrustes_solve(A, A_low)
+        Vhat = _procrustes(A, A_low)
         M = _shuf_inv_mat(Vhat @ A, rl, il, ir, rr)
         V = Vhat @ V
     # Long products of near-orthogonal updates drift; snap the accumulated

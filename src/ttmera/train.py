@@ -255,10 +255,18 @@ def merge_cores(tt: TensorTrain, d: int) -> TensorTrain:
 
     The merged free index is the fused pair ``[i_d i_{d+1}]`` with ``i_d``
     fastest, so the result represents the same tensor reshaped.
+
+    Refuses to allocate more than ``DENSE_ENTRY_BUDGET`` entries.
     """
     if not 1 <= d <= tt.order - 1:
         raise ValueError(f"cannot merge at {d}: need cores {d} and {d + 1}")
     a, b = tt.cores[d - 1], tt.cores[d]
+    total = a.shape[0] * a.shape[1] * b.shape[1] * b.shape[2]
+    if total > DENSE_ENTRY_BUDGET:
+        raise CapacityError(
+            f"merging cores {d} and {d + 1} would create {total} entries "
+            f"(budget {DENSE_ENTRY_BUDGET})"
+        )
     super_ = np.tensordot(a, b, axes=([2], [0]))
     r, n, m, s = super_.shape
     super_ = np.reshape(super_, (r, n * m, s), order="F")

@@ -33,3 +33,24 @@ def decaying_train(
         g = standard_normal(stream(seed, d + 1), (ranks[d], n, ranks[d + 1]))
         cores.append(g * decay ** np.arange(ranks[d + 1]))
     return TensorTrain(cores)
+
+
+def loop_fix_signs(U: np.ndarray, W: np.ndarray) -> None:
+    """The package sign convention as a per-column loop, the reference the
+    kernels' vectorized version must match flip for flip.  In place."""
+    for j in range(U.shape[1]):
+        i = int(np.argmax(np.abs(U[:, j])))
+        if U[i, j] < 0.0:
+            U[:, j] = -U[:, j]
+            W[j, :] = -W[j, :]
+
+
+def sign_fixed_procrustes(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Procrustes solve built from sign-fixed SVD factors.  The package
+    applies no sign convention there, and its product must match this one
+    bit for bit."""
+    P, _, Qt = np.linalg.svd(B @ A.T, full_matrices=True)
+    P = np.ascontiguousarray(P)
+    Qt = np.ascontiguousarray(Qt)
+    loop_fix_signs(P, Qt)
+    return P @ Qt

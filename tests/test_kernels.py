@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttmera.kernels import procrustes_solve, qr_thin, svd_full, svd_trunc
+from conftest import loop_fix_signs, sign_fixed_procrustes
+from ttmera.errors import NumericError
+from ttmera.kernels import _fix_signs, procrustes_solve, qr_thin, svd_full, svd_trunc
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -173,9 +175,56 @@ class TestProcrustes:
         with pytest.raises(ValueError):
             procrustes_solve(np.zeros((2, 3)), np.zeros((3, 2)))
 
+    @pytest.mark.parametrize(
+        "A, B, error",
+        [
+            (np.zeros(3), np.zeros(3), ValueError),
+            (np.zeros((0, 3)), np.zeros((0, 3)), ValueError),
+            (np.array([[np.nan, 1.0]]), np.ones((1, 2)), NumericError),
+            (np.ones((1, 2)), np.array([[np.inf, 1.0]]), NumericError),
+        ],
+    )
+    def test_rejects_malformed_input(self, A, B, error):
+        with pytest.raises(error):
+            procrustes_solve(A, B)
+
+    @settings(max_examples=200, deadline=None)
+    @given(SEEDS, st.integers(1, 8), st.integers(1, 8), st.booleans())
+    def test_bit_identical_to_sign_fixed_factors(self, seed, m, n, integer):
+        # P @ Q.T does not depend on the signs of the singular-vector pairs,
+        # so skipping the sign convention must not change a single bit.
+        rng = np.random.default_rng(seed)
+        if integer:
+            A = rng.integers(-2, 3, size=(m, n)).astype(float)
+            B = rng.integers(-2, 3, size=(m, n)).astype(float)
+        else:
+            A = rng.standard_normal((m, n))
+            B = rng.standard_normal((m, n))
+        assert procrustes_solve(A, B).tobytes() == sign_fixed_procrustes(A, B).tobytes()
+
     def test_deterministic(self):
         A = gaussian(4, 5, 7)
         B = gaussian(5, 5, 7)
         np.testing.assert_array_equal(
             procrustes_solve(A, B), procrustes_solve(A, B)
         )
+
+
+class TestFixSigns:
+    @settings(max_examples=300, deadline=None)
+    @given(SEEDS, st.integers(1, 8), st.integers(0, 8), st.integers(0, 3))
+    def test_flips_exactly_what_the_loop_flips(self, seed, m, k, extra):
+        # Small integers make magnitude ties between a positive and a
+        # negative entry common; some columns are all (signed) zeros, and
+        # ``extra`` right-factor rows past U's columns mimic svd_full with
+        # m < n.  Bytes are compared, so the sign of zero counts too.
+        rng = np.random.default_rng(seed)
+        U = rng.integers(-2, 3, size=(m, k)).astype(float)
+        U[:, rng.random(k) < 0.25] = 0.0
+        U[(U == 0.0) & (rng.random((m, k)) < 0.5)] = -0.0
+        W = rng.integers(-2, 3, size=(k + extra, 3)).astype(float)
+        U_ref, W_ref = U.copy(), W.copy()
+        loop_fix_signs(U_ref, W_ref)
+        _fix_signs(U, W)
+        assert U.tobytes() == U_ref.tobytes()
+        assert W.tobytes() == W_ref.tobytes()

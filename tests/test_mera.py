@@ -1,6 +1,7 @@
 """MERA structures, the shuffle bookkeeping, disentangler search, and the
 train/MERA conversions in both directions."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,15 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import decaying_train
+from conftest import decaying_train, sign_fixed_procrustes
 from ttmera.dense import DenseTensor
 from ttmera.experiments import planted_pair_tensor, random_mera_plant
+from ttmera.kernels import svd_full
 from ttmera.mera import (
     Disentangler,
     Isometry,
     Mera,
     MeraLayer,
     _hosvd_disentangler,
+    _shuf_inv_mat,
+    _shuf_mat,
+    _supercore_mat,
     disentangler_positions,
     find_disentangler,
     isometry_positions,
@@ -137,6 +142,33 @@ class TestConstituents:
         assert plant.input_dims == (3,) * 8
 
 
+def sign_fixed_search(supercore, split, target_rank, max_iters):
+    """The disentangler search transcribed with a sign-fixed Procrustes
+    solve at every iteration: ``(V, transformed core, iterations, gap)``."""
+    rl, n, rr = supercore.dims
+    il, ir = split
+    M = _supercore_mat(supercore, split)
+    A0 = _shuf_mat(M, rl, il, ir, rr)
+    V = np.eye(il * ir)
+    iterations = 0
+    while True:
+        U, s, Wt = np.linalg.svd(M, full_matrices=False)
+        r = target_rank
+        gap = math.inf if r >= s.size or s[r] == 0.0 else float(s[r - 1] / s[r])
+        if gap >= 1e12 or iterations >= max_iters:
+            break
+        iterations += 1
+        reference = U[:, :r] @ (s[:r, None] * Wt[:r])
+        A = _shuf_mat(M, rl, il, ir, rr)
+        Vhat = sign_fixed_procrustes(A, _shuf_mat(reference, rl, il, ir, rr))
+        M = _shuf_inv_mat(Vhat @ A, rl, il, ir, rr)
+        V = Vhat @ V
+    P, _, Qt = svd_full(V)
+    V = P @ Qt
+    M = _shuf_inv_mat(V @ A0, rl, il, ir, rr)
+    return V, np.reshape(M, (rl, n, rr), order="F"), iterations, gap
+
+
 class TestFindDisentangler:
     def test_recovers_planted_rank(self):
         plant, sc = planted_supercore(4, 2, seed=4)
@@ -171,6 +203,21 @@ class TestFindDisentangler:
         iters = [k for k, _ in trace]
         assert iters == sorted(iters)
         assert all(sig.size == 16 for _, sig in trace)
+
+    @pytest.mark.parametrize(
+        "I, rprime, seed, max_iters", [(4, 2, 4, 50_000), (4, 2, 0, 50), (5, 9, 0, 200)]
+    )
+    def test_bit_identical_to_sign_fixed_loop(self, I, rprime, seed, max_iters):
+        # (4, 2) seed 4 converges and seed 0 exhausts its budget.  The (5, 9)
+        # search also tells apart memory layouts of the shuffled matrix that
+        # hold the same values: BLAS rounds them differently there.
+        _, sc = planted_supercore(I, rprime, seed=seed)
+        dis, transformed, rep = find_disentangler(sc, (I, I), rprime, max_iters=max_iters)
+        V, M, iterations, gap = sign_fixed_search(sc, (I, I), rprime, max_iters)
+        assert dis.data.tobytes() == V.tobytes()
+        assert transformed.to_array().tobytes() == M.tobytes()
+        assert rep.iterations == iterations
+        assert rep.final_gap == gap
 
     def test_parameter_validation(self):
         _, sc = planted_supercore(4, 2, seed=4)

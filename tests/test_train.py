@@ -1,5 +1,7 @@
 """Tensor-train construction, canonical forms, rounding, and interfaces."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import decaying_train, random_dense
 from ttmera.dense import DenseTensor
-from ttmera.errors import NumericError
+from ttmera.errors import CapacityError, NumericError
 from ttmera.train import (
     TensorTrain,
     _tt_svd_sweep,
@@ -230,6 +232,24 @@ class TestMergeSplit:
         tt = decaying_train(0, (2, 2))
         with pytest.raises(ValueError):
             merge_cores(tt, 2)
+
+    def test_merge_capacity_guarded(self):
+        # Cores of at most 10,100 entries whose fused middle core would be
+        # (101, 10000, 101), 1.03e8 entries: refused before any allocation.
+        tt = TensorTrain([
+            np.ones((1, 1, 101)),
+            np.ones((101, 100, 1)),
+            np.ones((1, 100, 101)),
+            np.ones((101, 1, 1)),
+        ])
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="budget"):
+                merge_cores(tt, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestInterfaces:
