@@ -95,7 +95,9 @@ class DenseTensor:
     """An order-``D`` array of 64-bit reals with 1-based index semantics.
 
     The wrapped values are immutable; operations return new tensors.
-    Constructors reject non-finite entries.
+    Constructors reject non-finite entries.  A float64 array is taken over,
+    not copied, and marked read-only; a caller that still holds a writable
+    alias of its memory must not write through it.
     """
 
     __slots__ = ("_a",)
@@ -107,7 +109,6 @@ class DenseTensor:
         _check_dims(a.shape)
         if not np.all(np.isfinite(a)):
             raise NumericError("tensor entries must be finite")
-        a = a.copy() if not a.flags.owndata or a.base is not None else a
         a.setflags(write=False)
         self._a = a
 
@@ -139,7 +140,7 @@ class DenseTensor:
 
     @property
     def data(self) -> np.ndarray:
-        """Flat copy of the entries in first-index-fastest order."""
+        """Flat entries, first index fastest (a view if stored that way)."""
         return self._a.ravel(order="F")
 
     def to_array(self) -> np.ndarray:

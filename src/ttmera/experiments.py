@@ -355,12 +355,14 @@ def _apply_middle_pair(M: np.ndarray, Q: np.ndarray, side: int) -> np.ndarray:
     per axis; ``Q`` acts on the fused pair (axes 2 and 3), and the result
     is reshaped back to the same matrix form.
     """
-    t = DenseTensor.from_flat(M.ravel(order="F"), (side,) * 4)
-    mid = t.permute([2, 3, 4, 1]).reshape((side * side, side * side))
-    rotated = Q @ mid.to_array()
-    t2 = DenseTensor.from_flat(rotated.ravel(order="F"), (side,) * 4)
-    back = t2.permute([4, 1, 2, 3]).reshape((side * side, side * side))
-    return back.to_array()
+    n = side * side
+    mid = np.reshape(np.reshape(M, (side,) * 4, order="F").transpose(1, 2, 3, 0),
+                     (n, n), order="F")
+    # BLAS rounds the product by operand layout; the plants, and the
+    # iteration counts of the searches on them, are fixed with a C operand.
+    rotated = Q @ np.ascontiguousarray(mid)
+    back = np.reshape(rotated, (side,) * 4, order="F").transpose(3, 0, 1, 2)
+    return np.reshape(back, (n, n), order="F")
 
 
 def planted_pair_tensor(

@@ -28,9 +28,10 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import struct
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import BinaryIO, Iterable, Sequence
 
 import numpy as np
 
@@ -57,18 +58,17 @@ _MAGIC_MERA = b"MRMA"
 
 
 class _Reader:
-    """Cursor over a byte string that fails loudly on truncation."""
+    """Cursor over an open binary file that fails loudly on truncation."""
 
-    def __init__(self, data: bytes, label: str):
-        self._data = data
-        self._pos = 0
+    def __init__(self, f: BinaryIO, label: str):
+        self._f = f
+        self._size = os.fstat(f.fileno()).st_size
         self._label = label
 
     def take(self, n: int) -> bytes:
-        if self._pos + n > len(self._data):
+        out = self._f.read(n)
+        if len(out) != n:
             raise FormatError(f"truncated {self._label} file")
-        out = self._data[self._pos : self._pos + n]
-        self._pos += n
         return out
 
     def u8(self) -> int:
@@ -81,15 +81,15 @@ class _Reader:
         return struct.unpack(f"<{count}Q", self.take(8 * count))
 
     def f64s(self, count: int) -> np.ndarray:
-        raw = self.take(8 * count)
-        return np.frombuffer(raw, dtype="<f8", count=count).astype(np.float64)
+        # Checked before allocating, so a huge declared payload costs nothing.
+        if 8 * count > self._size - self._f.tell():
+            raise FormatError(f"truncated {self._label} file")
+        return np.fromfile(self._f, dtype="<f8", count=count)
 
     def done(self) -> None:
-        if self._pos != len(self._data):
-            raise FormatError(
-                f"{self._label} file has {len(self._data) - self._pos} "
-                "trailing bytes"
-            )
+        left = self._size - self._f.tell()
+        if left:
+            raise FormatError(f"{self._label} file has {left} trailing bytes")
 
 
 def _check_dims(dims: Sequence[int], label: str) -> None:
@@ -97,8 +97,8 @@ def _check_dims(dims: Sequence[int], label: str) -> None:
         raise FormatError(f"{label} file declares invalid dimensions {tuple(dims)}")
 
 
-def _payload(a: np.ndarray) -> bytes:
-    return np.ascontiguousarray(a.ravel(order="F"), dtype="<f8").tobytes()
+def _payload(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a.ravel(order="F"), dtype="<f8")
 
 
 # ---------------------------------------------------------------------------
@@ -108,23 +108,23 @@ def _payload(a: np.ndarray) -> bytes:
 def save_tensor(path: str | Path, t: DenseTensor) -> None:
     with open(path, "wb") as f:
         f.write(_MAGIC_TENSOR)
-        f.write(struct.pack("<H", t.order))
-        f.write(struct.pack(f"<{t.order}Q", *t.dims))
+        f.write(struct.pack(f"<H{t.order}Q", t.order, *t.dims))
         f.write(_payload(t.to_array()))
 
 
 def load_tensor(path: str | Path) -> DenseTensor:
-    r = _Reader(Path(path).read_bytes(), "tensor")
-    if r.take(4) != _MAGIC_TENSOR:
-        raise FormatError(f"{path}: bad magic, not a tensor file")
-    order = r.u16()
-    if order < 1:
-        raise FormatError("tensor file declares zero order")
-    dims = r.u64s(order)
-    _check_dims(dims, "tensor")
-    data = r.f64s(math.prod(dims))
-    r.done()
-    return DenseTensor.from_flat(data, dims)
+    with open(path, "rb") as f:
+        r = _Reader(f, "tensor")
+        if r.take(4) != _MAGIC_TENSOR:
+            raise FormatError(f"{path}: bad magic, not a tensor file")
+        order = r.u16()
+        if order < 1:
+            raise FormatError("tensor file declares zero order")
+        dims = r.u64s(order)
+        _check_dims(dims, "tensor")
+        data = r.f64s(math.prod(dims))
+        r.done()
+        return DenseTensor.from_flat(data, dims)
 
 
 # ---------------------------------------------------------------------------
@@ -134,33 +134,32 @@ def load_tensor(path: str | Path) -> DenseTensor:
 def save_train(path: str | Path, tt: TensorTrain) -> None:
     with open(path, "wb") as f:
         f.write(_MAGIC_TRAIN)
-        f.write(struct.pack("<H", tt.order))
-        f.write(struct.pack(f"<{tt.order + 1}Q", *tt.ranks))
-        f.write(struct.pack(f"<{tt.order}Q", *tt.dims))
+        f.write(struct.pack(f"<H{2 * tt.order + 1}Q", tt.order, *tt.ranks, *tt.dims))
         for core in tt.cores:
             f.write(_payload(core))
 
 
 def load_train(path: str | Path) -> TensorTrain:
-    r = _Reader(Path(path).read_bytes(), "train")
-    if r.take(4) != _MAGIC_TRAIN:
-        raise FormatError(f"{path}: bad magic, not a train file")
-    order = r.u16()
-    if order < 1:
-        raise FormatError("train file declares zero order")
-    ranks = r.u64s(order + 1)
-    dims = r.u64s(order)
-    _check_dims(dims, "train")
-    _check_dims(ranks, "train")
-    if ranks[0] != 1 or ranks[-1] != 1:
-        raise FormatError(f"train file boundary ranks must be 1, got {ranks}")
-    cores = []
-    for d in range(order):
-        shape = (ranks[d], dims[d], ranks[d + 1])
-        flat = r.f64s(math.prod(shape))
-        cores.append(np.reshape(flat, shape, order="F"))
-    r.done()
-    return TensorTrain(cores)
+    with open(path, "rb") as f:
+        r = _Reader(f, "train")
+        if r.take(4) != _MAGIC_TRAIN:
+            raise FormatError(f"{path}: bad magic, not a train file")
+        order = r.u16()
+        if order < 1:
+            raise FormatError("train file declares zero order")
+        ranks = r.u64s(order + 1)
+        dims = r.u64s(order)
+        _check_dims(dims, "train")
+        _check_dims(ranks, "train")
+        if ranks[0] != 1 or ranks[-1] != 1:
+            raise FormatError(f"train file boundary ranks must be 1, got {ranks}")
+        cores = []
+        for d in range(order):
+            shape = (ranks[d], dims[d], ranks[d + 1])
+            flat = r.f64s(math.prod(shape))
+            cores.append(np.reshape(flat, shape, order="F"))
+        r.done()
+        return TensorTrain(cores)
 
 
 # ---------------------------------------------------------------------------
@@ -175,80 +174,78 @@ def save_mera(path: str | Path, m: Mera) -> None:
             f.write(struct.pack("<HH", len(layer.disentanglers),
                                 len(layer.isometries)))
             for pos, dis in sorted(layer.disentanglers):
-                f.write(struct.pack("<BQH", 0, pos, 2))
-                f.write(struct.pack("<2Q", *dis.dims))
+                f.write(struct.pack("<BQH2Q", 0, pos, 2, *dis.dims))
                 f.write(_payload(dis.data))
             for pos, iso in sorted(layer.isometries):
                 dims = (*iso.input_dims, iso.output_dim)
-                f.write(struct.pack("<BQH", 1, pos, len(dims)))
-                f.write(struct.pack(f"<{len(dims)}Q", *dims))
+                f.write(struct.pack(f"<BQH{len(dims)}Q", 1, pos, len(dims), *dims))
                 f.write(_payload(iso.data))
-        f.write(struct.pack("<H", m.top.order))
-        f.write(struct.pack(f"<{m.top.order}Q", *m.top.dims))
+        f.write(struct.pack(f"<H{m.top.order}Q", m.top.order, *m.top.dims))
         f.write(_payload(m.top.to_array()))
 
 
 def load_mera(path: str | Path) -> Mera:
-    r = _Reader(Path(path).read_bytes(), "mera")
-    if r.take(4) != _MAGIC_MERA:
-        raise FormatError(f"{path}: bad magic, not a MERA file")
-    n_layers = r.u16()
-    if n_layers < 1:
-        raise FormatError("MERA file declares zero layers")
-    layers = []
-    for _ in range(n_layers):
-        n_dis = r.u16()
-        n_iso = r.u16()
-        if n_iso < 1:
-            raise FormatError("MERA layer declares zero isometries")
-        disentanglers = []
-        isometries = []
-        for _ in range(n_dis + n_iso):
-            kind = r.u8()
-            (pos,) = r.u64s(1)
-            ndims = r.u16()
-            dims = r.u64s(ndims)
-            _check_dims(dims, "mera")
-            if kind == 0:
-                if ndims != 2:
-                    raise FormatError(
-                        f"disentangler record has {ndims} dimensions, expected 2"
+    with open(path, "rb") as f:
+        r = _Reader(f, "mera")
+        if r.take(4) != _MAGIC_MERA:
+            raise FormatError(f"{path}: bad magic, not a MERA file")
+        n_layers = r.u16()
+        if n_layers < 1:
+            raise FormatError("MERA file declares zero layers")
+        layers = []
+        for _ in range(n_layers):
+            n_dis = r.u16()
+            n_iso = r.u16()
+            if n_iso < 1:
+                raise FormatError("MERA layer declares zero isometries")
+            disentanglers = []
+            isometries = []
+            for _ in range(n_dis + n_iso):
+                kind = r.u8()
+                (pos,) = r.u64s(1)
+                ndims = r.u16()
+                dims = r.u64s(ndims)
+                _check_dims(dims, "mera")
+                if kind == 0:
+                    if ndims != 2:
+                        raise FormatError(
+                            f"disentangler record has {ndims} dimensions, expected 2"
+                        )
+                    n = dims[0] * dims[1]
+                    data = r.f64s(n * n).reshape((n, n), order="F")
+                    disentanglers.append((pos, Disentangler(dims=dims, data=data)))
+                elif kind == 1:
+                    if ndims < 2:
+                        raise FormatError("isometry record needs input and output dims")
+                    rows = math.prod(dims[:-1])
+                    data = r.f64s(rows * dims[-1]).reshape((rows, dims[-1]), order="F")
+                    isometries.append(
+                        (pos, Isometry(input_dims=dims[:-1], output_dim=dims[-1],
+                                       data=data))
                     )
-                n = dims[0] * dims[1]
-                data = r.f64s(n * n).reshape((n, n), order="F")
-                disentanglers.append((pos, Disentangler(dims=dims, data=data)))
-            elif kind == 1:
-                if ndims < 2:
-                    raise FormatError("isometry record needs input and output dims")
-                rows = math.prod(dims[:-1])
-                data = r.f64s(rows * dims[-1]).reshape((rows, dims[-1]), order="F")
-                isometries.append(
-                    (pos, Isometry(input_dims=dims[:-1], output_dim=dims[-1],
-                                   data=data))
+                else:
+                    raise FormatError(f"unknown MERA record kind {kind}")
+            if len(disentanglers) != n_dis:
+                raise FormatError(
+                    f"MERA layer header promised {n_dis} disentanglers, "
+                    f"found {len(disentanglers)}"
                 )
-            else:
-                raise FormatError(f"unknown MERA record kind {kind}")
-        if len(disentanglers) != n_dis:
-            raise FormatError(
-                f"MERA layer header promised {n_dis} disentanglers, "
-                f"found {len(disentanglers)}"
+            arity = sum(len(iso.input_dims) for _, iso in isometries)
+            layers.append(
+                MeraLayer(
+                    input_arity=arity,
+                    isometries=tuple(isometries),
+                    disentanglers=tuple(disentanglers),
+                )
             )
-        arity = sum(len(iso.input_dims) for _, iso in isometries)
-        layers.append(
-            MeraLayer(
-                input_arity=arity,
-                isometries=tuple(isometries),
-                disentanglers=tuple(disentanglers),
-            )
-        )
-    top_order = r.u16()
-    if top_order < 1:
-        raise FormatError("MERA file declares zero-order top tensor")
-    top_dims = r.u64s(top_order)
-    _check_dims(top_dims, "mera")
-    top = DenseTensor.from_flat(r.f64s(math.prod(top_dims)), top_dims)
-    r.done()
-    return Mera(layers=tuple(layers), top=top)
+        top_order = r.u16()
+        if top_order < 1:
+            raise FormatError("MERA file declares zero-order top tensor")
+        top_dims = r.u64s(top_order)
+        _check_dims(top_dims, "mera")
+        top = DenseTensor.from_flat(r.f64s(math.prod(top_dims)), top_dims)
+        r.done()
+        return Mera(layers=tuple(layers), top=top)
 
 
 # ---------------------------------------------------------------------------

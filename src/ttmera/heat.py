@@ -127,7 +127,7 @@ def solve_heat(
         raise ConfigError("initial field contains non-finite values")
     # u carries one ghost row and column at coordinate n*ds; together with
     # the frozen row 0 / column 0 they encode the Dirichlet data.
-    u = field
+    u = field.copy()
     dt = config.time_step
     alpha = dt / (h * h)
     snapshots = np.empty((n, n, steps), dtype=np.float64, order="F")
@@ -139,7 +139,6 @@ def solve_heat(
         )
         # Row 0, column 0, and the ghost edges are never written, so they
         # stay at the boundary-function values.
-        u = u.copy()
         u[1:-1, 1:-1] += alpha * interior
         snapshots[:, :, k] = u[:n, :n]
     if not np.all(np.isfinite(snapshots)):

@@ -279,8 +279,8 @@ def shuf_inv(
             f"expected shape {(il * ir, rl * rr)} for dims {dims}, got {A.shape}"
         )
     M = _shuf_inv_mat(A, rl, il, ir, rr)
-    T = np.reshape(M, (rl, il * ir, rr), order="F")
-    return DenseTensor(T), M
+    T = DenseTensor(np.reshape(M, (rl, il * ir, rr), order="F"))
+    return T, np.reshape(T.to_array(), M.shape, order="F")
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,10 @@ class TestRunCompress:
             return tucker_trains[-1]
 
         monkeypatch.setattr("ttmera.experiments.tucker_reconstruct_tt", keep)
+        # A C-ordered copy of the 12-way heat tensor: the F-ordered heat
+        # tensor and its reshapes take the other branch of the measurement.
         heat = reshape_to_factors(solve_heat(HeatConfig(ds=0.05, t_end=0.25)))
+        heat = DenseTensor(np.ascontiguousarray(heat.to_array()))
         assert heat.order == 12 and heat.to_array().flags.c_contiguous
         cases = [
             (small_tensor(seed=3, dims=(8, 7, 9)), 5e-2),
@@ -103,8 +106,9 @@ class TestRunCompress:
         # whether the input is stored first- or last-index-fastest.
         base = decaying_train(7, (32,) * 4, max_rank=6)
         tt = tt_round(base, 1e-1)
-        c_order = tt_contract(base)
-        f_order = DenseTensor(np.asfortranarray(c_order.to_array()))
+        dense = tt_contract(base).to_array()
+        c_order = DenseTensor(np.ascontiguousarray(dense))
+        f_order = DenseTensor(np.asfortranarray(dense))
         assert not c_order.to_array().flags.f_contiguous
         assert f_order.to_array().flags.f_contiguous
         direct = np.linalg.norm(c_order.to_array() - tt_contract(tt).to_array())
@@ -164,7 +168,26 @@ class TestRunCompress:
             run_compress(zero)
 
 
+def _copied_middle_pair(M, Q, side):
+    """The middle-pair rotation with a C-ordered copy after every tensor
+    step, as it ran when each tensor copied the array it was given."""
+    c = np.ascontiguousarray
+    n = side * side
+    t = c(np.reshape(M.ravel(order="F"), (side,) * 4, order="F"))
+    mid = c(np.reshape(c(t.transpose(1, 2, 3, 0)), (n, n), order="F"))
+    t2 = c(np.reshape((Q @ mid).ravel(order="F"), (side,) * 4, order="F"))
+    return c(np.reshape(c(t2.transpose(3, 0, 1, 2)), (n, n), order="F"))
+
+
 class TestPlantedPairTensor:
+    @pytest.mark.parametrize("I, rprime, seed", [(5, 9, 0), (8, 32, 0), (4, 2, 4)])
+    def test_plant_bits_match_copying_rotation(self, I, rprime, seed):
+        # The plant fixes the search's iteration counts, so its bits must
+        # not depend on how the rotation lays out its operands.
+        p = planted_pair_tensor(I, rprime, seed)
+        want = _copied_middle_pair(p["low_rank_matrix"], p["entangler"], I)
+        assert p["entangled_matrix"].tobytes() == want.tobytes()
+
     def test_structure_and_determinism(self):
         p = planted_pair_tensor(4, 3, seed=5)
         assert p["tensor"].dims == (4, 4, 4, 4)

@@ -2,6 +2,7 @@
 
 import csv
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -184,6 +185,61 @@ class TestMeraFile:
         p.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(FormatError, match="truncated"):
             load_mera(p)
+
+
+def _traced_peak(fn, *args):
+    """Result of ``fn(*args)`` and the peak of traced allocations during it."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+class TestPayloadIO:
+    """Payloads are read once into one fresh array and written unchanged."""
+
+    BIG = 2**20
+    HEADERS = {
+        load_tensor: b"MRT1" + struct.pack("<H2Q", 2, BIG, BIG),
+        load_train: b"MRTT" + struct.pack("<H3Q2Q", 2, 1, BIG, 1, BIG, BIG),
+        load_mera: b"MRMA" + struct.pack("<3H", 1, 0, 1)
+        + struct.pack("<BQH2Q", 1, 1, 2, BIG, BIG),
+    }
+
+    @pytest.mark.parametrize("load", list(HEADERS), ids=lambda f: f.__name__)
+    def test_huge_declared_payload_rejected_before_allocating(self, tmp_path, load):
+        p = tmp_path / "huge.bin"
+        p.write_bytes(self.HEADERS[load] + bytes(16))
+        assert p.stat().st_size < 64
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="truncated"):
+                load(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_load_peaks_at_one_payload(self, tmp_path):
+        t = DenseTensor(standard_normal(stream(5, 0), (64, 128, 128)))
+        payload = t.to_array().nbytes
+        p = tmp_path / "t.mrt"
+        save_tensor(p, t)
+        back, peak = _traced_peak(load_tensor, p)
+        np.testing.assert_array_equal(back.data, t.data)
+        assert peak < 1.25 * payload
+
+    def test_save_of_first_index_fastest_tensor_copies_nothing(self, tmp_path):
+        a = np.asfortranarray(standard_normal(stream(6, 0), (64, 128, 128)))
+        t = DenseTensor(a)
+        assert t.to_array().flags.f_contiguous
+        p = tmp_path / "t.mrt"
+        _, peak = _traced_peak(save_tensor, p, t)
+        assert peak < 0.25 * a.nbytes
+        np.testing.assert_array_equal(load_tensor(p).data, t.data)
 
 
 class TestPgm:

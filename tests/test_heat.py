@@ -187,6 +187,13 @@ class TestReshapeToFactors:
         assert r.dims == (2, 5, 2, 5, 2, 2, 5, 5)
         np.testing.assert_array_equal(t.data, r.data)
 
+    def test_shares_memory_with_input(self):
+        t = solve_heat(HeatConfig(ds=0.1))
+        assert t.to_array().flags.f_contiguous
+        r = reshape_to_factors(t)
+        assert np.shares_memory(r.to_array(), t.to_array())
+        assert not r.to_array().flags.writeable
+
     def test_norm_preserved(self):
         c = HeatConfig(ds=0.2, t_end=0.05)
         t = solve_heat(c)
