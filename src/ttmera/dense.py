@@ -213,5 +213,5 @@ class DenseTensor:
         return DenseTensor(np.moveaxis(folded, 0, d - 1))
 
     def norm(self) -> float:
-        """Frobenius norm."""
-        return float(np.linalg.norm(self._a.ravel()))
+        """Frobenius norm, summed in memory order (no copy)."""
+        return float(np.linalg.norm(self._a))

@@ -587,11 +587,8 @@ def run_rmin_scan(
         I, s = point
         return _rmin_for_seed(I, seed + s, gap_threshold, max_iters)
 
-    if threads == 1:
-        votes = [job(p) for p in work]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            votes = list(ex.map(job, work))
+    with ThreadPoolExecutor(max_workers=threads) as ex:
+        votes = list(ex.map(job, work))
     by_I: dict[int, list[int]] = {I: [] for I in I_values}
     for (I, _), v in zip(work, votes):
         by_I[I].append(v)
@@ -644,11 +641,8 @@ def run_iters_vs_rank(
         r, s = point
         return _scan_point(I, r, seed + s, gap_threshold, max_iters)
 
-    if threads == 1:
-        reports = [job(p) for p in work]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            reports = list(ex.map(job, work))
+    with ThreadPoolExecutor(max_workers=threads) as ex:
+        reports = list(ex.map(job, work))
     grouped: dict[int, list[DisentanglerReport]] = {r: [] for r in rprimes}
     for (r, _), rep in zip(work, reports):
         grouped[r].append(rep)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Literal
 
 import numpy as np
 
@@ -386,17 +386,20 @@ def tt_to_mera(
     target_ranks: list[list[int]] | None = None,
     gap_threshold: float = 1e12,
     max_iters: int = 50_000,
-    max_output_dim: int | Sequence[int] | None = None,
+    max_output_dim: int | None = None,
 ) -> tuple[Mera, list[float]]:
     """Convert a train into a ``layers``-deep MERA with relative error at
     most ``epsilon``.
 
-    Per layer: fuse neighbouring cores at the disentangler positions, obtain
-    a disentangler for each fused pair (an exact full SVD of the pair's free
-    unfolding under ``strategy="hosvd"``, or the iterative rank-targeting
-    search under ``strategy="procrustes"``), split the pairs again, fuse the
-    isometry groups, and run the truncated Tucker sweep whose factors become
-    the isometries.  Only the isometry truncations discard energy; each one
+    Per layer, one right-to-left pass visits the disentangler positions.
+    At each, the canonical centre moves to the pair (one QR step per core
+    it crosses), the pair is fused, its disentangler is obtained (an
+    exact full SVD of the pair's free unfolding under ``strategy="hosvd"``,
+    or the iterative rank-targeting search under ``strategy="procrustes"``)
+    and applied, and the pair is split again without loss, the centre
+    staying on its left core.  Then the isometry groups are fused, which
+    brings the centre to site 1, and the truncated Tucker sweep yields the
+    isometries.  Only the isometry truncations discard energy; each one
     is budgeted ``epsilon * |tt|_F / sqrt(total isometry count)``, so the
     total squared error is at most ``(epsilon * |tt|_F)^2``.  After the last
     layer the remaining train is contracted into the top tensor.
@@ -409,9 +412,9 @@ def tt_to_mera(
     error guarantee is unaffected because disentanglers are orthogonal.
 
     ``max_output_dim`` forces an upper bound on every isometry's output
-    size (one integer, or one per layer).  Forced truncation can discard
-    far more energy than ``epsilon`` allows; the reported discarded
-    energies stay exact either way.
+    size in every layer.  Forced truncation can discard far more energy
+    than ``epsilon`` allows; the reported discarded energies stay exact
+    either way.
 
     Returns the MERA and the per-isometry discarded energies in
     construction order.
@@ -426,16 +429,6 @@ def tt_to_mera(
         raise ValueError(
             f"target_ranks has {len(target_ranks)} entries for {layers} layers"
         )
-    if max_output_dim is None:
-        caps: list[int | None] = [None] * layers
-    elif isinstance(max_output_dim, int):
-        caps = [max_output_dim] * layers
-    else:
-        caps = list(max_output_dim)
-        if len(caps) != layers:
-            raise ValueError(
-                f"{len(caps)} output-dim caps for {layers} layers"
-            )
     order = tt.order
     total_isometries = 0
     for _ in range(layers):
@@ -455,7 +448,7 @@ def tt_to_mera(
             target_ranks[ell] if target_ranks is not None else None,
             gap_threshold,
             max_iters,
-            caps[ell],
+            max_output_dim,
         )
         built_layers.append(layer)
         discarded.extend(layer_discarded)
@@ -481,21 +474,19 @@ def _build_layer(
             f"{len(ranks_goal)} target ranks for {len(dis_pos)} disentanglers"
         )
 
-    # Fuse each boundary pair.  Merging removes one core per pair, so after
-    # the pairs left of it are fused, the k-th pair sits at position p - k.
-    merged = tt
-    for k, p in enumerate(dis_pos):
-        merged = merge_cores(merged, p - k)
-
+    # One right-to-left pass over the boundary pairs: move the centre to the
+    # pair, fuse it, mix its free index, and split it losslessly with the
+    # centre kept on the left.  The pairs are disjoint, so each pair's free
+    # unfolding does not depend on the order; right to left ends near site 1.
     disentanglers: list[tuple[int, Disentangler]] = []
-    for k, p in enumerate(dis_pos):
-        site = p - k
-        merged = orthogonalize(merged, site)
+    for k in reversed(range(len(dis_pos))):
+        p = dis_pos[k]
+        fused = merge_cores(orthogonalize(tt, p), p)
         pair = (dims[p - 1], dims[p])
         if strategy == "hosvd":
-            dis, transformed = _hosvd_disentangler(merged.core(site), pair)
+            dis, transformed = _hosvd_disentangler(fused.core(p), pair)
         else:
-            supercore = DenseTensor(merged.core(site))
+            supercore = DenseTensor(fused.core(p))
             goal = ranks_goal[k] if ranks_goal is not None else None
             if goal is None:
                 goal = max(1, svd_trunc(_supercore_mat(supercore, pair), delta).rank)
@@ -515,24 +506,21 @@ def _build_layer(
                     "after %d iterations",
                     p, p + 1, report.final_gap, report.iterations,
                 )
-        disentanglers.append((p, dis))
-        cores = list(merged.cores)
-        cores[site - 1] = transformed.to_array()
-        merged = TensorTrain(cores)
+        disentanglers.insert(0, (p, dis))
+        cores = list(fused.cores)
+        cores[p - 1] = transformed.to_array()
+        tt, _ = split_core(
+            TensorTrain(cores, canonical_site=p), p, *pair, right_orthogonal=True
+        )
 
-    # Split the fused pairs apart again.  Each split grows the train by
-    # one core, which restores original positions for the pairs to come.
-    for p in dis_pos:
-        merged, _ = split_core(merged, p, dims[p - 1], dims[p], delta=0.0)
-
-    # Fuse the isometry groups and extract the truncated factors.
+    # Fuse the isometry groups, which carries the centre from the first
+    # pair to site 1, and extract the truncated factors.
     iso_pos = isometry_positions(order, arity)
-    grouped = merged
     for g in range(len(iso_pos)):
         for _ in range(arity - 1):
-            grouped = merge_cores(grouped, g + 1)
+            tt = merge_cores(tt, g + 1)
     max_ranks = None if output_cap is None else [output_cap] * len(iso_pos)
-    factors, next_tt, group_discarded = tucker_sweep(grouped, delta, max_ranks)
+    factors, next_tt, group_discarded = tucker_sweep(tt, delta, max_ranks)
     isometries = []
     for j, p in enumerate(iso_pos):
         group_dims = tuple(dims[p - 1 : p - 1 + arity])

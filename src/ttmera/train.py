@@ -45,9 +45,10 @@ DENSE_ENTRY_BUDGET = 10**8
 class TensorTrain:
     """Immutable chain of 3-way cores, optionally tagged with its canonical site.
 
-    ``canonical_site`` is trusted metadata: constructors of operations set it
-    when the sweep they performed guarantees the form, and it is dropped to
-    ``None`` whenever cores are replaced wholesale.
+    ``canonical_site`` is trusted metadata: an operation sets it when the form
+    is guaranteed (a sweep, or a merge or split that keeps the centre), and
+    ``orthogonalize`` moves the centre from it.  Without a tag, no form is
+    assumed.
     """
 
     __slots__ = ("_cores", "_site")
@@ -181,17 +182,23 @@ def _tt_svd_sweep(t: DenseTensor, epsilon: float) -> tuple[TensorTrain, float]:
 
 
 def orthogonalize(tt: TensorTrain, d: int) -> TensorTrain:
-    """Return an equivalent train in site-``d``-mixed-canonical form."""
+    """Return an equivalent train in site-``d``-mixed-canonical form.
+
+    A tagged train is already canonical around its tag, so only the cores
+    between the tag and ``d`` take a QR step; an untagged one is swept whole.
+    """
     if not 1 <= d <= tt.order:
         raise ValueError(f"site {d} outside 1..{tt.order}")
     if tt.canonical_site == d:
         return tt
+    tag = tt.canonical_site
+    lo, hi = (0, tt.order - 1) if tag is None else (tag - 1, tag - 1)
     cores = list(tt.cores)
-    for k in range(d - 1):
+    for k in range(lo, d - 1):
         Q, R = qr_thin(_left_mat(cores[k]))
         cores[k] = _from_left(Q, cores[k].shape[0], cores[k].shape[1])
         cores[k + 1] = np.tensordot(R, cores[k + 1], axes=([1], [0]))
-    for k in range(tt.order - 1, d - 1, -1):
+    for k in range(hi, d - 1, -1):
         Q, R = qr_thin(_right_mat(cores[k]).T)
         cores[k] = _from_right(Q.T, cores[k].shape[1], cores[k].shape[2])
         cores[k - 1] = np.tensordot(cores[k - 1], R.T, axes=([2], [0]))
@@ -254,7 +261,8 @@ def merge_cores(tt: TensorTrain, d: int) -> TensorTrain:
     """Contract cores ``d`` and ``d+1`` into one supercore.
 
     The merged free index is the fused pair ``[i_d i_{d+1}]`` with ``i_d``
-    fastest, so the result represents the same tensor reshaped.
+    fastest, so the result represents the same tensor reshaped.  A canonical
+    tag is kept on the same core.
 
     Refuses to allocate more than ``DENSE_ENTRY_BUDGET`` entries.
     """
@@ -271,7 +279,10 @@ def merge_cores(tt: TensorTrain, d: int) -> TensorTrain:
     r, n, m, s = super_.shape
     super_ = np.reshape(super_, (r, n * m, s), order="F")
     cores = list(tt.cores[: d - 1]) + [super_] + list(tt.cores[d + 1 :])
-    return TensorTrain(cores)
+    site = tt.canonical_site
+    if site is not None and site > d:
+        site -= 1
+    return TensorTrain(cores, site)
 
 
 def split_core(
@@ -287,8 +298,10 @@ def split_core(
     The supercore is matricized as ``(R_d * left_dim, right_dim * R_{d+2})``
     and factored by :func:`svd_trunc` at ``delta``.  By default the new left
     core takes the orthonormal factor; with ``right_orthogonal`` the roles
-    swap.  Returns the new train and the discarded energy, whose square root
-    is the error introduced when the surrounding cores are orthogonal.
+    swap.  Splitting the canonical centre leaves it in the non-orthonormal
+    new core; splitting any other core drops the tag.  Returns the new train
+    and the discarded energy, whose square root is the error introduced when
+    the surrounding cores are orthogonal.
     """
     core = tt.core(d)
     r, n, s = core.shape
@@ -308,7 +321,10 @@ def split_core(
         left = _from_left(f.U, r, left_dim)
         right = _from_right(f.sigma[:, None] * f.V.T, right_dim, s)
     cores = list(tt.cores[: d - 1]) + [left, right] + list(tt.cores[d:])
-    return TensorTrain(cores), f.discarded_energy
+    site = None
+    if tt.canonical_site == d:
+        site = d if right_orthogonal else d + 1
+    return TensorTrain(cores, site), f.discarded_energy
 
 
 @dataclass(frozen=True)

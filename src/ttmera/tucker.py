@@ -98,8 +98,8 @@ def tucker_sweep(
 ) -> tuple[list[np.ndarray], TensorTrain, np.ndarray]:
     """One left-to-right factor-extraction sweep at a fixed tolerance.
 
-    Expects the input site-1-mixed-canonical; each center unfolding then
-    carries the exact singular values of the corresponding mode of the
+    First orthogonalizes to site 1 from the train's canonical tag, which
+    costs nothing for a site-1 train; each center unfolding then carries the exact singular values of the corresponding mode of the
     represented tensor, so the discarded energies are exact mode errors.
     ``max_ranks`` optionally caps the kept rank per mode regardless of the
     tolerance; energy cut by a cap is charged to that mode's discarded
@@ -111,8 +111,7 @@ def tucker_sweep(
             raise ValueError(f"{len(max_ranks)} rank caps for {D} modes")
         if any(c < 1 for c in max_ranks):
             raise ValueError("rank caps must be positive")
-    if tt.canonical_site != 1:
-        tt = orthogonalize(tt, 1)
+    tt = orthogonalize(tt, 1)
     cores = list(tt.cores)
     factors: list[np.ndarray] = []
     discarded = np.zeros(D)

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from ttmera import train
 from ttmera.dense import DenseTensor
+from ttmera.kernels import qr_thin
 from ttmera.rng import standard_normal, stream
 from ttmera.train import TensorTrain
 
@@ -33,6 +35,18 @@ def decaying_train(
         g = standard_normal(stream(seed, d + 1), (ranks[d], n, ranks[d + 1]))
         cores.append(g * decay ** np.arange(ranks[d + 1]))
     return TensorTrain(cores)
+
+
+def count_qr(monkeypatch) -> list:
+    """Record the shape of every ``qr_thin`` call the train module makes."""
+    calls = []
+
+    def counted(A):
+        calls.append(A.shape)
+        return qr_thin(A)
+
+    monkeypatch.setattr(train, "qr_thin", counted)
+    return calls
 
 
 def loop_fix_signs(U: np.ndarray, W: np.ndarray) -> None:

@@ -1,6 +1,7 @@
 """Linearization convention and dense-tensor semantics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,3 +153,18 @@ class TestDenseTensor:
     def test_norm(self):
         t = DenseTensor([[3.0, 0.0], [0.0, 4.0]])
         assert t.norm() == pytest.approx(5.0, rel=1e-15)
+
+    def test_norm_reads_memory_order_without_copy(self):
+        # 8 MiB stored first-index-fastest, as loaded and reshaped tensors are
+        a = np.asfortranarray(
+            np.arange(64 * 128 * 128, dtype=np.float64).reshape(64, 128, 128)
+        )
+        t = DenseTensor(a)
+        tracemalloc.start()
+        try:
+            value = t.norm()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.01 * a.nbytes
+        assert value == pytest.approx(math.sqrt(float(np.sum(a * a))), rel=1e-13)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import decaying_train, sign_fixed_procrustes
+from conftest import count_qr, decaying_train, sign_fixed_procrustes
 from ttmera.dense import DenseTensor
 from ttmera.experiments import planted_pair_tensor, random_mera_plant
 from ttmera.kernels import svd_full
@@ -380,6 +380,21 @@ class TestTrainToMera:
                     assert err**2 * tt_norm(tt) ** 2 == pytest.approx(
                         sum(discarded), rel=1e-6, abs=1e-12 * tt_norm(tt) ** 2
                     ), case
+
+    @pytest.mark.parametrize("order", [8, 12])
+    def test_layer_pass_carries_the_centre(self, order, monkeypatch):
+        # The canonical centre goes from site D to the rightmost pair and
+        # from pair to pair to the left: at most D - 1 QR steps for
+        # the whole layer, where a sweep per pair would take far more.
+        plant = random_mera_plant(3, 2, arity=2, order=order, layers=1, seed=1)
+        tt = mera_to_tt(plant)
+        assert tt.canonical_site == order
+        calls = count_qr(monkeypatch)
+        m, _ = tt_to_mera(tt, arity=2, epsilon=1e-10, strategy="hosvd")
+        assert len(calls) <= order - 1
+        positions = [p for p, _ in m.layers[0].disentanglers]
+        assert positions == disentangler_positions(order, 2)
+        assert mera_relative_error(m, tt) <= 1e-10
 
     def test_two_layer_shapes(self):
         tt = decaying_train(5, (2,) * 8, max_rank=6)

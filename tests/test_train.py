@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import decaying_train, random_dense
+from conftest import count_qr, decaying_train, random_dense
 from ttmera.dense import DenseTensor
 from ttmera.errors import CapacityError, NumericError
 from ttmera.train import (
@@ -36,6 +36,16 @@ def left_orthonormal(core):
 def right_orthonormal(core):
     M = np.reshape(core, (core.shape[0], core.shape[1] * core.shape[2]), order="F")
     return np.allclose(M @ M.T, np.eye(core.shape[0]), atol=1e-12)
+
+
+def assert_canonical(tt):
+    """The tag holds: cores left of it left-, right of it right-orthonormal."""
+    site = tt.canonical_site
+    assert site is not None
+    for d in range(1, site):
+        assert left_orthonormal(tt.core(d)), (site, d)
+    for d in range(site + 1, tt.order + 1):
+        assert right_orthonormal(tt.core(d)), (site, d)
 
 
 class TestConstruction:
@@ -147,6 +157,26 @@ class TestCanonicalForms:
         tt = decaying_train(seed, (3, 2, 4, 3))
         assert tt_norm(tt) == pytest.approx(tt_contract(tt).norm(), rel=1e-12)
 
+    def test_moves_centre_from_tag(self, monkeypatch):
+        # From every tagged site to every target, only the cores in between
+        # take a QR step; an untagged train is swept whole.  The result is
+        # canonical at the target either way.
+        base = decaying_train(3, (3, 4, 2, 3, 2))
+        D = base.order
+        ref = tt_contract(base)
+        calls = count_qr(monkeypatch)
+        for s in [None, *range(1, D + 1)]:
+            tagged = base if s is None else orthogonalize(base, s)
+            for d in range(1, D + 1):
+                calls.clear()
+                moved = orthogonalize(tagged, d)
+                assert len(calls) == (D - 1 if s is None else abs(s - d)), (s, d)
+                assert moved.canonical_site == d
+                assert_canonical(moved)
+                np.testing.assert_allclose(
+                    tt_contract(moved).data, ref.data, atol=1e-12 * ref.norm()
+                )
+
     def test_site_validated(self):
         tt = decaying_train(0, (2, 3, 2))
         with pytest.raises(ValueError):
@@ -189,22 +219,33 @@ class TestRounding:
 
 class TestMergeSplit:
     @settings(max_examples=30, deadline=None)
-    @given(SEEDS, st.integers(1, 3))
-    def test_round_trip(self, seed, d):
+    @given(SEEDS, st.integers(1, 3), st.integers(1, 4))
+    def test_round_trip(self, seed, d, site):
         tt = tt_svd(tt_contract(decaying_train(seed, (3, 2, 4, 2))), 0.0)
+        tt = orthogonalize(tt, site)
         merged = merge_cores(tt, d)
+        assert merged.canonical_site == (site if site <= d else site - 1)
+        assert_canonical(merged)
         assert merged.order == tt.order - 1
         assert merged.dims[d - 1] == tt.dims[d - 1] * tt.dims[d]
         np.testing.assert_allclose(
             tt_contract(merged).data, tt_contract(tt).data, atol=1e-12
         )
-        back, lost = split_core(merged, d, tt.dims[d - 1], tt.dims[d])
-        assert lost <= 1e-20 * tt_norm(tt) ** 2
-        assert back.dims == tt.dims
-        assert back.ranks == tt.ranks
-        np.testing.assert_allclose(
-            tt_contract(back).data, tt_contract(tt).data, atol=1e-11
-        )
+        for right in (False, True):
+            back, lost = split_core(
+                merged, d, tt.dims[d - 1], tt.dims[d], right_orthogonal=right
+            )
+            assert lost <= 1e-20 * tt_norm(tt) ** 2
+            assert back.dims == tt.dims
+            assert back.ranks == tt.ranks
+            np.testing.assert_allclose(
+                tt_contract(back).data, tt_contract(tt).data, atol=1e-11
+            )
+            if merged.canonical_site == d:
+                assert back.canonical_site == (d if right else d + 1)
+                assert_canonical(back)
+            else:
+                assert back.canonical_site is None
 
     def test_split_accounts_discarded_energy(self):
         tt = orthogonalize(decaying_train(3, (4, 4, 3)), 1)
@@ -222,6 +263,14 @@ class TestMergeSplit:
         assert left_orthonormal(left_train.core(1))
         right_train, _ = split_core(tt, 1, 3, 3, right_orthogonal=True)
         assert right_orthonormal(right_train.core(2))
+        # splitting the canonical centre keeps it in the other new core
+        centred = orthogonalize(tt, 1)
+        left_train, _ = split_core(centred, 1, 3, 3)
+        assert left_train.canonical_site == 2
+        assert_canonical(left_train)
+        right_train, _ = split_core(centred, 1, 3, 3, right_orthogonal=True)
+        assert right_train.canonical_site == 1
+        assert_canonical(right_train)
 
     def test_split_shape_validated(self):
         tt = merge_cores(decaying_train(4, (3, 3, 2)), 1)
