@@ -157,7 +157,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_heat2d(args) -> None:
-    ds = args.ds if args.ds is not None else (1e-2 if args.paper_scale else 2e-2)
+    base = exp.PAPER_HEAT if args.paper_scale else exp.DESK_HEAT
+    ds = args.ds if args.ds is not None else base.ds
     cfg = HeatConfig(ds=ds, dt=args.dt, t_end=args.t_end)
     out = Path(args.out) if args.out else Path(".")
     out.mkdir(parents=True, exist_ok=True)

@@ -206,12 +206,12 @@ def _relative_error(tt: TensorTrain, t: DenseTensor, norm: float) -> float:
 
 def _compress_sthosvd(t: DenseTensor, epsilon: float, norm: float):
     start = time.perf_counter()
-    factors, core, _ = sthosvd_dense(t, epsilon)
+    factors, core, discarded = sthosvd_dense(t, epsilon)
     elapsed = time.perf_counter() - start
     storage = core.size + sum(f.size for f in factors)
     # An exact train of the core, which is never larger than the input, puts
     # the decomposition in the form the error measurement reads.
-    tt = tucker_reconstruct_tt(TuckerTT(factors, tt_svd(core, 0.0)))
+    tt = tucker_reconstruct_tt(TuckerTT(factors, tt_svd(core, 0.0), discarded))
     return tt, elapsed, storage, core.dims, None
 
 
@@ -442,9 +442,7 @@ def run_planted(
     original_sigma = np.linalg.svd(mat, compute_uv=False)
 
     _, hosvd_transformed = _hosvd_disentangler(supercore.to_array(), (I, I))
-    hosvd_mat = np.reshape(
-        hosvd_transformed.to_array(), mat.shape, order="F"
-    )
+    hosvd_mat = np.reshape(hosvd_transformed, mat.shape, order="F")
     hosvd_sigma = np.linalg.svd(hosvd_mat, compute_uv=False)
 
     start = time.perf_counter()
@@ -706,15 +704,12 @@ def random_mera_plant(
             for p in dis_pos
         )
         isometries = tuple(
-            (p, Isometry(input_dims=(d,) * arity, output_dim=S,
+            (p, Isometry(input_dims=(d,) * arity,
                          data=random_isometry(stream(seed, ell, 1, p),
                                               d**arity, S)))
             for p in iso_pos
         )
-        built.append(
-            MeraLayer(input_arity=cur_order, isometries=isometries,
-                      disentanglers=disentanglers)
-        )
+        built.append(MeraLayer(isometries=isometries, disentanglers=disentanglers))
         cur_order //= arity
     top = DenseTensor(
         standard_normal(stream(seed, layers + 1, 0, 0), (S,) * cur_order)
@@ -738,6 +733,15 @@ def _recovery_targets(m: Mera, round_eps: float) -> list[list[int]]:
             train = tt_svd(m.top, 0.0)
         targets.append([int(r) for r in train.ranks[1:-1]])
     return targets
+
+
+def _isometry_outputs(m: Mera) -> tuple[int, ...]:
+    """Isometry output sizes, layer by layer, left to right within a layer."""
+    return tuple(
+        iso.output_dim
+        for layer in m.layers
+        for _, iso in sorted(layer.isometries, key=lambda t: t[0])
+    )
 
 
 def run_mera12(
@@ -799,11 +803,7 @@ def run_mera12(
             relative_error=0.0,
             storage_count=int(mera_store),
             compression_ratio=compression_ratio(total, int(mera_store)),
-            ranks=tuple(
-                iso.output_dim
-                for layer in plant.layers
-                for _, iso in sorted(layer.isometries, key=lambda t: t[0])
-            ),
+            ranks=_isometry_outputs(plant),
             detail={"strategy": "plant"},
         ),
     ]
@@ -812,22 +812,18 @@ def run_mera12(
     recovered: dict[str, Mera] = {}
     for strat in strategies:
         start = time.perf_counter()
-        if strat == "procrustes":
-            m2, _ = tt_to_mera(
-                tt,
-                arity,
-                epsilon,
-                layers=layers,
-                strategy="procrustes",
-                target_ranks=targets,
-                gap_threshold=gap_threshold,
-                max_iters=max_iters,
-            )
-        else:
-            m2, _ = tt_to_mera(
-                tt, arity, epsilon, layers=layers, strategy="hosvd",
-                max_output_dim=S,
-            )
+        search = strat == "procrustes"
+        m2, _ = tt_to_mera(
+            tt,
+            arity,
+            epsilon,
+            layers=layers,
+            strategy=strat,
+            target_ranks=targets if search else None,
+            gap_threshold=gap_threshold,
+            max_iters=max_iters,
+            max_output_dim=None if search else S,
+        )
         elapsed = time.perf_counter() - start
         err = mera_relative_error(m2, tt)
         store = mera_storage(m2)
@@ -839,11 +835,7 @@ def run_mera12(
                 relative_error=err,
                 storage_count=int(store),
                 compression_ratio=compression_ratio(total, int(store)),
-                ranks=tuple(
-                    iso.output_dim
-                    for layer in m2.layers
-                    for _, iso in sorted(layer.isometries, key=lambda t: t[0])
-                ),
+                ranks=_isometry_outputs(m2),
                 detail={"strategy": strat},
             )
         )

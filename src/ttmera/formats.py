@@ -219,10 +219,7 @@ def load_mera(path: str | Path) -> Mera:
                         raise FormatError("isometry record needs input and output dims")
                     rows = math.prod(dims[:-1])
                     data = r.f64s(rows * dims[-1]).reshape((rows, dims[-1]), order="F")
-                    isometries.append(
-                        (pos, Isometry(input_dims=dims[:-1], output_dim=dims[-1],
-                                       data=data))
-                    )
+                    isometries.append((pos, Isometry(input_dims=dims[:-1], data=data)))
                 else:
                     raise FormatError(f"unknown MERA record kind {kind}")
             if len(disentanglers) != n_dis:
@@ -230,10 +227,8 @@ def load_mera(path: str | Path) -> Mera:
                     f"MERA layer header promised {n_dis} disentanglers, "
                     f"found {len(disentanglers)}"
                 )
-            arity = sum(len(iso.input_dims) for _, iso in isometries)
             layers.append(
                 MeraLayer(
-                    input_arity=arity,
                     isometries=tuple(isometries),
                     disentanglers=tuple(disentanglers),
                 )

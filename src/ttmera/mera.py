@@ -64,27 +64,31 @@ class Isometry:
     """Column-orthonormal map fusing ``input_dims`` into ``output_dim``.
 
     ``data`` is ``(prod(input_dims), output_dim)`` with the input indices
-    fused first-index-fastest.
+    fused first-index-fastest; its column count is the output size.
     """
 
     input_dims: tuple[int, ...]
-    output_dim: int
     data: np.ndarray
 
     def __post_init__(self):
         rows = math.prod(self.input_dims)
-        if self.data.shape != (rows, self.output_dim):
+        if self.data.ndim != 2 or self.data.shape[0] != rows:
             raise ValueError(
-                f"isometry data must be {rows}x{self.output_dim}, "
-                f"got {self.data.shape}"
+                f"isometry data must have {rows} rows, got shape {self.data.shape}"
             )
         if self.output_dim > rows:
             raise ValueError(
                 f"output dimension {self.output_dim} exceeds fused input {rows}"
             )
+        if not np.all(np.isfinite(self.data)):
+            raise NumericError("isometry contains non-finite entries")
         gram = self.data.T @ self.data
         if np.max(np.abs(gram - np.eye(self.output_dim))) > ORTHO_TOL:
             raise ValueError("isometry columns are not orthonormal")
+
+    @property
+    def output_dim(self) -> int:
+        return self.data.shape[1]
 
 
 @dataclass(frozen=True)
@@ -104,6 +108,8 @@ class Disentangler:
             raise ValueError(
                 f"disentangler data must be {n}x{n}, got {self.data.shape}"
             )
+        if not np.all(np.isfinite(self.data)):
+            raise NumericError("disentangler contains non-finite entries")
         if np.max(np.abs(self.data.T @ self.data - np.eye(n))) > ORTHO_TOL:
             raise ValueError("disentangler is not orthogonal")
 
@@ -118,7 +124,6 @@ class MeraLayer:
     overlapping each other.
     """
 
-    input_arity: int
     isometries: tuple[tuple[int, Isometry], ...]
     disentanglers: tuple[tuple[int, Disentangler], ...]
 
@@ -134,10 +139,6 @@ class MeraLayer:
                     f"isometry coverage gap: expected group start {expect}, got {lo}"
                 )
             expect = hi + 1
-        if expect != self.input_arity + 1:
-            raise ValueError(
-                f"isometries cover 1..{expect - 1}, layer arity is {self.input_arity}"
-            )
         boundaries = {hi for _, hi in covered[:-1]}
         dims = [d for _, iso in sorted(self.isometries) for d in iso.input_dims]
         seen: set[int] = set()
@@ -152,6 +153,10 @@ class MeraLayer:
             if pos in seen or pos + 1 in seen:
                 raise ValueError(f"disentanglers overlap at position {pos}")
             seen.update((pos, pos + 1))
+
+    @property
+    def input_arity(self) -> int:
+        return sum(len(iso.input_dims) for _, iso in self.isometries)
 
     @property
     def output_arity(self) -> int:
@@ -484,7 +489,7 @@ def _build_layer(
         fused = merge_cores(orthogonalize(tt, p), p)
         pair = (dims[p - 1], dims[p])
         if strategy == "hosvd":
-            dis, transformed = _hosvd_disentangler(fused.core(p), pair)
+            dis, mixed = _hosvd_disentangler(fused.core(p), pair)
         else:
             supercore = DenseTensor(fused.core(p))
             goal = ranks_goal[k] if ranks_goal is not None else None
@@ -506,12 +511,11 @@ def _build_layer(
                     "after %d iterations",
                     p, p + 1, report.final_gap, report.iterations,
                 )
+            mixed = transformed.to_array()
         disentanglers.insert(0, (p, dis))
         cores = list(fused.cores)
-        cores[p - 1] = transformed.to_array()
-        tt, _ = split_core(
-            TensorTrain(cores, canonical_site=p), p, *pair, right_orthogonal=True
-        )
+        cores[p - 1] = mixed
+        tt = split_core(TensorTrain(cores, canonical_site=p), p, *pair)
 
     # Fuse the isometry groups, which carries the centre from the first
     # pair to site 1, and extract the truncated factors.
@@ -519,27 +523,20 @@ def _build_layer(
     for g in range(len(iso_pos)):
         for _ in range(arity - 1):
             tt = merge_cores(tt, g + 1)
-    max_ranks = None if output_cap is None else [output_cap] * len(iso_pos)
-    factors, next_tt, group_discarded = tucker_sweep(tt, delta, max_ranks)
-    isometries = []
-    for j, p in enumerate(iso_pos):
-        group_dims = tuple(dims[p - 1 : p - 1 + arity])
-        isometries.append(
-            (p, Isometry(input_dims=group_dims, output_dim=factors[j].shape[1],
-                         data=factors[j]))
-        )
-    layer = MeraLayer(
-        input_arity=order,
-        isometries=tuple(isometries),
-        disentanglers=tuple(disentanglers),
+    factors, next_tt, group_discarded = tucker_sweep(tt, delta, output_cap)
+    isometries = tuple(
+        (p, Isometry(input_dims=tuple(dims[p - 1 : p - 1 + arity]), data=U))
+        for p, U in zip(iso_pos, factors)
     )
+    layer = MeraLayer(isometries=isometries, disentanglers=tuple(disentanglers))
     return layer, next_tt, list(group_discarded)
 
 
 def _hosvd_disentangler(
     core: np.ndarray, pair: tuple[int, int]
-) -> tuple[Disentangler, DenseTensor]:
-    """Square orthogonal factor of the supercore's free unfolding.
+) -> tuple[Disentangler, np.ndarray]:
+    """Square orthogonal factor of the supercore's free unfolding, and the
+    supercore it mixes.
 
     The left factor ``U`` of an SVD of the ``(I_l I_r) x (R_l R_r)``
     center is an orthogonal basis; ``U.T`` applied to the fused free index
@@ -552,7 +549,7 @@ def _hosvd_disentangler(
     center = np.reshape(core.transpose(1, 0, 2), (n, r * s), order="F")
     U, _, _ = svd_full(center if n > r * s else qr_thin(center.T)[1].T)
     transformed = np.reshape(U.T @ center, (n, r, s), order="F").transpose(1, 0, 2)
-    return Disentangler(dims=pair, data=U.T.copy()), DenseTensor(transformed)
+    return Disentangler(dims=pair, data=U.T.copy()), transformed
 
 
 # ---------------------------------------------------------------------------

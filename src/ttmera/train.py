@@ -285,23 +285,13 @@ def merge_cores(tt: TensorTrain, d: int) -> TensorTrain:
     return TensorTrain(cores, site)
 
 
-def split_core(
-    tt: TensorTrain,
-    d: int,
-    left_dim: int,
-    right_dim: int,
-    delta: float = 0.0,
-    right_orthogonal: bool = False,
-) -> tuple[TensorTrain, float]:
+def split_core(tt: TensorTrain, d: int, left_dim: int, right_dim: int) -> TensorTrain:
     """Split core ``d`` (free dimension ``left_dim * right_dim``) in two.
 
     The supercore is matricized as ``(R_d * left_dim, right_dim * R_{d+2})``
-    and factored by :func:`svd_trunc` at ``delta``.  By default the new left
-    core takes the orthonormal factor; with ``right_orthogonal`` the roles
-    swap.  Splitting the canonical centre leaves it in the non-orthonormal
-    new core; splitting any other core drops the tag.  Returns the new train
-    and the discarded energy, whose square root is the error introduced when
-    the surrounding cores are orthogonal.
+    and factored without loss by :func:`svd_trunc` at ``delta = 0``; the new
+    right core takes the orthonormal factor.  Splitting the canonical centre
+    leaves it on core ``d``; splitting any other core drops the tag.
     """
     core = tt.core(d)
     r, n, s = core.shape
@@ -310,21 +300,13 @@ def split_core(
             f"split {left_dim}x{right_dim} does not match free dimension {n} "
             f"of core {d}"
         )
-    M = np.reshape(core, (r * left_dim, right_dim * s), order="F")
-    f = svd_trunc(M, delta)
+    f = svd_trunc(np.reshape(core, (r * left_dim, right_dim * s), order="F"), 0.0)
     if f.rank == 0:
-        raise ValueError(f"core {d} fully truncated; delta too large")
-    if right_orthogonal:
-        left = _from_left(f.U * f.sigma, r, left_dim)
-        right = _from_right(f.V.T, right_dim, s)
-    else:
-        left = _from_left(f.U, r, left_dim)
-        right = _from_right(f.sigma[:, None] * f.V.T, right_dim, s)
+        raise ValueError(f"core {d} is zero and cannot be split")
+    left = _from_left(f.U * f.sigma, r, left_dim)
+    right = _from_right(f.V.T, right_dim, s)
     cores = list(tt.cores[: d - 1]) + [left, right] + list(tt.cores[d:])
-    site = None
-    if tt.canonical_site == d:
-        site = d if right_orthogonal else d + 1
-    return TensorTrain(cores, site), f.discarded_energy
+    return TensorTrain(cores, d if tt.canonical_site == d else None)
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,7 @@ values dropped at that mode.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,14 +38,13 @@ class TuckerTT:
 
     ``factors[d]`` has orthonormal columns and shape ``(I_d, S_d)``;
     ``core`` has free dimensions ``(S_1, ..., S_D)``.  ``mode_discarded[d]``
-    is the energy dropped when mode ``d+1`` was truncated.
+    is the energy dropped when mode ``d+1`` was truncated, one entry per
+    mode.
     """
 
     factors: list[np.ndarray]
     core: TensorTrain
-    mode_discarded: np.ndarray = field(
-        default_factory=lambda: np.zeros(0)
-    )
+    mode_discarded: np.ndarray
 
     def __post_init__(self):
         if len(self.factors) != self.core.order:
@@ -94,23 +92,21 @@ def tt_to_hosvd(tt: TensorTrain, epsilon: float) -> TuckerTT:
 
 
 def tucker_sweep(
-    tt: TensorTrain, delta: float, max_ranks: Sequence[int] | None = None
+    tt: TensorTrain, delta: float, max_rank: int | None = None
 ) -> tuple[list[np.ndarray], TensorTrain, np.ndarray]:
     """One left-to-right factor-extraction sweep at a fixed tolerance.
 
     First orthogonalizes to site 1 from the train's canonical tag, which
-    costs nothing for a site-1 train; each center unfolding then carries the exact singular values of the corresponding mode of the
-    represented tensor, so the discarded energies are exact mode errors.
-    ``max_ranks`` optionally caps the kept rank per mode regardless of the
-    tolerance; energy cut by a cap is charged to that mode's discarded
+    costs nothing for a site-1 train; each center unfolding then carries
+    the exact singular values of the corresponding mode of the represented
+    tensor, so the discarded energies are exact mode errors.  ``max_rank``
+    optionally caps the kept rank of every mode regardless of the
+    tolerance; energy cut by the cap is charged to that mode's discarded
     entry, so the error accounting stays exact.
     """
     D = tt.order
-    if max_ranks is not None:
-        if len(max_ranks) != D:
-            raise ValueError(f"{len(max_ranks)} rank caps for {D} modes")
-        if any(c < 1 for c in max_ranks):
-            raise ValueError("rank caps must be positive")
+    if max_rank is not None and max_rank < 1:
+        raise ValueError(f"rank cap must be positive, got {max_rank}")
     tt = orthogonalize(tt, 1)
     cores = list(tt.cores)
     factors: list[np.ndarray] = []
@@ -126,8 +122,8 @@ def tucker_sweep(
             raise ValueError(f"mode {d + 1} fully truncated; epsilon too large")
         keep = f.rank
         extra = 0.0
-        if max_ranks is not None and max_ranks[d] < keep:
-            keep = max_ranks[d]
+        if max_rank is not None and max_rank < keep:
+            keep = max_rank
             extra = float(np.sum(f.sigma[keep:] ** 2))
         factors.append(f.U[:, :keep])
         discarded[d] = f.discarded_energy + extra

@@ -177,6 +177,20 @@ class TestMeraFile:
         with pytest.raises(FormatError, match="kind"):
             load_mera(p)
 
+    @pytest.mark.parametrize("kind", ["disentanglers", "isometries"])
+    def test_nonfinite_payload_rejected(self, tmp_path, kind):
+        m = random_mera_plant(2, 2, arity=2, order=4, layers=1, seed=5)
+        p = tmp_path / "m.mrma"
+        save_mera(p, m)
+        raw = bytearray(p.read_bytes())
+        data = getattr(m.layers[0], kind)[0][1].data
+        at = raw.find(np.ascontiguousarray(data.ravel(order="F"), dtype="<f8").tobytes())
+        assert at > 0
+        raw[at : at + 8] = struct.pack("<d", np.nan)
+        p.write_bytes(bytes(raw))
+        with pytest.raises(NumericError, match="non-finite"):
+            load_mera(p)
+
     def test_truncated(self, tmp_path):
         m = random_mera_plant(2, 2, arity=2, order=4, layers=1, seed=3)
         p = tmp_path / "m.mrma"

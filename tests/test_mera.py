@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import count_qr, decaying_train, sign_fixed_procrustes
 from ttmera.dense import DenseTensor
+from ttmera.errors import NumericError
 from ttmera.experiments import planted_pair_tensor, random_mera_plant
 from ttmera.kernels import svd_full
 from ttmera.mera import (
@@ -96,12 +97,23 @@ class TestShuf:
 class TestConstituents:
     def test_isometry_requires_orthonormal_columns(self):
         W = random_isometry(stream(0), 9, 3)
-        iso = Isometry(input_dims=(3, 3), output_dim=3, data=W)
-        assert iso.data.shape == (9, 3)
+        iso = Isometry(input_dims=(3, 3), data=W)
+        assert iso.output_dim == 3
         with pytest.raises(ValueError, match="orthonormal"):
-            Isometry(input_dims=(3, 3), output_dim=3, data=W * 1.01)
+            Isometry(input_dims=(3, 3), data=W * 1.01)
         with pytest.raises(ValueError, match="exceeds"):
-            Isometry(input_dims=(2, 2), output_dim=5, data=np.zeros((4, 5)))
+            Isometry(input_dims=(2, 2), data=np.zeros((4, 5)))
+        with pytest.raises(ValueError, match="rows"):
+            Isometry(input_dims=(2, 2), data=W)
+
+    def test_nonfinite_constituents_rejected(self):
+        # NaN compares false against the orthonormality tolerance
+        with pytest.raises(NumericError, match="non-finite"):
+            Isometry(input_dims=(2, 2), data=np.full((4, 2), np.nan))
+        Q = random_orthogonal(stream(1), 4)
+        Q[1, 2] = np.inf
+        with pytest.raises(NumericError, match="non-finite"):
+            Disentangler(dims=(2, 2), data=Q)
 
     def test_disentangler_requires_orthogonal(self):
         Q = random_orthogonal(stream(1), 6)
@@ -110,16 +122,13 @@ class TestConstituents:
             Disentangler(dims=(2, 3), data=Q + 0.01)
 
     def test_layer_coverage_validated(self):
-        iso = Isometry(
-            input_dims=(2, 2), output_dim=2, data=random_isometry(stream(2), 4, 2)
-        )
+        iso = Isometry(input_dims=(2, 2), data=random_isometry(stream(2), 4, 2))
+        layer = MeraLayer(isometries=((1, iso), (3, iso)), disentanglers=())
+        assert layer.input_arity == 4
         with pytest.raises(ValueError, match="coverage gap"):
-            MeraLayer(
-                input_arity=4, isometries=((1, iso), (4, iso)), disentanglers=()
-            )
+            MeraLayer(isometries=((1, iso), (4, iso)), disentanglers=())
         with pytest.raises(ValueError, match="straddle"):
             MeraLayer(
-                input_arity=4,
                 isometries=((1, iso), (3, iso)),
                 disentanglers=(
                     (1, Disentangler(dims=(2, 2), data=np.eye(4))),
@@ -127,7 +136,6 @@ class TestConstituents:
             )
         with pytest.raises(ValueError, match="does not fit"):
             MeraLayer(
-                input_arity=4,
                 isometries=((1, iso), (3, iso)),
                 disentanglers=((2, Disentangler(dims=(4, 1), data=np.eye(4))),),
             )
@@ -339,9 +347,7 @@ class TestHosvdDisentangler:
         r, n, s = shape
         _, transformed = _hosvd_disentangler(core, (4, 4))
         center = np.reshape(core.transpose(1, 0, 2), (n, r * s), order="F")
-        mixed = np.reshape(
-            transformed.to_array().transpose(1, 0, 2), (n, r * s), order="F"
-        )
+        mixed = np.reshape(transformed.transpose(1, 0, 2), (n, r * s), order="F")
         sigma = np.linalg.svd(center, compute_uv=False)
         rows = np.zeros(n)
         rows[: sigma.size] = sigma

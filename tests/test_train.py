@@ -231,44 +231,27 @@ class TestMergeSplit:
         np.testing.assert_allclose(
             tt_contract(merged).data, tt_contract(tt).data, atol=1e-12
         )
-        for right in (False, True):
-            back, lost = split_core(
-                merged, d, tt.dims[d - 1], tt.dims[d], right_orthogonal=right
-            )
-            assert lost <= 1e-20 * tt_norm(tt) ** 2
-            assert back.dims == tt.dims
-            assert back.ranks == tt.ranks
-            np.testing.assert_allclose(
-                tt_contract(back).data, tt_contract(tt).data, atol=1e-11
-            )
-            if merged.canonical_site == d:
-                assert back.canonical_site == (d if right else d + 1)
-                assert_canonical(back)
-            else:
-                assert back.canonical_site is None
-
-    def test_split_accounts_discarded_energy(self):
-        tt = orthogonalize(decaying_train(3, (4, 4, 3)), 1)
-        merged = merge_cores(tt, 1)
-        norm = tt_norm(merged)
-        split, lost = split_core(merged, 1, 4, 4, delta=0.3 * norm)
-        err = np.linalg.norm(
-            tt_contract(split).data - tt_contract(merged).data
+        back = split_core(merged, d, tt.dims[d - 1], tt.dims[d])
+        assert back.dims == tt.dims
+        assert back.ranks == tt.ranks
+        np.testing.assert_allclose(
+            tt_contract(back).data, tt_contract(tt).data, atol=1e-11
         )
-        assert err**2 == pytest.approx(lost, rel=1e-9, abs=1e-20)
+        assert right_orthonormal(back.core(d + 1))
+        if merged.canonical_site == d:
+            assert back.canonical_site == d
+            assert_canonical(back)
+        else:
+            assert back.canonical_site is None
 
     def test_split_factor_side(self):
         tt = merge_cores(decaying_train(4, (3, 3, 2)), 1)
-        left_train, _ = split_core(tt, 1, 3, 3)
-        assert left_orthonormal(left_train.core(1))
-        right_train, _ = split_core(tt, 1, 3, 3, right_orthogonal=True)
+        right_train = split_core(tt, 1, 3, 3)
         assert right_orthonormal(right_train.core(2))
-        # splitting the canonical centre keeps it in the other new core
+        assert right_train.canonical_site is None
+        # splitting the canonical centre keeps it on the left new core
         centred = orthogonalize(tt, 1)
-        left_train, _ = split_core(centred, 1, 3, 3)
-        assert left_train.canonical_site == 2
-        assert_canonical(left_train)
-        right_train, _ = split_core(centred, 1, 3, 3, right_orthogonal=True)
+        right_train = split_core(centred, 1, 3, 3)
         assert right_train.canonical_site == 1
         assert_canonical(right_train)
 
