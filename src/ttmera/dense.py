@@ -207,9 +207,16 @@ class DenseTensor:
                 f"matrix has {U.shape[1]} columns, mode {d} has dimension "
                 f"{self.dims[d - 1]}"
             )
-        M = U @ self.unfold(d)
+        return self.fold(d, U @ self.unfold(d))
+
+    def fold(self, d: int, M: np.ndarray) -> DenseTensor:
+        """Inverse of :meth:`unfold` with a new mode-``d`` dimension: the
+        tensor whose mode-``d`` matricization is ``M``, whose columns run
+        over this tensor's other modes."""
+        if not 1 <= d <= self.order:
+            raise ValueError(f"mode {d} outside 1..{self.order}")
         rest = self.dims[: d - 1] + self.dims[d:]
-        folded = np.reshape(M, (U.shape[0],) + rest, order="F")
+        folded = np.reshape(M, (M.shape[0],) + rest, order="F")
         return DenseTensor(np.moveaxis(folded, 0, d - 1))
 
     def norm(self) -> float:

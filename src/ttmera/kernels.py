@@ -5,9 +5,12 @@ downstream decompositions run-to-run unstable.  Convention used by every
 factorization returned here (``svd_trunc``, ``svd_full``, ``qr_thin``): in
 each left singular vector (or Q column) the entry of largest magnitude is
 made non-negative, ties resolved toward the lowest row index, and the
-compensating sign is pushed into the right factor.  ``procrustes_solve``
-applies none: it returns the product ``P @ Q.T``, in which the sign of each
-singular-vector pair cancels exactly.
+compensating sign is pushed into the right factor: ``svd_trunc``'s
+``rest``, ``svd_full``'s ``Vt``, ``qr_thin``'s ``R``.  ``svd_trunc``
+usually forms ``rest = U.T @ M`` from the sign-fixed ``U``, which carries
+the compensation by construction.  ``procrustes_solve`` applies none: it
+returns the product ``P @ Q.T``, in which the sign of each singular-vector
+pair cancels exactly.
 """
 
 from __future__ import annotations
@@ -57,15 +60,20 @@ def _fix_signs(U: np.ndarray, W: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class TruncatedSvd:
-    """Rank-``r`` factorization ``M ~ U @ diag(sigma) @ V.T``.
+    """Rank-``r`` factorization ``M ~ U @ rest``.
 
-    ``discarded_energy`` is the sum of squared singular values dropped by the
-    truncation, so ``|M - U diag(sigma) V.T|_F^2 == discarded_energy``.
+    ``U`` has orthonormal columns and ``rest = U.T @ M = diag(sigma) @ V.T``;
+    the right singular vectors ``V`` are never formed.  ``rest`` has
+    orthogonal rows of norms ``sigma``.  A caller that needs an orthonormal
+    right factor factors ``M.T`` and takes ``U.T``, because ``rest / sigma``
+    amplifies rounding by ``sigma_1 / sigma_r``.  ``discarded_energy`` is the
+    sum of squared singular values dropped by the truncation, so
+    ``|M - U @ rest|_F^2 == discarded_energy``.
     """
 
     U: np.ndarray
     sigma: np.ndarray
-    V: np.ndarray
+    rest: np.ndarray
     discarded_energy: float
 
     @property
@@ -80,51 +88,82 @@ class TruncatedSvd:
 # bails out whenever a kept direction would be unreliable.
 _GRAM_MIN_ENTRIES = 1 << 22
 _GRAM_DELTA_FLOOR = 1e-7
+# An m x n input with n >= _WIDE_RATIO * m is reduced to the m x m triangular
+# factor of a QR of its transpose before the SVD.
+_WIDE_RATIO = 2
 
 
-def svd_trunc(M: np.ndarray, delta: float, want_v: bool = True) -> TruncatedSvd:
+def svd_trunc(M: np.ndarray, delta: float) -> TruncatedSvd:
     """Truncated SVD keeping the smallest rank whose discarded tail satisfies
     ``sqrt(sum of squared dropped singular values) <= delta``.
 
     ``delta=0`` keeps every numerically nonzero singular value, using the
     threshold ``max(m, n) * machine_eps * sigma_1``.
 
-    ``want_v=False`` returns an empty ``V``; for very wide inputs this skips
-    materializing a right factor as large as ``M`` itself, so callers that
-    only consume ``U`` should pass it.
+    Three routes, chosen from the input, give the same contract:
+
+    - **Gram**: large inputs at loose ``delta`` (see ``_svd_trunc_gram``).
+    - **Wide** (``n >= 2m``): the R-SVD of T. F. Chan (ACM TOMS 8(1),
+      1982).  ``M.T = Q R`` gives ``M = R.T Q.T``, so the ``m x m`` factor
+      ``R.T`` has the singular values and left singular vectors of ``M``;
+      ``Q`` and ``V`` are never formed, and ``rest`` is one projection
+      ``U.T @ M``.
+    - **Otherwise** (square-ish or tall): LAPACK's divide and conquer SVD,
+      with ``rest = diag(sigma) @ V.T``.  A tall input must form its
+      ``m x r`` left factor anyway, and its right factor is the small side,
+      so reducing it first saves nothing.
     """
     M = _require_matrix(M, "M")
     if delta < 0:
         raise ValueError(f"delta must be non-negative, got {delta}")
     if M.size >= _GRAM_MIN_ENTRIES and delta > _GRAM_DELTA_FLOOR * np.linalg.norm(M):
-        result = _svd_trunc_gram(M, delta, want_v)
+        result = _svd_trunc_gram(M, delta)
         if result is not None:
             return result
-    U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    m, n = M.shape
+    wide = n >= _WIDE_RATIO * m
+    if wide:
+        U, s, _ = np.linalg.svd(np.linalg.qr(M.T, mode="r").T)
+    else:
+        U, s, Vt = np.linalg.svd(M, full_matrices=False)
     tails = np.concatenate([np.cumsum(s[::-1] ** 2)[::-1], [0.0]])
     if delta == 0.0:
-        thresh = max(M.shape) * np.finfo(np.float64).eps * (s[0] if s.size else 0.0)
+        thresh = max(m, n) * np.finfo(np.float64).eps * (s[0] if s.size else 0.0)
         r = int(np.count_nonzero(s > thresh))
     else:
         r = int(np.argmax(tails <= delta * delta))
-    Ur = U[:, :r].copy()
-    Vtr = Vt[:r] if want_v else np.zeros((r, 0))
-    _fix_signs(Ur, Vtr)
-    V = Vtr.T.copy() if want_v else np.zeros((M.shape[1], 0))
+    if wide:
+        U, rest = _project(U[:, :r], M)
+    else:
+        U = U[:, :r].copy()
+        # Stored first-index-fastest, like the projection.
+        rest = np.multiply(s[:r, None], Vt[:r], order="F")
+        _fix_signs(U, rest)
     return TruncatedSvd(
-        U=Ur, sigma=s[:r].copy(), V=V, discarded_energy=float(tails[r])
+        U=U, sigma=s[:r].copy(), rest=rest, discarded_energy=float(tails[r])
     )
 
 
-def _svd_trunc_gram(
-    M: np.ndarray, delta: float, want_v: bool = True
-) -> TruncatedSvd | None:
+def _project(U: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sign-fixed copy of the orthonormal ``U`` and ``U.T @ M``.
+
+    Fixing the signs first means ``rest`` needs no compensation.  It is
+    formed as ``(M.T @ U).T``, which is stored first-index-fastest, so the
+    callers' reshapes of it are views.
+    """
+    U = np.ascontiguousarray(U)
+    _fix_signs(U, np.zeros((U.shape[1], 0)))
+    return U, (M.T @ U).T
+
+
+def _svd_trunc_gram(M: np.ndarray, delta: float) -> TruncatedSvd | None:
     """Gram-matrix route for :func:`svd_trunc`; ``None`` means fall back.
 
     Eigenvalues of ``M M^T`` (or ``M^T M``, whichever is smaller) give the
-    squared singular values; the other side's vectors are recovered by one
-    projection pass over ``M``.  Rank selection shaves an eigenvalue-noise
-    margin off ``delta^2`` so the discarded tail never exceeds the budget.
+    squared singular values.  With few rows, ``rest`` is one projection
+    ``U.T @ M``; with few columns, ``U`` is recovered by one pass ``M V /
+    sigma``.  Rank selection shaves an eigenvalue-noise margin off
+    ``delta^2`` so the discarded tail never exceeds the budget.
     """
     m, n = M.shape
     rows_small = m <= n
@@ -146,25 +185,14 @@ def _svd_trunc_gram(
         # noise floor to trust; use the exact path instead.
         return None
     if rows_small:
-        U = np.ascontiguousarray(P[:, :r])
-        if want_v and r:
-            # One projection pass; scale in place and hand out the
-            # transposed view so the wide right factor is never duplicated.
-            Vt = U.T @ M
-            _fix_signs(U, Vt)
-            Vt /= s[:r, None]
-            V = Vt.T
-        else:
-            _fix_signs(U, np.zeros((r, 0)))
-            V = np.zeros((n, 0))
+        U, rest = _project(P[:, :r], M)
     else:
         V = P[:, :r]
         U = np.ascontiguousarray(M @ V / s[:r][None, :]) if r else np.zeros((m, 0))
-        W = np.ascontiguousarray(V.T)
-        _fix_signs(U, W)
-        V = W.T if want_v else np.zeros((n, 0))
+        rest = s[:r, None] * V.T
+        _fix_signs(U, rest)
     return TruncatedSvd(
-        U=U, sigma=s[:r].copy(), V=V, discarded_energy=float(tails[r]),
+        U=U, sigma=s[:r].copy(), rest=rest, discarded_energy=float(tails[r]),
     )
 
 

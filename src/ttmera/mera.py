@@ -611,7 +611,7 @@ def mera_to_tt(m: Mera, round_eps: float = 1e-14) -> TensorTrain:
             if f.rank == 0:
                 raise ValueError("a bond was fully truncated; round_eps too large")
             cores.append(np.reshape(f.U, (r, d, f.rank), order="F"))
-            centre = np.reshape(f.sigma[:, None] * f.V.T, (f.rank, n // d, s), order="F")
+            centre = np.reshape(f.rest, (f.rank, n // d, s), order="F")
         cores.append(centre)
         current = TensorTrain(cores, canonical_site=len(cores))
     return current

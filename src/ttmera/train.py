@@ -174,7 +174,7 @@ def _tt_svd_sweep(t: DenseTensor, epsilon: float) -> tuple[TensorTrain, float]:
         cores.append(_from_left(f.U, r, dims[d]))
         discarded += f.discarded_energy
         r = f.rank
-        C = f.sigma[:, None] * f.V.T
+        C = f.rest
         if d < D - 2:
             C = np.reshape(C, (r * dims[d + 1], -1), order="F")
     cores.append(C.reshape(r, dims[D - 1], 1))
@@ -252,8 +252,7 @@ def tt_round(tt: TensorTrain, epsilon: float) -> TensorTrain:
         if f.rank == 0:
             raise ValueError(f"mode {d + 1} fully truncated; epsilon too large")
         cores[d] = _from_left(f.U, cores[d].shape[0], cores[d].shape[1])
-        carry = f.sigma[:, None] * f.V.T
-        cores[d + 1] = np.tensordot(carry, cores[d + 1], axes=([1], [0]))
+        cores[d + 1] = np.tensordot(f.rest, cores[d + 1], axes=([1], [0]))
     return TensorTrain(cores, canonical_site=tt.order)
 
 
@@ -289,8 +288,11 @@ def split_core(tt: TensorTrain, d: int, left_dim: int, right_dim: int) -> Tensor
     """Split core ``d`` (free dimension ``left_dim * right_dim``) in two.
 
     The supercore is matricized as ``(R_d * left_dim, right_dim * R_{d+2})``
-    and factored without loss by :func:`svd_trunc` at ``delta = 0``; the new
-    right core takes the orthonormal factor.  Splitting the canonical centre
+    and its transpose is factored without loss by :func:`svd_trunc` at
+    ``delta = 0``: the orthonormal ``U`` of the transpose becomes the new
+    right core, and ``rest`` transposed the left one.  (Normalizing ``rest``
+    of the untransposed matrix instead would lose orthonormality in the
+    directions with small singular values.)  Splitting the canonical centre
     leaves it on core ``d``; splitting any other core drops the tag.
     """
     core = tt.core(d)
@@ -300,11 +302,11 @@ def split_core(tt: TensorTrain, d: int, left_dim: int, right_dim: int) -> Tensor
             f"split {left_dim}x{right_dim} does not match free dimension {n} "
             f"of core {d}"
         )
-    f = svd_trunc(np.reshape(core, (r * left_dim, right_dim * s), order="F"), 0.0)
+    f = svd_trunc(np.reshape(core, (r * left_dim, right_dim * s), order="F").T, 0.0)
     if f.rank == 0:
         raise ValueError(f"core {d} is zero and cannot be split")
-    left = _from_left(f.U * f.sigma, r, left_dim)
-    right = _from_right(f.V.T, right_dim, s)
+    left = _from_left(f.rest.T, r, left_dim)
+    right = _from_right(f.U.T, right_dim, s)
     cores = list(tt.cores[: d - 1]) + [left, right] + list(tt.cores[d:])
     return TensorTrain(cores, d if tt.canonical_site == d else None)
 

@@ -127,9 +127,7 @@ def tucker_sweep(
             extra = float(np.sum(f.sigma[keep:] ** 2))
         factors.append(f.U[:, :keep])
         discarded[d] = f.discarded_energy + extra
-        T = np.reshape(
-            f.sigma[:keep, None] * f.V[:, :keep].T, (keep, r, s), order="F"
-        ).transpose(1, 0, 2)
+        T = np.reshape(f.rest[:keep], (keep, r, s), order="F").transpose(1, 0, 2)
         if d == D - 1:
             out.append(T)
         else:
@@ -168,16 +166,14 @@ def sthosvd_dense(
     factors: list[np.ndarray] = []
     discarded = np.zeros(D)
     for d in range(1, D + 1):
-        # The right factor of the unfolding can be as large as the core
-        # itself, so skip it and release the result before the projection.
-        f = svd_trunc(core.unfold(d), delta, want_v=False)
+        # ``rest`` is the projected unfolding U.T @ unfold(core, d), so it
+        # folds back as the next core.
+        f = svd_trunc(core.unfold(d), delta)
         if f.rank == 0:
             raise ValueError(f"mode {d} fully truncated; epsilon too large")
-        U = f.U
-        factors.append(U)
+        factors.append(f.U)
         discarded[d - 1] = f.discarded_energy
-        del f
-        core = core.mode_product(d, U.T)
+        core = core.fold(d, f.rest)
     return factors, core, discarded
 
 

@@ -49,6 +49,19 @@ def count_qr(monkeypatch) -> list:
     return calls
 
 
+def record_svd(monkeypatch) -> list:
+    """Record the input shape of every ``np.linalg.svd`` call."""
+    calls = []
+    svd = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    return calls
+
+
 def loop_fix_signs(U: np.ndarray, W: np.ndarray) -> None:
     """The package sign convention as a per-column loop, the reference the
     kernels' vectorized version must match flip for flip.  In place."""

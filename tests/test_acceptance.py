@@ -273,7 +273,7 @@ def test_criterion_9_kernel_property_suites():
         norm = float(np.linalg.norm(M))
         delta = float(gen.uniform(0.0, 1.1)) * norm
         f = svd_trunc(M, delta)
-        err2 = float(np.linalg.norm(M - f.U @ (f.sigma[:, None] * f.V.T)) ** 2)
+        err2 = float(np.linalg.norm(M - f.U @ f.rest) ** 2)
         scale = max(err2, f.discarded_energy, 1e-12 * norm**2)
         assert abs(err2 - f.discarded_energy) <= 1e-9 * scale
         s = np.linalg.svd(M, compute_uv=False)

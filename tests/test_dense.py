@@ -135,6 +135,11 @@ class TestDenseTensor:
         rest_dims = dims[: d - 1] + dims[d:]
         col = linear_index(rest, rest_dims) if rest else 1
         assert M[m[d - 1] - 1, col - 1] == t.entry(m)
+        # fold inverts unfold, also with a new mode-d dimension
+        np.testing.assert_array_equal(t.fold(d, M).to_array(), t.to_array())
+        wider = t.fold(d, np.vstack([M, M]))
+        assert wider.dims == tuple(dims[: d - 1]) + (2 * dims[d - 1],) + tuple(dims[d:])
+        np.testing.assert_array_equal(wider.unfold(d), np.vstack([M, M]))
 
     def test_mode_product_oracle(self):
         rng = np.random.default_rng(3)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import loop_fix_signs, sign_fixed_procrustes
+from conftest import loop_fix_signs, record_svd, sign_fixed_procrustes
 from ttmera.errors import NumericError
 from ttmera.kernels import _fix_signs, procrustes_solve, qr_thin, svd_full, svd_trunc
 
@@ -35,7 +35,7 @@ class TestSvdTrunc:
         M = gaussian(seed, m, n, decay=0.6)
         delta = frac * np.linalg.norm(M)
         f = svd_trunc(M, delta)
-        recon = (f.U * f.sigma) @ f.V.T
+        recon = f.U @ f.rest
         err2 = np.linalg.norm(M - recon) ** 2
         ref = max(np.linalg.norm(M) ** 2, 1e-30)
         assert abs(err2 - f.discarded_energy) <= 1e-10 * ref
@@ -58,14 +58,14 @@ class TestSvdTrunc:
         M = gaussian(seed, m, n)
         f = svd_trunc(M, 0.3 * np.linalg.norm(M))
         np.testing.assert_allclose(f.U.T @ f.U, np.eye(f.rank), atol=1e-12)
-        np.testing.assert_allclose(f.V.T @ f.V, np.eye(f.rank), atol=1e-12)
+        np.testing.assert_allclose(f.rest @ f.rest.T, np.diag(f.sigma**2), atol=1e-12)
         assert np.all(np.diff(f.sigma) <= 1e-12)
 
     def test_exact_at_zero_delta(self):
         M = gaussian(0, 9, 7)
         f = svd_trunc(M, 0.0)
         assert f.rank == 7
-        np.testing.assert_allclose((f.U * f.sigma) @ f.V.T, M, atol=1e-12)
+        np.testing.assert_allclose(f.U @ f.rest, M, atol=1e-12)
 
     def test_zero_delta_drops_null_directions(self):
         rng = np.random.default_rng(1)
@@ -85,7 +85,7 @@ class TestSvdTrunc:
         a = svd_trunc(M, 0.4 * np.linalg.norm(M))
         b = svd_trunc(M, 0.4 * np.linalg.norm(M))
         np.testing.assert_array_equal(a.U, b.U)
-        np.testing.assert_array_equal(a.V, b.V)
+        np.testing.assert_array_equal(a.rest, b.rest)
 
     def test_rejects_negative_delta(self):
         with pytest.raises(ValueError):
@@ -102,7 +102,7 @@ class TestSvdTrunc:
         norm = np.linalg.norm(M)
         delta = 0.05 * norm
         f = svd_trunc(M, delta)
-        recon = (f.U * f.sigma) @ f.V.T
+        recon = f.U @ f.rest
         err2 = np.linalg.norm(M - recon) ** 2
         assert abs(err2 - f.discarded_energy) <= 1e-9 * norm**2
         assert err2 <= delta * delta * (1 + 1e-9)
@@ -111,7 +111,66 @@ class TestSvdTrunc:
         minimal = int(np.argmax(tails <= delta * delta))
         assert f.rank == minimal
         np.testing.assert_allclose(f.U.T @ f.U, np.eye(f.rank), atol=1e-10)
-        np.testing.assert_allclose(f.V.T @ f.V, np.eye(f.rank), atol=1e-8)
+        np.testing.assert_allclose(
+            f.rest @ f.rest.T, np.diag(f.sigma**2), atol=1e-10 * f.sigma[0] ** 2
+        )
+
+
+def _spectrum_matrix(seed, m, n, s):
+    """An m x n matrix with singular values ``s`` (padded with zeros)."""
+    rng = np.random.default_rng(seed)
+    k = len(s)
+    U = np.linalg.qr(rng.standard_normal((m, k)))[0]
+    V = np.linalg.qr(rng.standard_normal((n, k)))[0]
+    return (U * np.asarray(s, dtype=float)) @ V.T
+
+
+class TestSvdTruncRoutes:
+    """One contract on every route: the residual is the discarded energy,
+    ``U`` is orthonormal, ``rest`` has orthogonal rows of norm sigma, the
+    rank is the minimal one, and a wide input reaches the SVD only as its
+    small square factor."""
+
+    # name: (m, n, nonzero singular values, tail index of delta; None for 0)
+    CASES = {
+        "wide": (6, 40, 0.5 ** np.arange(6), 3),
+        "square": (12, 12, 0.6 ** np.arange(12), 5),
+        "tall": (40, 6, 0.5 ** np.arange(6), 2),
+        "gram-wide": (8, 1 << 19, 0.3 ** np.arange(8), 2),
+        "gram-tall": (1 << 19, 8, 0.3 ** np.arange(8), 2),
+        "wide-rank-deficient": (8, 50, np.logspace(0, -10, 5), None),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_contract(self, name, monkeypatch):
+        m, n, spectrum, cut = self.CASES[name]
+        M = _spectrum_matrix(7, m, n, spectrum)
+        s_exact = np.linalg.svd(M, compute_uv=False)
+        tails = np.concatenate([np.cumsum(s_exact[::-1] ** 2)[::-1], [0.0]])
+        if cut is None:
+            delta = 0.0
+            minimal = int(np.count_nonzero(
+                s_exact > max(m, n) * np.finfo(np.float64).eps * s_exact[0]
+            ))
+            assert minimal == len(spectrum)
+        else:
+            # halfway between two tails, so the minimal rank is cut + 1
+            delta = float(np.sqrt((tails[cut] + tails[cut + 1]) / 2))
+            minimal = int(np.argmax(tails <= delta * delta))
+        shapes = record_svd(monkeypatch)
+        f = svd_trunc(M, delta)
+        monkeypatch.undo()
+        assert f.rank == minimal
+        norm2 = float(np.linalg.norm(M) ** 2)
+        err2 = float(np.linalg.norm(M - f.U @ f.rest) ** 2)
+        assert abs(err2 - f.discarded_energy) <= 1e-10 * norm2
+        np.testing.assert_allclose(f.U.T @ f.U, np.eye(f.rank), atol=1e-12)
+        np.testing.assert_allclose(
+            f.rest @ f.rest.T, np.diag(f.sigma**2), rtol=0, atol=1e-12 * norm2
+        )
+        assert f.rest.shape == (f.rank, n)
+        if n >= 2 * m:
+            assert all(shape == (m, m) for shape in shapes), shapes
 
 
 class TestQrThin:

@@ -255,6 +255,23 @@ class TestMergeSplit:
         assert right_train.canonical_site == 1
         assert_canonical(right_train)
 
+    def test_lossless_split_of_wide_rank_deficient_core(self):
+        # A (2*3) x (4*10) matricization of rank 4 whose kept singular values
+        # span ten decades: normalizing a projection by sigma would leave
+        # the right core orthonormal only to about 1e-6.
+        rng = np.random.default_rng(5)
+        U = np.linalg.qr(rng.standard_normal((6, 4)))[0]
+        V = np.linalg.qr(rng.standard_normal((40, 4)))[0]
+        M = (U * np.logspace(0, -10, 4)) @ V.T
+        core = np.reshape(M, (2, 12, 10), order="F")
+        tt = TensorTrain([np.ones((1, 2, 2)), core, np.ones((10, 3, 1))])
+        back = split_core(tt, 2, 3, 4)
+        assert back.ranks == (1, 2, 4, 10, 1)
+        right = np.reshape(back.core(3), (4, 40), order="F")
+        assert np.max(np.abs(right @ right.T - np.eye(4))) <= 1e-12
+        rebuilt = merge_cores(back, 2).core(2)
+        assert np.max(np.abs(rebuilt - core)) <= 1e-12 * np.max(np.abs(core))
+
     def test_split_shape_validated(self):
         tt = merge_cores(decaying_train(4, (3, 3, 2)), 1)
         with pytest.raises(ValueError, match="does not match"):

@@ -114,6 +114,19 @@ class TestSthosvdDense:
             total, rel=1e-9, abs=1e-12 * t.norm() ** 2
         )
 
+    def test_core_is_the_projected_tensor(self):
+        # Mode 1 unfolds tall (40 x 12) and mode 2 wide (3 x 4 r_1): the core
+        # must be t x_1 U_1^T ... x_D U_D^T on either route.
+        t = tt_contract(decaying_train(8, (40, 3, 4)))
+        factors, core, _ = sthosvd_dense(t, 1e-1)
+        assert factors[0].shape[1] * 4 >= 2 * 3
+        ref = t
+        for d, U in enumerate(factors, start=1):
+            ref = ref.mode_product(d, U.T)
+        assert core.dims == ref.dims
+        gap = np.linalg.norm(core.to_array() - ref.to_array())
+        assert gap <= 1e-12 * ref.norm()
+
     def test_agrees_with_train_route_on_ranks(self):
         # both routes see the same per-mode singular spectra, so at a clear
         # truncation threshold they select identical multilinear ranks
