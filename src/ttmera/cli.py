@@ -4,12 +4,15 @@ Exit codes: 0 success, 2 configuration or input-format problem, 3 capacity
 guard tripped or memory exhausted, 4 numeric failure.  Every subcommand
 takes ``--out``; each also takes those of ``--seed``, ``--threads`` and
 ``--paper-scale`` that it reads, and refuses the others as a usage error.
-Results are deterministic for a fixed seed at ``--threads 1``.
+Results are deterministic for a fixed seed at ``--threads 1``.  ``-v``
+(before the subcommand) shows the package's log messages on stderr, such as
+a disentangler search that stopped at its iteration budget.
 """
 
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 from pathlib import Path
 
@@ -58,6 +61,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="ttmera",
         description="Tensor-train, Tucker, and MERA compression experiments.",
     )
+    parser.add_argument("-v", "--verbose", action="store_true",
+                        help="show the package's log messages on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
@@ -275,6 +280,9 @@ def _cmd_iters_vs_rank(args) -> None:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.verbose:
+        logging.basicConfig(level=logging.INFO, stream=sys.stderr,
+                            format="%(levelname)s %(name)s: %(message)s")
     try:
         args.func(args)
     except (ConfigError, FormatError) as e:

@@ -194,8 +194,7 @@ class DenseTensor:
         """
         if not 1 <= d <= self.order:
             raise ValueError(f"mode {d} outside 1..{self.order}")
-        moved = np.moveaxis(self._a, d - 1, 0)
-        return np.reshape(moved, (self.dims[d - 1], -1), order="F")
+        return _unfold(self._a, d - 1)
 
     def mode_product(self, d: int, U: np.ndarray) -> DenseTensor:
         """Contract matrix ``U`` against mode ``d``: ``unfold(out, d) = U @ unfold(self, d)``."""
@@ -215,10 +214,25 @@ class DenseTensor:
         over this tensor's other modes."""
         if not 1 <= d <= self.order:
             raise ValueError(f"mode {d} outside 1..{self.order}")
-        rest = self.dims[: d - 1] + self.dims[d:]
-        folded = np.reshape(M, (M.shape[0],) + rest, order="F")
-        return DenseTensor(np.moveaxis(folded, 0, d - 1))
+        return DenseTensor(_fold(M, d - 1, self.dims))
 
     def norm(self) -> float:
         """Frobenius norm, summed in memory order (no copy)."""
         return float(np.linalg.norm(self._a))
+
+
+# Unchecked array versions of the unfolding and its inverse, with 0-based
+# modes, for loops that keep their working tensor a plain array.
+
+
+def _unfold(a: np.ndarray, axis: int) -> np.ndarray:
+    moved = np.moveaxis(a, axis, 0)
+    return np.reshape(moved, (a.shape[axis], -1), order="F")
+
+
+def _fold(M: np.ndarray, axis: int, dims: tuple[int, ...]) -> np.ndarray:
+    """The array whose ``axis`` unfolding is ``M`` and whose other modes
+    are those of ``dims``."""
+    rest = dims[:axis] + dims[axis + 1:]
+    folded = np.reshape(M, (M.shape[0],) + rest, order="F")
+    return np.moveaxis(folded, 0, axis)

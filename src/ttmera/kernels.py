@@ -144,6 +144,34 @@ def svd_trunc(M: np.ndarray, delta: float) -> TruncatedSvd:
     )
 
 
+def _full_row_rank(M: np.ndarray, delta: float) -> bool:
+    """Whether :func:`svd_trunc` at ``delta`` provably keeps every singular
+    value of the finite ``m x n`` matrix ``M``, ``m <= n``.
+
+    A certificate, not a factorization: one inverse and one residual.  ``A``
+    is ``M`` if square, else the ``m x m`` factor ``R.T`` of a QR of
+    ``M.T``, which has the singular values of ``M``.  With ``X = inv(A)``
+    and ``F = A X - I``, ``|F| < 1`` gives ``sigma_min >= (1 - |F|_F) /
+    |X|_F`` (a Neumann-series bound, nothing squared); the test asks for
+    ``|F|_F < 1/2``, which leaves room for the rounding of the computed
+    residual.  The rank rule keeps every value once ``sigma_min`` exceeds
+    ``delta`` and, for ``delta=0``, ``max(m, n) * eps * sigma_1 <= max(m, n)
+    * eps * |M|_F``.  ``False`` means unproven (including an exactly
+    singular ``A``), not rank deficient.
+    """
+    m, n = M.shape
+    A = M if m == n else np.linalg.qr(M.T, mode="r").T
+    try:
+        X = np.linalg.inv(A)
+    except np.linalg.LinAlgError:
+        return False
+    F = A @ X
+    F[np.diag_indices(m)] -= 1.0
+    residual = np.linalg.norm(F)
+    floor = max(delta, max(m, n) * np.finfo(np.float64).eps * np.linalg.norm(M))
+    return bool(residual < 0.5 and (1.0 - residual) / np.linalg.norm(X) > floor)
+
+
 def _project(U: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sign-fixed copy of the orthonormal ``U`` and ``U.T @ M``.
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .dense import DenseTensor
 from .errors import NumericError
-from .kernels import _procrustes, qr_thin, svd_full, svd_trunc
+from .kernels import _full_row_rank, _procrustes, qr_thin, svd_full, svd_trunc
 from .train import (
     TensorTrain,
     merge_cores,
@@ -57,6 +57,11 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 ORTHO_TOL = 1e-12
+# Bonds of mera_to_tt with at least this many rows (and no more rows than
+# columns) are tested for full row rank before any SVD.  The desk and
+# planted networks have bonds of at most 324 rows, so their expansions keep
+# the SVD route bit for bit, and so do the searches that start from them.
+_CERTIFY_MIN_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -565,13 +570,22 @@ def mera_to_tt(m: Mera, round_eps: float = 1e-14) -> TensorTrain:
     crosses the fine sites, absorbing the next expanded core at each group
     boundary and mixing a disentangler's pair there by its transpose, and
     splits off one site at a time by a truncated SVD at
-    ``round_eps * |t|_F / sqrt(D - 1)``: one SVD per bond.  Each truncation
-    acts on an orthonormal environment and later gates act only right of
-    its bond, so a layer's discards add up exactly, to at most
+    ``round_eps * |t|_F / sqrt(D - 1)``: one truncation per bond.  Each
+    truncation acts on an orthonormal environment and later gates act only
+    right of its bond, so a layer's discards add up exactly, to at most
     ``(round_eps * |t|_F)^2``; the result is within
     ``len(m.layers) * round_eps * |t|_F`` of the exact evaluation and is
     site-``D``-mixed-canonical.  ``round_eps=0`` keeps every numerically
     nonzero singular value.
+
+    A bond unfolding ``M`` with at least ``_CERTIFY_MIN_ROWS`` rows and no
+    more rows than columns is first tested for full row rank with one
+    inverse and one residual (``kernels._full_row_rank``).  A certified bond
+    is one the SVD's rank rule would keep whole: its core is the identity,
+    the centre moves on as ``M`` unchanged, and it discards nothing.  That
+    split is exact whatever the test says; the test only makes the kept rank
+    the one the SVD would keep.  A bond the test cannot certify takes the
+    SVD.
     """
     if round_eps < 0:
         raise ValueError(f"round_eps must be non-negative, got {round_eps}")
@@ -607,11 +621,18 @@ def mera_to_tt(m: Mera, round_eps: float = 1e-14) -> TensorTrain:
                     centre = np.reshape(gates[p].data.T @ centre, shape, order="F")
             r, n, s = centre.shape
             d = dims[p - 1]
-            f = svd_trunc(np.reshape(centre, (r * d, n // d * s), order="F"), delta)
-            if f.rank == 0:
-                raise ValueError("a bond was fully truncated; round_eps too large")
-            cores.append(np.reshape(f.U, (r, d, f.rank), order="F"))
-            centre = np.reshape(f.rest, (f.rank, n // d, s), order="F")
+            M = np.reshape(centre, (r * d, n // d * s), order="F")
+            if _CERTIFY_MIN_ROWS <= r * d <= M.shape[1] and _full_row_rank(M, delta):
+                # The rank rule provably keeps every value, so the exact
+                # split is the identity and M itself; nothing is discarded.
+                U, rest = np.eye(r * d, order="F"), M
+            else:
+                f = svd_trunc(M, delta)
+                if f.rank == 0:
+                    raise ValueError("a bond was fully truncated; round_eps too large")
+                U, rest = f.U, f.rest
+            cores.append(np.reshape(U, (r, d, U.shape[1]), order="F"))
+            centre = np.reshape(rest, (rest.shape[0], n // d, s), order="F")
         cores.append(centre)
         current = TensorTrain(cores, canonical_site=len(cores))
     return current

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import DenseTensor
+from .dense import DenseTensor, _fold, _unfold
 from .kernels import qr_thin, svd_trunc
 from .train import TensorTrain, orthogonalize, tt_norm
 
@@ -162,19 +162,19 @@ def sthosvd_dense(
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
     D = t.order
     delta = epsilon * t.norm() / math.sqrt(D)
-    core = t
+    core = t.to_array()
     factors: list[np.ndarray] = []
     discarded = np.zeros(D)
-    for d in range(1, D + 1):
-        # ``rest`` is the projected unfolding U.T @ unfold(core, d), so it
-        # folds back as the next core.
-        f = svd_trunc(core.unfold(d), delta)
+    for d in range(D):
+        # ``rest`` is the projected unfolding U.T @ unfold(core), so it folds
+        # back as the next core.  The core stays a plain array until return.
+        f = svd_trunc(_unfold(core, d), delta)
         if f.rank == 0:
-            raise ValueError(f"mode {d} fully truncated; epsilon too large")
+            raise ValueError(f"mode {d + 1} fully truncated; epsilon too large")
         factors.append(f.U)
-        discarded[d - 1] = f.discarded_energy
-        core = core.fold(d, f.rest)
-    return factors, core, discarded
+        discarded[d] = f.discarded_energy
+        core = _fold(f.rest, d, core.shape)
+    return factors, DenseTensor(core), discarded
 
 
 def compression_ratio(original_entries: int, stored_entries: int) -> float:

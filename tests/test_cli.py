@@ -1,10 +1,15 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ttmera
 from ttmera.cli import main
 from ttmera.formats import load_tensor
 
@@ -152,6 +157,38 @@ class TestMera12:
         code = run(["mera12", "--paper-scale"])
         assert code == 3
         assert "capacity" in capsys.readouterr().err
+
+
+class TestVerbose:
+    # A fresh process, so the test sees what -v does to an unconfigured
+    # logging system rather than to the test runner's handlers.
+    ARGS = ["mera12", "--order", "4", "--layers", "1", "--seed", "4",
+            "--strategy", "procrustes", "--max-iters", "3"]
+
+    def cli(self, *argv):
+        env = dict(os.environ)
+        src = str(Path(ttmera.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        return subprocess.run(
+            [sys.executable, "-m", "ttmera.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    def test_search_warning_is_logged(self):
+        proc = self.cli("-v", *self.ARGS)
+        assert proc.returncode == 0, proc.stderr
+        assert "WARNING ttmera.mera: disentangler at pair (2,3) did not " \
+            "converge" in proc.stderr
+        assert "mera[procrustes]" in proc.stdout
+
+    def test_unconfigured_without_flag(self):
+        # logging's last-resort handler still prints the bare warning, but
+        # nothing below WARNING and no level or logger name
+        proc = self.cli(*self.ARGS)
+        assert proc.returncode == 0, proc.stderr
+        assert "did not converge" in proc.stderr
+        assert "WARNING ttmera.mera" not in proc.stderr
 
 
 class TestParser:

@@ -6,6 +6,8 @@ accounting, rank minimality, orthogonality, determinism, and optimality
 against sampled competitors.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,14 @@ from hypothesis import strategies as st
 
 from conftest import loop_fix_signs, record_svd, sign_fixed_procrustes
 from ttmera.errors import NumericError
-from ttmera.kernels import _fix_signs, procrustes_solve, qr_thin, svd_full, svd_trunc
+from ttmera.kernels import (
+    _fix_signs,
+    _full_row_rank,
+    procrustes_solve,
+    qr_thin,
+    svd_full,
+    svd_trunc,
+)
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -171,6 +180,71 @@ class TestSvdTruncRoutes:
         assert f.rest.shape == (f.rank, n)
         if n >= 2 * m:
             assert all(shape == (m, m) for shape in shapes), shapes
+
+
+class TestFullRowRank:
+    """The certificate proves what the rank rule of ``svd_trunc`` would
+    decide: a certified matrix keeps every singular value there, and a
+    matrix whose smallest singular value is below the floor is never
+    certified."""
+
+    EPS = np.finfo(np.float64).eps
+
+    @pytest.mark.parametrize("m, n", [(60, 60), (40, 130)])
+    @pytest.mark.parametrize("delta", [0.0, 1e-12])
+    def test_gaussian_certifies(self, m, n, delta):
+        M = gaussian(3, m, n)
+        assert _full_row_rank(M, delta)
+        assert svd_trunc(M, delta).rank == m
+
+    @pytest.mark.parametrize("m, n", [(60, 60), (40, 130)])
+    @pytest.mark.parametrize("delta", [0.0, 1e-8])
+    def test_smallest_value_against_the_floor(self, m, n, delta):
+        # All singular values 1 but the last, so |M|_F is known.
+        norm = np.sqrt(m - 1)
+        floor = max(delta, max(m, n) * self.EPS * norm)
+        for s_min, certified in ((floor / 2, False), (4 * floor, True)):
+            M = _spectrum_matrix(5, m, n, [1.0] * (m - 1) + [s_min])
+            assert _full_row_rank(M, delta) is certified, s_min
+            if certified:
+                assert svd_trunc(M, delta).rank == m
+
+    @pytest.mark.parametrize("shrink, certified", [(0.4, True), (0.7, False)])
+    def test_residual_margin(self, shrink, certified, monkeypatch):
+        # An approximate inverse whose first column is shrunk leaves the
+        # residual F = -shrink e1 e1^T.  The bound holds for any residual
+        # below 1, but the test asks for 1/2 to leave room for rounding.
+        M = gaussian(3, 40, 40)
+        inv = np.linalg.inv
+
+        def approximate(A):
+            X = inv(A)
+            X[:, 0] *= 1.0 - shrink
+            return X
+
+        monkeypatch.setattr(np.linalg, "inv", approximate)
+        assert _full_row_rank(M, 0.0) is certified
+
+    def test_repeated_column_refused(self):
+        M = gaussian(8, 50, 50)
+        M[:, 1] = M[:, 0]
+        assert not _full_row_rank(M, 0.0)
+
+    def test_wide_repeated_row_refused(self):
+        # A repeated column leaves a wide matrix at full row rank; a
+        # repeated row does not, and shows in the triangular factor.
+        M = gaussian(8, 50, 120)
+        M[1] = M[0]
+        assert not _full_row_rank(M, 0.0)
+
+    def test_singular_takes_the_linalg_error_fallback(self):
+        M = gaussian(9, 30, 30)
+        M[4] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(M)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not _full_row_rank(M, 0.0)
 
 
 class TestQrThin:

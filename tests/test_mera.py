@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ttmera.mera
 from conftest import count_qr, decaying_train, sign_fixed_procrustes
 from ttmera.dense import DenseTensor
 from ttmera.errors import NumericError
@@ -23,6 +24,7 @@ from ttmera.mera import (
     _shuf_inv_mat,
     _shuf_mat,
     _supercore_mat,
+    _tt_diff_norm,
     disentangler_positions,
     find_disentangler,
     isometry_positions,
@@ -337,6 +339,59 @@ class TestMeraToTrain:
         # layer 1: 5 disentanglers (16x16) + 6 isometries (16x2);
         # layer 2: 2 disentanglers (4x4) + 3 isometries (4x2); top 2^3
         assert mera_storage(m) == 5 * 256 + 6 * 32 + 2 * 16 + 3 * 8 + 8
+
+
+class TestCertifiedBonds:
+    """A bond that ``mera_to_tt`` certifies as full rank keeps an identity
+    core; everything downstream matches the SVD route to rounding."""
+
+    def _expand(self, monkeypatch, plant, min_rows):
+        monkeypatch.setattr(ttmera.mera, "_CERTIFY_MIN_ROWS", min_rows)
+        return mera_to_tt(plant)
+
+    def test_certified_bond_matches_the_svd_route(self, monkeypatch):
+        plant = random_mera_plant(6, 3, seed=0)
+        off = self._expand(monkeypatch, plant, math.inf)
+        calls = []
+        certify = ttmera.mera._full_row_rank
+
+        def spy(M, delta):
+            calls.append((M.shape, certify(M, delta)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(ttmera.mera, "_full_row_rank", spy)
+        on = self._expand(monkeypatch, plant, 300)
+        assert calls == [((324, 324), True)]
+        assert on.ranks == off.ranks
+        eye = [
+            c for c in on.cores[:-1]
+            if c.shape[0] * c.shape[1] == c.shape[2] == 324
+        ]
+        assert len(eye) == 1
+        assert np.array_equal(
+            np.reshape(eye[0], (324, 324), order="F"), np.eye(324)
+        )
+        assert _tt_diff_norm(on, off) <= 1e-13 * tt_norm(off)
+
+        errors = []
+        for train in (on, off):
+            m, _ = tt_to_mera(
+                train, 2, 1e-6, layers=2, strategy="hosvd", max_output_dim=3
+            )
+            errors.append(mera_relative_error(m, train))
+        assert abs(errors[0] - errors[1]) <= 1e-12
+
+    @pytest.mark.parametrize("I, S", [(4, 2), (6, 3)])
+    def test_desk_plants_never_certify(self, I, S, monkeypatch):
+        # Below the row threshold every bond takes the SVD, so the planted
+        # and criterion 5/7 search counts cannot move.
+        calls = []
+        monkeypatch.setattr(
+            ttmera.mera, "_full_row_rank", lambda M, delta: calls.append(M.shape)
+        )
+        mera_to_tt(random_mera_plant(I, S, seed=0))
+        mera_to_tt(random_mera_plant(I, S, seed=0), 1e-12)
+        assert calls == []
 
 
 class TestHosvdDisentangler:

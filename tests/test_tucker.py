@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import decaying_train
+from ttmera.kernels import svd_trunc
 from ttmera.tucker import (
     TuckerTT,
     compression_ratio,
@@ -126,6 +127,23 @@ class TestSthosvdDense:
         assert core.dims == ref.dims
         gap = np.linalg.norm(core.to_array() - ref.to_array())
         assert gap <= 1e-12 * ref.norm()
+
+    def test_bits_match_the_dense_tensor_loop(self):
+        # The loop works on plain arrays; the DenseTensor unfold/fold loop
+        # it replaced must give the same bits.
+        t = tt_contract(decaying_train(5, (3, 4, 5, 2), decay=0.5))
+        delta = 1e-3 * t.norm() / 2
+        core, ref_factors, ref_discarded = t, [], []
+        for d in range(1, t.order + 1):
+            f = svd_trunc(core.unfold(d), delta)
+            ref_factors.append(f.U)
+            ref_discarded.append(f.discarded_energy)
+            core = core.fold(d, f.rest)
+        factors, got, discarded = sthosvd_dense(t, 1e-3)
+        assert [U.tobytes() for U in factors] == [U.tobytes() for U in ref_factors]
+        assert got.dims == core.dims
+        assert got.to_array().tobytes() == core.to_array().tobytes()
+        assert discarded.tobytes() == np.array(ref_discarded).tobytes()
 
     def test_agrees_with_train_route_on_ranks(self):
         # both routes see the same per-mode singular spectra, so at a clear
