@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import experiments as exp
-from .errors import CapacityError, ConfigError, FormatError, NumericError
+from .errors import CapacityError, NumericError
 from .heat import HeatConfig
 
 
@@ -285,19 +285,14 @@ def main(argv=None) -> int:
                             format="%(levelname)s %(name)s: %(message)s")
     try:
         args.func(args)
-    except (ConfigError, FormatError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except (CapacityError, MemoryError) as e:
         print(f"capacity guard: {e}", file=sys.stderr)
         return 3
     except NumericError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 4
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (ValueError, OSError) as e:
+        # ConfigError and FormatError are ValueErrors.
         print(f"error: {e}", file=sys.stderr)
         return 2
     return 0

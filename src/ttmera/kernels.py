@@ -6,11 +6,13 @@ factorization returned here (``svd_trunc``, ``svd_full``, ``qr_thin``): in
 each left singular vector (or Q column) the entry of largest magnitude is
 made non-negative, ties resolved toward the lowest row index, and the
 compensating sign is pushed into the right factor: ``svd_trunc``'s
-``rest``, ``svd_full``'s ``Vt``, ``qr_thin``'s ``R``.  ``svd_trunc``
-usually forms ``rest = U.T @ M`` from the sign-fixed ``U``, which carries
-the compensation by construction.  ``procrustes_solve`` applies none: it
-returns the product ``P @ Q.T``, in which the sign of each singular-vector
-pair cancels exactly.
+``rest``, ``svd_full``'s ``Vt``, ``qr_thin``'s ``R``.  The wide and Gram
+routes of ``svd_trunc`` (both only for ``m <= n``) form ``rest = U.T @ M``
+from the sign-fixed ``U``, which carries the compensation by construction.
+Every route takes ``U`` from an orthogonal factorization, not from
+``M V / sigma``, so it is orthonormal to rounding.
+``procrustes_solve`` applies no convention: it returns the product
+``P @ Q.T``, in which the sign of each singular-vector pair cancels exactly.
 """
 
 from __future__ import annotations
@@ -41,8 +43,9 @@ def _fix_signs(U: np.ndarray, W: np.ndarray) -> None:
 
     The column's maximum and minimum decide, unless their magnitudes tie:
     then the lower-index one wins, and an all-zero column never flips.
-    ``W`` may have more rows than ``U`` has columns (``svd_full`` with
-    ``m < n``); only its first ``U.shape[1]`` rows can flip.
+    Only the leading rows ``W`` shares with ``U``'s columns flip: ``W`` has
+    more rows for ``svd_full`` with ``m < n`` and fewer with ``m > n``,
+    where ``U``'s extra columns multiply zero singular values.
     """
     # max/min reduce a C-ordered U without copying it; argmax along axis 0
     # would copy all of U.
@@ -55,7 +58,8 @@ def _fix_signs(U: np.ndarray, W: np.ndarray) -> None:
     # one in-place pass flips exactly the chosen columns and rows.
     signs = np.where(flip, -1.0, 1.0)
     U *= signs
-    W[: signs.size] *= signs[:, None]
+    k = min(signs.size, W.shape[0])
+    W[:k] *= signs[:k, None]
 
 
 @dataclass(frozen=True)
@@ -81,11 +85,11 @@ class TruncatedSvd:
         return self.sigma.size
 
 
-# Very wide or tall matrices at loose tolerances go through a Gram-matrix
-# eigendecomposition instead of a direct SVD: far less memory traffic and
-# arithmetic when min(m, n) is small.  Squaring halves the usable precision,
-# so the path is gated on the tolerance being far above the noise floor and
-# bails out whenever a kept direction would be unreliable.
+# Large matrices with m <= n at loose tolerances go through an
+# eigendecomposition of ``M M^T`` instead of a direct SVD: far less memory
+# traffic and arithmetic when m is small.  Squaring halves the usable precision, so the
+# path is gated on the tolerance being far above the noise floor and bails
+# out whenever a kept direction would be unreliable.
 _GRAM_MIN_ENTRIES = 1 << 22
 _GRAM_DELTA_FLOOR = 1e-7
 # An m x n input with n >= _WIDE_RATIO * m is reduced to the m x m triangular
@@ -102,7 +106,7 @@ def svd_trunc(M: np.ndarray, delta: float) -> TruncatedSvd:
 
     Three routes, chosen from the input, give the same contract:
 
-    - **Gram**: large inputs at loose ``delta`` (see ``_svd_trunc_gram``).
+    - **Gram**: large inputs with ``m <= n`` at loose ``delta``.
     - **Wide** (``n >= 2m``): the R-SVD of T. F. Chan (ACM TOMS 8(1),
       1982).  ``M.T = Q R`` gives ``M = R.T Q.T``, so the ``m x m`` factor
       ``R.T`` has the singular values and left singular vectors of ``M``;
@@ -116,11 +120,12 @@ def svd_trunc(M: np.ndarray, delta: float) -> TruncatedSvd:
     M = _require_matrix(M, "M")
     if delta < 0:
         raise ValueError(f"delta must be non-negative, got {delta}")
-    if M.size >= _GRAM_MIN_ENTRIES and delta > _GRAM_DELTA_FLOOR * np.linalg.norm(M):
+    m, n = M.shape
+    gram = m <= n and M.size >= _GRAM_MIN_ENTRIES
+    if gram and delta > _GRAM_DELTA_FLOOR * np.linalg.norm(M):
         result = _svd_trunc_gram(M, delta)
         if result is not None:
             return result
-    m, n = M.shape
     wide = n >= _WIDE_RATIO * m
     if wide:
         U, s, _ = np.linalg.svd(np.linalg.qr(M.T, mode="r").T)
@@ -128,7 +133,7 @@ def svd_trunc(M: np.ndarray, delta: float) -> TruncatedSvd:
         U, s, Vt = np.linalg.svd(M, full_matrices=False)
     tails = np.concatenate([np.cumsum(s[::-1] ** 2)[::-1], [0.0]])
     if delta == 0.0:
-        thresh = max(m, n) * np.finfo(np.float64).eps * (s[0] if s.size else 0.0)
+        thresh = max(m, n) * np.finfo(np.float64).eps * s[0]
         r = int(np.count_nonzero(s > thresh))
     else:
         r = int(np.argmax(tails <= delta * delta))
@@ -185,25 +190,22 @@ def _project(U: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _svd_trunc_gram(M: np.ndarray, delta: float) -> TruncatedSvd | None:
-    """Gram-matrix route for :func:`svd_trunc`; ``None`` means fall back.
+    """Gram-matrix route of :func:`svd_trunc` for ``m <= n``; ``None``
+    means fall back.
 
-    Eigenvalues of ``M M^T`` (or ``M^T M``, whichever is smaller) give the
-    squared singular values.  With few rows, ``rest`` is one projection
-    ``U.T @ M``; with few columns, ``U`` is recovered by one pass ``M V /
-    sigma``.  Rank selection shaves an eigenvalue-noise margin off
-    ``delta^2`` so the discarded tail never exceeds the budget.
+    The eigenpairs of ``M M^T`` are the left singular vectors and squared
+    singular values, and ``rest`` is one projection ``U.T @ M``.  Rank
+    selection shaves an eigenvalue-noise margin off ``delta^2`` so the
+    discarded tail never exceeds the budget.
     """
-    m, n = M.shape
-    rows_small = m <= n
-    G = M @ M.T if rows_small else M.T @ M
-    lam, P = np.linalg.eigh(G)
+    lam, P = np.linalg.eigh(M @ M.T)
     if not np.all(np.isfinite(lam)):
         raise NumericError("Gram eigenvalues became non-finite")
     lam = np.clip(lam[::-1], 0.0, None)
     P = P[:, ::-1]
     s = np.sqrt(lam)
     tails = np.concatenate([np.cumsum(lam[::-1])[::-1], [0.0]])
-    noise = lam.size * np.finfo(np.float64).eps * (lam[0] if lam.size else 0.0)
+    noise = lam.size * np.finfo(np.float64).eps * lam[0]
     budget = delta * delta - noise
     if budget <= 0.0:
         return None
@@ -212,13 +214,7 @@ def _svd_trunc_gram(M: np.ndarray, delta: float) -> TruncatedSvd | None:
         # The smallest kept direction is too close to the squared-precision
         # noise floor to trust; use the exact path instead.
         return None
-    if rows_small:
-        U, rest = _project(P[:, :r], M)
-    else:
-        V = P[:, :r]
-        U = np.ascontiguousarray(M @ V / s[:r][None, :]) if r else np.zeros((m, 0))
-        rest = s[:r, None] * V.T
-        _fix_signs(U, rest)
+    U, rest = _project(P[:, :r], M)
     return TruncatedSvd(
         U=U, sigma=s[:r].copy(), rest=rest, discarded_energy=float(tails[r]),
     )
@@ -235,10 +231,8 @@ def svd_full(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     M = _require_matrix(M, "M")
     U, s, Vt = np.linalg.svd(M, full_matrices=True)
     U = np.ascontiguousarray(U)
-    extra = max(0, U.shape[1] - Vt.shape[0])
-    W = np.vstack([Vt, np.zeros((extra, Vt.shape[1]))]) if extra else Vt.copy()
-    _fix_signs(U, W)
-    return U, s, W[: Vt.shape[0]]
+    _fix_signs(U, Vt)
+    return U, s, Vt
 
 
 def qr_thin(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

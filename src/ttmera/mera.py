@@ -25,7 +25,7 @@ import numpy as np
 
 from .dense import DenseTensor
 from .errors import NumericError
-from .kernels import _full_row_rank, _procrustes, qr_thin, svd_full, svd_trunc
+from .kernels import _full_row_rank, _procrustes, svd_full, svd_trunc
 from .train import (
     TensorTrain,
     merge_cores,
@@ -326,6 +326,9 @@ def find_disentangler(
         raise ValueError(f"target rank {target_rank} outside 1..{max_rank}")
     if gap_threshold <= 1:
         raise ValueError(f"gap threshold must exceed 1, got {gap_threshold}")
+    for name, value in (("max_iters", max_iters), ("trace_stride", trace_stride)):
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative, got {value}")
     M = _supercore_mat(supercore, split)
     A0 = _shuf_mat(M, rl, il, ir, rr)
     V = np.eye(il * ir)
@@ -552,7 +555,7 @@ def _hosvd_disentangler(
     """
     r, n, s = core.shape
     center = np.reshape(core.transpose(1, 0, 2), (n, r * s), order="F")
-    U, _, _ = svd_full(center if n > r * s else qr_thin(center.T)[1].T)
+    U, _, _ = svd_full(center if n > r * s else np.linalg.qr(center.T, mode="r").T)
     transformed = np.reshape(U.T @ center, (n, r, s), order="F").transpose(1, 0, 2)
     return Disentangler(dims=pair, data=U.T.copy()), transformed
 
@@ -592,11 +595,6 @@ def mera_to_tt(m: Mera, round_eps: float = 1e-14) -> TensorTrain:
     current = tt_svd(m.top, 0.0)
     for layer in reversed(m.layers):
         isometries = sorted(layer.isometries)
-        if current.order != len(isometries):
-            raise ValueError(
-                f"train of order {current.order} cannot feed "
-                f"{len(isometries)} isometries"
-            )
         current = orthogonalize(current, 1)
         dims = [d for _, iso in isometries for d in iso.input_dims]
         delta = round_eps * tt_norm(current) / math.sqrt(max(1, len(dims) - 1))
@@ -673,9 +671,8 @@ def mera_relative_error(m: Mera, reference: TensorTrain) -> float:
 
 
 def _tt_diff_norm(a: TensorTrain, b: TensorTrain) -> float:
-    """Frobenius norm of ``a - b`` through block-concatenated cores."""
-    if a.dims != b.dims:
-        raise ValueError(f"dimension mismatch: {a.dims} vs {b.dims}")
+    """Frobenius norm of ``a - b`` for trains of equal dimensions, through
+    block-concatenated cores."""
     if a.order == 1:
         return float(np.linalg.norm(a.cores[0].ravel() - b.cores[0].ravel()))
     cores = []

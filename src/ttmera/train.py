@@ -160,9 +160,7 @@ def _tt_svd_sweep(t: DenseTensor, epsilon: float) -> tuple[TensorTrain, float]:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
     D = t.order
     dims = t.dims
-    if D == 1:
-        return TensorTrain([t.data.reshape(1, dims[0], 1)], canonical_site=1), 0.0
-    delta = epsilon * t.norm() / math.sqrt(D - 1)
+    delta = epsilon * t.norm() / math.sqrt(max(1, D - 1))
     cores = []
     discarded = 0.0
     C = t.data.reshape(dims[0], -1, order="F")
@@ -225,12 +223,7 @@ def tt_contract(tt: TensorTrain) -> DenseTensor:
             f"contraction would create {total} entries "
             f"(budget {DENSE_ENTRY_BUDGET})"
         )
-    G = tt.cores[0].reshape(tt.dims[0], -1, order="F")
-    for c in tt.cores[1:]:
-        r, n, s = c.shape
-        G = G @ np.reshape(c, (r, n * s), order="F")
-        G = np.reshape(G, (-1, s), order="F")
-    return DenseTensor.from_flat(G.ravel(order="F"), tt.dims)
+    return DenseTensor.from_flat(_chain(tt.cores).ravel(order="F"), tt.dims)
 
 
 def tt_round(tt: TensorTrain, epsilon: float) -> TensorTrain:
@@ -242,10 +235,8 @@ def tt_round(tt: TensorTrain, epsilon: float) -> TensorTrain:
     """
     if epsilon < 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
-    if tt.order == 1:
-        return TensorTrain(list(tt.cores), canonical_site=1)
     tt = orthogonalize(tt, 1)
-    delta = epsilon * float(np.linalg.norm(tt.core(1).ravel())) / math.sqrt(tt.order - 1)
+    delta = epsilon * tt_norm(tt) / math.sqrt(max(1, tt.order - 1))
     cores = list(tt.cores)
     for d in range(tt.order - 1):
         f = svd_trunc(_left_mat(cores[d]), delta)
@@ -328,8 +319,9 @@ class InterfaceMatrices:
 
 
 def _chain(cores: Sequence[np.ndarray]) -> np.ndarray:
-    """Contract a run of cores into ``(R_first, prod free dims, R_last)``."""
-    T = cores[0]
+    """Contract a run of cores into ``(R_first, prod free dims, R_last)``,
+    free indices first-index-fastest; an empty run is the unit ``(1, 1, 1)``."""
+    T = cores[0] if cores else np.ones((1, 1, 1))
     for c in cores[1:]:
         T = np.tensordot(T, c, axes=([2], [0]))
         r, n, m, s = T.shape
@@ -338,7 +330,8 @@ def _chain(cores: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def interface_matrices(tt: TensorTrain, d: int) -> InterfaceMatrices:
-    """Interface matrices at site ``d``; boundary interfaces are unit scalars."""
+    """Interface matrices at site ``d``, from the chains of the cores on each
+    side; an empty side is the unit ``1 x 1``."""
     if not 1 <= d <= tt.order:
         raise ValueError(f"site {d} outside 1..{tt.order}")
     dims = tt.dims
@@ -349,16 +342,8 @@ def interface_matrices(tt: TensorTrain, d: int) -> InterfaceMatrices:
             f"interface at site {d} would create "
             f"{max(left_size, right_size)} entries (budget {DENSE_ENTRY_BUDGET})"
         )
-    if d == 1:
-        left = np.ones((1, 1))
-    else:
-        T = _chain(tt.cores[: d - 1])
-        left = T.reshape(T.shape[1], T.shape[2], order="F").T.copy()
-    if d == tt.order:
-        right = np.ones((1, 1))
-    else:
-        T = _chain(tt.cores[d:])
-        right = T.reshape(T.shape[0], T.shape[1], order="F").copy()
+    left = _chain(tt.cores[: d - 1])[0].T
+    right = _chain(tt.cores[d:])[:, :, 0]
     core = tt.core(d)
     r, n, s = core.shape
     center = np.reshape(core.transpose(1, 0, 2), (n, r * s), order="F")

@@ -64,12 +64,14 @@ def record_svd(monkeypatch) -> list:
 
 def loop_fix_signs(U: np.ndarray, W: np.ndarray) -> None:
     """The package sign convention as a per-column loop, the reference the
-    kernels' vectorized version must match flip for flip.  In place."""
+    kernels' vectorized version must match flip for flip.  In place; a
+    column of ``U`` with no matching row of ``W`` flips alone."""
     for j in range(U.shape[1]):
         i = int(np.argmax(np.abs(U[:, j])))
         if U[i, j] < 0.0:
             U[:, j] = -U[:, j]
-            W[j, :] = -W[j, :]
+            if j < W.shape[0]:
+                W[j, :] = -W[j, :]
 
 
 def sign_fixed_procrustes(A: np.ndarray, B: np.ndarray) -> np.ndarray:

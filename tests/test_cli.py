@@ -111,6 +111,15 @@ class TestPlanted:
         code = run(["planted", "--I", "3", "--rprime", "64"])
         assert code == 2
 
+    @pytest.mark.parametrize("flags, name", [
+        (["--max-iters", "-5"], "max_iters"),
+        (["--trace-stride", "-3"], "trace_stride"),
+    ])
+    def test_negative_budget_exit_code(self, flags, name, capsys):
+        code = run(["planted", "--I", "4", "--rprime", "3", *flags])
+        assert code == 2
+        assert name in capsys.readouterr().err
+
 
 class TestScans:
     def test_rmin_scan(self, tmp_path, capsys):
@@ -131,6 +140,21 @@ class TestScans:
     def test_bad_range_exit_code(self, capsys):
         code = run(["iters-vs-rank", "--I", "2", "--rprimes", "9"])
         assert code == 2
+
+    def test_negative_budget_exit_code(self, capsys):
+        code = run(["rmin-scan", "--I-values", "2", "--seeds", "1",
+                    "--max-iters", "-5"])
+        assert code == 2
+        assert "max_iters" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["rmin-scan", "--I-values", "2"],
+        ["iters-vs-rank", "--I", "2", "--rprimes", "2-3"],
+    ])
+    def test_zero_seeds_exit_code(self, command, capsys):
+        code = run([*command, "--seeds", "0"])
+        assert code == 2
+        assert "need at least one seed" in capsys.readouterr().err
 
 
 class TestMera12:

@@ -61,6 +61,17 @@ class TestRunCompress:
                 t.size / r.storage_count
             )
 
+    @pytest.mark.parametrize("eps", [1e-1, 1e-8])
+    def test_one_way_tensor(self, eps):
+        # An order-1 train is cut after its only core, so the right side of
+        # the streamed error is the empty chain.
+        a = np.random.default_rng(2).standard_normal(37)
+        reports = run_compress(DenseTensor(a), epsilon=eps)
+        assert [r.method for r in reports] == ["sthosvd", "tt", "tt-tucker"]
+        for r in reports:
+            assert r.relative_error <= eps, r.method
+        assert reports[1].storage_count == a.size
+
     def test_three_way_streamed_error_matches_dense(self, monkeypatch):
         # Every method's error is one streamed difference, whatever the
         # order or memory layout of the input.  Cross-check it against the

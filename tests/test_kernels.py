@@ -146,7 +146,11 @@ class TestSvdTruncRoutes:
         "square": (12, 12, 0.6 ** np.arange(12), 5),
         "tall": (40, 6, 0.5 ** np.arange(6), 2),
         "gram-wide": (8, 1 << 19, 0.3 ** np.arange(8), 2),
+        # Above the Gram size gate, but the Gram route serves only m <= n.
         "gram-tall": (1 << 19, 8, 0.3 ** np.arange(8), 2),
+        # sigma_r / sigma_1 = 2.9e-4 passes the Gram eigenvalue check; a left
+        # factor recovered there as M V / sigma was orthonormal to 7e-10.
+        "tall-near-gram-gate": (1 << 19, 12, np.logspace(0, -3.9, 12), 10),
         "wide-rank-deficient": (8, 50, np.logspace(0, -10, 5), None),
     }
 
@@ -180,6 +184,8 @@ class TestSvdTruncRoutes:
         assert f.rest.shape == (f.rank, n)
         if n >= 2 * m:
             assert all(shape == (m, m) for shape in shapes), shapes
+        if m > n:
+            assert shapes == [(m, n)], shapes
 
 
 class TestFullRowRank:
@@ -345,17 +351,19 @@ class TestProcrustes:
 
 class TestFixSigns:
     @settings(max_examples=300, deadline=None)
-    @given(SEEDS, st.integers(1, 8), st.integers(0, 8), st.integers(0, 3))
+    @given(SEEDS, st.integers(1, 8), st.integers(0, 8), st.integers(-3, 3))
     def test_flips_exactly_what_the_loop_flips(self, seed, m, k, extra):
         # Small integers make magnitude ties between a positive and a
-        # negative entry common; some columns are all (signed) zeros, and
-        # ``extra`` right-factor rows past U's columns mimic svd_full with
-        # m < n.  Bytes are compared, so the sign of zero counts too.
+        # negative entry common; some columns are all (signed) zeros.  A
+        # positive ``extra`` gives the right factor rows past U's columns
+        # (svd_full with m < n), a negative one fewer rows than U has
+        # columns (svd_full with m > n).  Bytes are compared, so the sign of
+        # zero counts too.
         rng = np.random.default_rng(seed)
         U = rng.integers(-2, 3, size=(m, k)).astype(float)
         U[:, rng.random(k) < 0.25] = 0.0
         U[(U == 0.0) & (rng.random((m, k)) < 0.5)] = -0.0
-        W = rng.integers(-2, 3, size=(k + extra, 3)).astype(float)
+        W = rng.integers(-2, 3, size=(max(0, k + extra), 3)).astype(float)
         U_ref, W_ref = U.copy(), W.copy()
         loop_fix_signs(U_ref, W_ref)
         _fix_signs(U, W)

@@ -239,6 +239,13 @@ class TestFindDisentangler:
             find_disentangler(sc, (4, 4), 2, gap_threshold=0.5)
         with pytest.raises(ValueError):
             find_disentangler(sc, (5, 4), 2)
+        with pytest.raises(ValueError, match="max_iters"):
+            find_disentangler(sc, (4, 4), 2, max_iters=-5)
+        with pytest.raises(ValueError, match="trace_stride"):
+            find_disentangler(sc, (4, 4), 2, trace_stride=-3)
+        # A zero budget is valid: the report covers the starting point.
+        _, _, rep = find_disentangler(sc, (4, 4), 2, max_iters=0)
+        assert rep.iterations == 0
 
 
 def dense_from_mera_two_isometries(m):
