@@ -7,12 +7,20 @@ each left singular vector (or Q column) the entry of largest magnitude is
 made non-negative, ties resolved toward the lowest row index, and the
 compensating sign is pushed into the right factor: ``svd_trunc``'s
 ``rest``, ``svd_full``'s ``Vt``, ``qr_thin``'s ``R``.  The wide and Gram
-routes of ``svd_trunc`` (both only for ``m <= n``) form ``rest = U.T @ M``
+routes of ``svd_trunc`` (all only for ``m <= n``) form ``rest = U.T @ M``
 from the sign-fixed ``U``, which carries the compensation by construction.
 Every route takes ``U`` from an orthogonal factorization, not from
 ``M V / sigma``, so it is orthonormal to rounding.
 ``procrustes_solve`` applies no convention: it returns the product
 ``P @ Q.T``, in which the sign of each singular-vector pair cancels exactly.
+
+Squaring ``M`` into ``M M^T`` halves the usable precision, so a Gram route
+that truncates needs a loose tolerance.  A call that keeps every row has
+nothing to decide once full row rank is proven, and the Gram eigenvectors
+give that proof at any tolerance: the rows of ``U.T @ M`` are nearly
+orthogonal, and a scaled Gershgorin bound on their Gram matrix gives the
+smallest singular value to relative accuracy (Demmel & Veselic, SIAM J.
+Matrix Anal. Appl. 13(4), 1992).
 """
 
 from __future__ import annotations
@@ -26,14 +34,23 @@ from .errors import NumericError
 __all__ = ["TruncatedSvd", "svd_trunc", "svd_full", "qr_thin", "procrustes_solve"]
 
 
-def _require_matrix(M: np.ndarray, name: str) -> np.ndarray:
+def _as_matrix(M: np.ndarray, name: str) -> np.ndarray:
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2:
         raise ValueError(f"{name} must be a matrix, got {M.ndim} axes")
     if M.size == 0:
         raise ValueError(f"{name} must be non-empty")
+    return M
+
+
+def _require_finite(M: np.ndarray, name: str) -> None:
     if not np.all(np.isfinite(M)):
         raise NumericError(f"{name} contains non-finite entries")
+
+
+def _require_matrix(M: np.ndarray, name: str) -> np.ndarray:
+    M = _as_matrix(M, name)
+    _require_finite(M, name)
     return M
 
 
@@ -85,12 +102,14 @@ class TruncatedSvd:
         return self.sigma.size
 
 
-# Large matrices with m <= n at loose tolerances go through an
-# eigendecomposition of ``M M^T`` instead of a direct SVD: far less memory
-# traffic and arithmetic when m is small.  Squaring halves the usable precision, so the
-# path is gated on the tolerance being far above the noise floor and bails
-# out whenever a kept direction would be unreliable.
+# Large matrices with m <= n go through an eigendecomposition of ``M M^T``
+# instead of a direct SVD: far less memory traffic and arithmetic when m is
+# small.  The Gram matrix also stands in for the finiteness scan of M.
 _GRAM_MIN_ENTRIES = 1 << 22
+# Squaring halves the usable precision, so a Gram call that truncates is
+# gated on the tolerance being far above the noise floor, and bails out
+# whenever a kept direction would be unreliable.  A wide call that keeps
+# every row needs no such floor: its certificate decides at any tolerance.
 _GRAM_DELTA_FLOOR = 1e-7
 # An m x n input with n >= _WIDE_RATIO * m is reduced to the m x m triangular
 # factor of a QR of its transpose before the SVD.
@@ -104,9 +123,16 @@ def svd_trunc(M: np.ndarray, delta: float) -> TruncatedSvd:
     ``delta=0`` keeps every numerically nonzero singular value, using the
     threshold ``max(m, n) * machine_eps * sigma_1``.
 
-    Three routes, chosen from the input, give the same contract:
+    Four routes, chosen from the input, give the same contract:
 
-    - **Gram**: large inputs with ``m <= n`` at loose ``delta``.
+    - **Gram** (large, ``m <= n``, loose ``delta``): the eigenpairs of
+      ``M M^T`` are the left singular vectors and squared singular values.
+    - **Gram keep-all** (large, ``n >= 2m``, any tighter ``delta``): the
+      same eigenvectors, kept whole once a rigorous bound proves that every
+      singular value exceeds the rank floor, so the rank is the one the SVD
+      would keep.  The split ``M = U @ (U.T @ M)`` is exact whatever the
+      bound says, so the discard of ``0`` never depends on it.  An input
+      the bound does not certify takes the wide route.
     - **Wide** (``n >= 2m``): the R-SVD of T. F. Chan (ACM TOMS 8(1),
       1982).  ``M.T = Q R`` gives ``M = R.T Q.T``, so the ``m x m`` factor
       ``R.T`` has the singular values and left singular vectors of ``M``;
@@ -117,16 +143,28 @@ def svd_trunc(M: np.ndarray, delta: float) -> TruncatedSvd:
       ``m x r`` left factor anyway, and its right factor is the small side,
       so reducing it first saves nothing.
     """
-    M = _require_matrix(M, "M")
+    M = _as_matrix(M, "M")
     if delta < 0:
         raise ValueError(f"delta must be non-negative, got {delta}")
     m, n = M.shape
-    gram = m <= n and M.size >= _GRAM_MIN_ENTRIES
-    if gram and delta > _GRAM_DELTA_FLOOR * np.linalg.norm(M):
-        result = _svd_trunc_gram(M, delta)
+    wide = n >= _WIDE_RATIO * m
+    G = None
+    # A square-ish input forms the Gram matrix only where it replaces the
+    # SVD; a NaN or inf in M makes the norm fail this test.
+    if m <= n and M.size >= _GRAM_MIN_ENTRIES and (
+        wide or delta > _GRAM_DELTA_FLOOR * np.linalg.norm(M)
+    ):
+        with np.errstate(over="ignore", invalid="ignore"):
+            G = M @ M.T
+    # A non-finite entry of M reaches the diagonal of M M^T, so a finite
+    # Gram matrix proves M finite.  A finite M whose Gram matrix overflowed
+    # passes the scan and takes the routes below.
+    if G is None or not np.all(np.isfinite(G)):
+        _require_finite(M, "M")
+    else:
+        result = _svd_trunc_gram(M, G, delta)
         if result is not None:
             return result
-    wide = n >= _WIDE_RATIO * m
     if wide:
         U, s, _ = np.linalg.svd(np.linalg.qr(M.T, mode="r").T)
     else:
@@ -189,20 +227,36 @@ def _project(U: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return U, (M.T @ U).T
 
 
-def _svd_trunc_gram(M: np.ndarray, delta: float) -> TruncatedSvd | None:
-    """Gram-matrix route of :func:`svd_trunc` for ``m <= n``; ``None``
-    means fall back.
+def _svd_trunc_gram(
+    M: np.ndarray, G: np.ndarray, delta: float
+) -> TruncatedSvd | None:
+    """Gram-matrix routes of :func:`svd_trunc` for ``m <= n``, given the
+    finite ``G = M M^T``; ``None`` means fall back.
 
-    The eigenpairs of ``M M^T`` are the left singular vectors and squared
-    singular values, and ``rest`` is one projection ``U.T @ M``.  Rank
-    selection shaves an eigenvalue-noise margin off ``delta^2`` so the
-    discarded tail never exceeds the budget.
+    At a loose ``delta`` the eigenpairs of ``G`` are the left singular
+    vectors and squared singular values, and ``rest`` is one projection
+    ``U.T @ M``.  Rank selection shaves an eigenvalue-noise margin off
+    ``delta^2`` so the discarded tail never exceeds the budget.  At a
+    tighter ``delta`` a wide ``M`` keeps every eigenvector if
+    :func:`_certified_sigma` proves full row rank.
     """
-    lam, P = np.linalg.eigh(M @ M.T)
-    if not np.all(np.isfinite(lam)):
-        raise NumericError("Gram eigenvalues became non-finite")
+    m, n = M.shape
+    norm = float(np.sqrt(np.trace(G)))
+    lam, P = np.linalg.eigh(G)
     lam = np.clip(lam[::-1], 0.0, None)
     P = P[:, ::-1]
+    if delta <= _GRAM_DELTA_FLOOR * norm:
+        # An eigenvalue at or below the delta = 0 floor marks a numerically
+        # rank-deficient input, which the certificate would refuse; the
+        # check spares it the projection.
+        floor = max(m, n) * np.finfo(np.float64).eps * norm
+        if n < _WIDE_RATIO * m or lam[-1] <= floor * floor:
+            return None
+        U, rest = _project(P, M)
+        sigma = _certified_sigma(rest, delta, norm)
+        if sigma is None:
+            return None
+        return TruncatedSvd(U=U, sigma=sigma, rest=rest, discarded_energy=0.0)
     s = np.sqrt(lam)
     tails = np.concatenate([np.cumsum(lam[::-1])[::-1], [0.0]])
     noise = lam.size * np.finfo(np.float64).eps * lam[0]
@@ -218,6 +272,47 @@ def _svd_trunc_gram(M: np.ndarray, delta: float) -> TruncatedSvd | None:
     return TruncatedSvd(
         U=U, sigma=s[:r].copy(), rest=rest, discarded_energy=float(tails[r]),
     )
+
+
+def _certified_sigma(
+    rest: np.ndarray, delta: float, norm: float
+) -> np.ndarray | None:
+    """Row norms of ``rest = U.T @ M`` if they prove that every singular
+    value of ``M`` exceeds the rank floor, else ``None``.
+
+    ``U`` is the square orthogonal ``m x m`` matrix of ``M``'s Gram
+    eigenvectors, ``rest`` has ``n`` columns, and ``norm`` is ``|M|_F``.
+    With ``d_i`` the row norms and ``H = rest rest^T = D A D``, the unit
+    diagonal ``A`` has ``lambda_min(A) >= 1 - rho``, where ``rho`` is
+    Gershgorin's largest off-diagonal row sum of ``|A|`` plus ``m n eps``
+    for the rounding of ``H``.  So ``sigma_min(rest)^2 >= (1 - rho) (1 - n
+    eps) min d_i^2``, a bound relative to each row rather than to ``|M|``:
+    eigenvector noise of size ``eps |M|^2`` in ``H_ij`` costs row ``i``
+    only ``eps |M|^2 / (d_i d_j)``.  The projection's rounding and
+    ``U``'s departure from orthogonality are charged ``m (sqrt(m) + 2) eps
+    |M|_F``, twice their first-order bound.  What is left must exceed
+    ``max(delta, max(m, n) eps |M|_F)``, the floor of
+    :func:`_full_row_rank`, above which the rank rule keeps every value.
+    Sorted, the row norms match the singular values of ``rest`` to a
+    relative ``rho`` (Ostrowski's theorem); they come in the descending
+    order of the Gram eigenvalues, which a tie may swap within rounding.
+    """
+    m, n = rest.shape
+    eps = np.finfo(np.float64).eps
+    floor = max(delta, max(m, n) * eps * norm)
+    H = rest @ rest.T
+    d = np.sqrt(np.diag(H))
+    d_min = float(d.min())
+    # The bound never exceeds d_min; this also keeps zero rows out of the
+    # scaling below.
+    if d_min <= floor:
+        return None
+    A = np.abs(H) / np.outer(d, d)
+    np.fill_diagonal(A, 0.0)
+    rho = float(A.sum(axis=1).max()) + m * n * eps
+    ell = (1.0 - rho) * (1.0 - n * eps) * d_min * d_min
+    bound = np.sqrt(max(ell, 0.0)) - m * (np.sqrt(m) + 2.0) * eps * norm
+    return d if bound > floor else None
 
 
 def svd_full(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -49,17 +49,27 @@ def count_qr(monkeypatch) -> list:
     return calls
 
 
-def record_svd(monkeypatch) -> list:
-    """Record the input shape of every ``np.linalg.svd`` call."""
+def _record_linalg(monkeypatch, name: str) -> list:
+    """Record the input shape of every ``np.linalg.<name>`` call."""
     calls = []
-    svd = np.linalg.svd
+    fn = getattr(np.linalg, name)
 
     def recorded(a, *args, **kwargs):
         calls.append(np.shape(a))
-        return svd(a, *args, **kwargs)
+        return fn(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", recorded)
+    monkeypatch.setattr(np.linalg, name, recorded)
     return calls
+
+
+def record_svd(monkeypatch) -> list:
+    """Record the input shape of every ``np.linalg.svd`` call."""
+    return _record_linalg(monkeypatch, "svd")
+
+
+def record_qr(monkeypatch) -> list:
+    """Record the input shape of every ``np.linalg.qr`` call."""
+    return _record_linalg(monkeypatch, "qr")
 
 
 def loop_fix_signs(U: np.ndarray, W: np.ndarray) -> None:

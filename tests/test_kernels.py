@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import loop_fix_signs, record_svd, sign_fixed_procrustes
+from conftest import loop_fix_signs, record_qr, record_svd, sign_fixed_procrustes
 from ttmera.errors import NumericError
 from ttmera.kernels import (
+    _certified_sigma,
     _fix_signs,
     _full_row_rank,
     procrustes_solve,
@@ -173,6 +174,14 @@ class TestSvdTruncRoutes:
         shapes = record_svd(monkeypatch)
         f = svd_trunc(M, delta)
         monkeypatch.undo()
+        self._check(M, f, minimal)
+        if n >= 2 * m:
+            assert all(shape == (m, m) for shape in shapes), shapes
+        if m > n:
+            assert shapes == [(m, n)], shapes
+
+    @staticmethod
+    def _check(M, f, minimal):
         assert f.rank == minimal
         norm2 = float(np.linalg.norm(M) ** 2)
         err2 = float(np.linalg.norm(M - f.U @ f.rest) ** 2)
@@ -181,11 +190,136 @@ class TestSvdTruncRoutes:
         np.testing.assert_allclose(
             f.rest @ f.rest.T, np.diag(f.sigma**2), rtol=0, atol=1e-12 * norm2
         )
-        assert f.rest.shape == (f.rank, n)
-        if n >= 2 * m:
-            assert all(shape == (m, m) for shape in shapes), shapes
-        if m > n:
-            assert shapes == [(m, n)], shapes
+        assert f.rest.shape == (f.rank, M.shape[1])
+
+    # Wide 8 x 2^19 inputs above the Gram size gate, at a delta the
+    # truncating Gram route refuses (below 1e-7 |M|).
+    # name: (nonzero singular values, delta, minimal rank, certified)
+    LOG8 = np.logspace(0, -6, 8)
+    KEEP_ALL = {
+        "gram-keep-all": (LOG8, 1e-9 * np.linalg.norm(LOG8), 8, True),
+        "gram-keep-all-zero-delta": (LOG8, 0.0, 8, True),
+        # sigma_min = delta / 2 passes the eigenvalue check for rank
+        # deficiency, so only the certificate keeps the last row out.
+        "gram-keep-all-refused": ([1.0] * 7 + [1.25e-7], 2.5e-7, 7, False),
+        "gram-keep-all-margin": ([1.0] * 7 + [1e-6], 2.5e-7, 8, True),
+        "gram-rank-deficient": (np.logspace(0, -6, 5), 0.0, 5, False),
+    }
+
+    @pytest.mark.parametrize("name", list(KEEP_ALL))
+    def test_keep_all(self, name, monkeypatch):
+        spectrum, delta, rank, certified = self.KEEP_ALL[name]
+        m, n = 8, 1 << 19
+        M = _spectrum_matrix(7, m, n, spectrum)
+        s_exact = np.linalg.svd(M, compute_uv=False)
+        tails = np.concatenate([np.cumsum(s_exact[::-1] ** 2)[::-1], [0.0]])
+        if delta == 0.0:
+            minimal = int(np.count_nonzero(
+                s_exact > max(m, n) * np.finfo(np.float64).eps * s_exact[0]
+            ))
+        else:
+            assert delta <= 1e-7 * np.linalg.norm(M)
+            minimal = int(np.argmax(tails <= delta * delta))
+        assert minimal == rank
+        svds = record_svd(monkeypatch)
+        qrs = record_qr(monkeypatch)
+        f = svd_trunc(M, delta)
+        monkeypatch.undo()
+        self._check(M, f, minimal)
+        if certified:
+            assert (svds, qrs) == ([], []), (svds, qrs)
+            assert f.discarded_energy == 0.0
+            # The row norms of rest carry the small values to relative
+            # accuracy; square roots of Gram eigenvalues would not.
+            np.testing.assert_allclose(f.sigma, s_exact, rtol=1e-9)
+        else:
+            assert qrs == [(n, m)], qrs
+
+    @pytest.mark.parametrize("m, n", [(8, 1 << 19), (2048, 2048)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_raises(self, m, n, bad):
+        # Wide inputs skip the scan of M when M M^T is finite; square-ish
+        # ones form it only at a loose delta.  Either way one bad entry
+        # is caught.
+        M = np.ones((m, n))
+        M[m - 1, n // 3] = bad
+        for delta in (0.0, 1.0):
+            with pytest.raises(NumericError, match="non-finite"):
+                svd_trunc(M, delta)
+
+    def test_gram_overflow_takes_the_wide_route(self, monkeypatch):
+        # Finite entries whose squares overflow: the scan passes and the
+        # R-SVD, which never squares, keeps both rows.
+        M = _spectrum_matrix(3, 2, 1 << 21, [1.0, 0.5]) * 1e300
+        qrs = record_qr(monkeypatch)
+        f = svd_trunc(M, 0.0)
+        monkeypatch.undo()
+        assert qrs == [(1 << 21, 2)]
+        assert f.rank == 2
+        np.testing.assert_allclose(f.sigma, [1e300, 0.5e300], rtol=1e-12)
+
+
+class TestCertifiedSigma:
+    """The keep-all certificate on hand-built projections ``rest``: it
+    returns the row norms when they prove full row rank above the floor,
+    and ``None`` when the rows are too short, too parallel, or within the
+    projection's rounding of zero."""
+
+    EPS = np.finfo(np.float64).eps
+
+    @staticmethod
+    def _rows(norms, angle=np.pi / 2, n=3):
+        """Two rows of length ``n`` and the given norms at ``angle``."""
+        rest = np.zeros((2, n))
+        rest[0, 0] = norms[0]
+        rest[1, :2] = norms[1] * np.cos(angle), norms[1] * np.sin(angle)
+        return rest
+
+    def test_orthogonal_rows_certify_with_their_norms(self):
+        rest = self._rows([2.0, 0.5])
+        sigma = _certified_sigma(rest, 0.1, np.linalg.norm(rest))
+        np.testing.assert_array_equal(sigma, [2.0, 0.5])
+
+    @pytest.mark.parametrize("short, certified", [(0.05, False), (0.4, True)])
+    def test_shortest_row_against_delta(self, short, certified):
+        rest = self._rows([1.0, short])
+        got = _certified_sigma(rest, 0.1, np.linalg.norm(rest))
+        assert (got is not None) is certified
+
+    @pytest.mark.parametrize("short, certified", [(100, False), (4000, True)])
+    def test_zero_delta_floor(self, short, certified):
+        # At delta = 0 the rank rule drops values up to max(m, n) eps |M|,
+        # 1000 eps here, so a shorter row is not certified.
+        rest = self._rows([1.0, short * self.EPS], n=1000)
+        got = _certified_sigma(rest, 0.0, 1.0)
+        assert (got is not None) is certified
+
+    @pytest.mark.parametrize("angle, certified", [(1e-6, False), (1.0, True)])
+    def test_parallel_rows_refused(self, angle, certified):
+        # Unit rows at a small angle have sigma_min ~ angle / sqrt(2): long
+        # rows alone prove nothing.
+        rest = self._rows([1.0, 1.0], angle)
+        got = _certified_sigma(rest, 1e-3, np.linalg.norm(rest))
+        assert (got is not None) is certified
+
+    def test_relative_to_each_row(self):
+        # An overlap of 1e-17 |M|^2, the size of Gram eigenvector noise,
+        # would swamp sigma_min^2 = 1e-18 in an unscaled Gershgorin bound;
+        # scaled by the row norms it costs 1e-8 of the small row.
+        rest = self._rows([1.0, 1e-9])
+        rest[1, 0] = 1e-17
+        got = _certified_sigma(rest, 1e-10, np.linalg.norm(rest))
+        assert got is not None
+        assert got[1] == pytest.approx(1e-9, rel=1e-12)
+
+    @pytest.mark.parametrize("short, certified", [(1e-15, False), (4e-15, True)])
+    def test_projection_rounding_allowance(self, short, certified):
+        # At delta = 0 the floor is 3 eps |M|; a row within the rounding of
+        # the projection, 2 (sqrt(2) + 2) eps |M|, is not certified.
+        rest = self._rows([1.0, short])
+        assert short > 3 * self.EPS
+        got = _certified_sigma(rest, 0.0, 1.0)
+        assert (got is not None) is certified
 
 
 class TestFullRowRank:

@@ -6,6 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import decaying_train
+from ttmera import kernels
+from ttmera.dense import _fold, _unfold
+from ttmera.experiments import DESK_HEAT
+from ttmera.heat import reshape_to_factors, solve_heat
 from ttmera.kernels import svd_trunc
 from ttmera.tucker import (
     TuckerTT,
@@ -144,6 +148,41 @@ class TestSthosvdDense:
         assert got.dims == core.dims
         assert got.to_array().tobytes() == core.to_array().tobytes()
         assert discarded.tobytes() == np.array(ref_discarded).tobytes()
+
+    def test_desk_tensor_at_tight_tolerance(self, monkeypatch):
+        # The 12-way desk tensor at 1e-7: every mode unfolds to 2 x 3,125,000
+        # or 5 x 1,250,000, and all but the last keep full rank, which the
+        # Gram keep-all certificate proves without a QR.
+        t = reshape_to_factors(solve_heat(DESK_HEAT))
+        certified = []
+        certify = kernels._certified_sigma
+
+        def spy(*args):
+            sigma = certify(*args)
+            certified.append(sigma is not None)
+            return sigma
+
+        monkeypatch.setattr(kernels, "_certified_sigma", spy)
+        factors, _, discarded = sthosvd_dense(t, 1e-7)
+        monkeypatch.undo()
+        ranks = (2, 5, 5, 2, 5, 5, 2, 2, 5, 5, 5, 4)
+        assert tuple(U.shape[1] for U in factors) == ranks
+        assert sum(certified) == 11
+        for U in factors:
+            np.testing.assert_allclose(U.T @ U, np.eye(U.shape[1]), atol=1e-12)
+        # Reference: the same sequential truncation on LAPACK's SVD.
+        norm2 = t.norm() ** 2
+        delta = 1e-7 * t.norm() / np.sqrt(t.order)
+        core = t.to_array()
+        for d, r in enumerate(ranks):
+            M = _unfold(core, d)
+            U, s, _ = np.linalg.svd(M, full_matrices=False)
+            tails = np.concatenate([np.cumsum(s[::-1] ** 2)[::-1], [0.0]])
+            assert int(np.argmax(tails <= delta * delta)) == r
+            assert abs(discarded[d] - tails[r]) <= 1e-12 * norm2
+            core = _fold(U[:, :r].T @ M, d, core.shape)
+        train_ranks = (1, 2, 10, 22, 39, 71, 21, 14, 13, 10, 6, 4, 1)
+        assert tt_svd(t, 1e-7).ranks == train_ranks
 
     def test_agrees_with_train_route_on_ranks(self):
         # both routes see the same per-mode singular spectra, so at a clear
