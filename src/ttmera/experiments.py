@@ -18,7 +18,7 @@ import statistics
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -102,16 +102,9 @@ class CompressionReport:
     detail: dict | None = None
 
     def as_dict(self) -> dict:
-        out = {
-            "method": self.method,
-            "elapsed_seconds": self.elapsed_seconds,
-            "relative_error": self.relative_error,
-            "storage_count": self.storage_count,
-            "compression_ratio": self.compression_ratio,
-            "ranks": list(self.ranks),
-        }
-        if self.detail is not None:
-            out.update(self.detail)
+        out = asdict(self)
+        out["ranks"] = list(self.ranks)
+        out.update(out.pop("detail") or {})
         return out
 
 

@@ -7,8 +7,9 @@ each left singular vector (or Q column) the entry of largest magnitude is
 made non-negative, ties resolved toward the lowest row index, and the
 compensating sign is pushed into the right factor: ``svd_trunc``'s
 ``rest``, ``svd_full``'s ``Vt``, ``qr_thin``'s ``R``.  The wide and Gram
-routes of ``svd_trunc`` (all only for ``m <= n``) form ``rest = U.T @ M``
-from the sign-fixed ``U``, which carries the compensation by construction.
+routes of ``svd_trunc`` (all only for wide inputs, ``n >= 2m``) form
+``rest = U.T @ M`` from the sign-fixed ``U``, which carries the
+compensation by construction.
 Every route takes ``U`` from an orthogonal factorization, not from
 ``M V / sigma``, so it is orthonormal to rounding.
 ``procrustes_solve`` applies no convention: it returns the product
@@ -102,13 +103,14 @@ class TruncatedSvd:
         return self.sigma.size
 
 
-# Large matrices with m <= n go through an eigendecomposition of ``M M^T``
-# instead of a direct SVD: far less memory traffic and arithmetic when m is
-# small.  The Gram matrix also stands in for the finiteness scan of M.
+# Large wide matrices go through an eigendecomposition of ``M M^T`` instead
+# of a direct SVD: far less memory traffic and arithmetic when m is small.
+# The Gram matrix also stands in for the finiteness scan of M.  Below this
+# size the truncating route's discards are off by about eps |M|^2.
 _GRAM_MIN_ENTRIES = 1 << 22
 # Squaring halves the usable precision, so a Gram call that truncates is
 # gated on the tolerance being far above the noise floor, and bails out
-# whenever a kept direction would be unreliable.  A wide call that keeps
+# whenever a kept direction would be unreliable.  A call that keeps
 # every row needs no such floor: its certificate decides at any tolerance.
 _GRAM_DELTA_FLOOR = 1e-7
 # An m x n input with n >= _WIDE_RATIO * m is reduced to the m x m triangular
@@ -125,7 +127,7 @@ def svd_trunc(M: np.ndarray, delta: float) -> TruncatedSvd:
 
     Four routes, chosen from the input, give the same contract:
 
-    - **Gram** (large, ``m <= n``, loose ``delta``): the eigenpairs of
+    - **Gram** (large, ``n >= 2m``, loose ``delta``): the eigenpairs of
       ``M M^T`` are the left singular vectors and squared singular values.
     - **Gram keep-all** (large, ``n >= 2m``, any tighter ``delta``): the
       same eigenvectors, kept whole once a rigorous bound proves that every
@@ -149,11 +151,7 @@ def svd_trunc(M: np.ndarray, delta: float) -> TruncatedSvd:
     m, n = M.shape
     wide = n >= _WIDE_RATIO * m
     G = None
-    # A square-ish input forms the Gram matrix only where it replaces the
-    # SVD; a NaN or inf in M makes the norm fail this test.
-    if m <= n and M.size >= _GRAM_MIN_ENTRIES and (
-        wide or delta > _GRAM_DELTA_FLOOR * np.linalg.norm(M)
-    ):
+    if wide and M.size >= _GRAM_MIN_ENTRIES:
         with np.errstate(over="ignore", invalid="ignore"):
             G = M @ M.T
     # A non-finite entry of M reaches the diagonal of M M^T, so a finite
@@ -230,14 +228,14 @@ def _project(U: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _svd_trunc_gram(
     M: np.ndarray, G: np.ndarray, delta: float
 ) -> TruncatedSvd | None:
-    """Gram-matrix routes of :func:`svd_trunc` for ``m <= n``, given the
+    """Gram-matrix routes of :func:`svd_trunc` for a wide ``M``, given the
     finite ``G = M M^T``; ``None`` means fall back.
 
     At a loose ``delta`` the eigenpairs of ``G`` are the left singular
     vectors and squared singular values, and ``rest`` is one projection
     ``U.T @ M``.  Rank selection shaves an eigenvalue-noise margin off
     ``delta^2`` so the discarded tail never exceeds the budget.  At a
-    tighter ``delta`` a wide ``M`` keeps every eigenvector if
+    tighter ``delta`` ``M`` keeps every eigenvector if
     :func:`_certified_sigma` proves full row rank.
     """
     m, n = M.shape
@@ -250,7 +248,7 @@ def _svd_trunc_gram(
         # rank-deficient input, which the certificate would refuse; the
         # check spares it the projection.
         floor = max(m, n) * np.finfo(np.float64).eps * norm
-        if n < _WIDE_RATIO * m or lam[-1] <= floor * floor:
+        if lam[-1] <= floor * floor:
             return None
         U, rest = _project(P, M)
         sigma = _certified_sigma(rest, delta, norm)

@@ -28,6 +28,7 @@ from .errors import NumericError
 from .kernels import _full_row_rank, _procrustes, svd_full, svd_trunc
 from .train import (
     TensorTrain,
+    _chain,
     merge_cores,
     orthogonalize,
     split_core,
@@ -57,11 +58,6 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 ORTHO_TOL = 1e-12
-# Bonds of mera_to_tt with at least this many rows (and no more rows than
-# columns) are tested for full row rank before any SVD.  The desk and
-# planted networks have bonds of at most 324 rows, so their expansions keep
-# the SVD route bit for bit, and so do the searches that start from them.
-_CERTIFY_MIN_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -581,14 +577,14 @@ def mera_to_tt(m: Mera, round_eps: float = 1e-14) -> TensorTrain:
     site-``D``-mixed-canonical.  ``round_eps=0`` keeps every numerically
     nonzero singular value.
 
-    A bond unfolding ``M`` with at least ``_CERTIFY_MIN_ROWS`` rows and no
-    more rows than columns is first tested for full row rank with one
-    inverse and one residual (``kernels._full_row_rank``).  A certified bond
-    is one the SVD's rank rule would keep whole: its core is the identity,
-    the centre moves on as ``M`` unchanged, and it discards nothing.  That
-    split is exact whatever the test says; the test only makes the kept rank
-    the one the SVD would keep.  A bond the test cannot certify takes the
-    SVD.
+    Every bond unfolding ``M`` with no more rows than columns, whatever its
+    size, is first tested for full row rank with one inverse and one
+    residual (``kernels._full_row_rank``).  A certified bond is one the
+    SVD's rank rule would keep whole: its core is the identity, the centre
+    moves on as ``M`` unchanged, and it discards nothing.  That split is
+    exact whatever the test says; the test only makes the kept rank the one
+    the SVD would keep.  A tall bond, or one the test cannot certify, takes
+    the SVD.
     """
     if round_eps < 0:
         raise ValueError(f"round_eps must be non-negative, got {round_eps}")
@@ -611,8 +607,7 @@ def mera_to_tt(m: Mera, round_eps: float = 1e-14) -> TensorTrain:
                 # Absorb the next group (fused free index first-index-fastest)
                 # and mix the pair (p, p+1) if a disentangler sits there.
                 r = centre.shape[0]
-                centre = np.tensordot(centre, next(expanded), axes=([2], [0]))
-                centre = np.reshape(centre, (r, -1, centre.shape[3]), order="F")
+                centre = _chain([centre, next(expanded)])
                 if p in gates:
                     shape = centre.shape
                     centre = np.reshape(centre, (r, dims[p - 1] * dims[p], -1), order="F")
@@ -620,7 +615,7 @@ def mera_to_tt(m: Mera, round_eps: float = 1e-14) -> TensorTrain:
             r, n, s = centre.shape
             d = dims[p - 1]
             M = np.reshape(centre, (r * d, n // d * s), order="F")
-            if _CERTIFY_MIN_ROWS <= r * d <= M.shape[1] and _full_row_rank(M, delta):
+            if r * d <= M.shape[1] and _full_row_rank(M, delta):
                 # The rank rule provably keeps every value, so the exact
                 # split is the identity and M itself; nothing is discarded.
                 U, rest = np.eye(r * d, order="F"), M

@@ -265,10 +265,7 @@ def merge_cores(tt: TensorTrain, d: int) -> TensorTrain:
             f"merging cores {d} and {d + 1} would create {total} entries "
             f"(budget {DENSE_ENTRY_BUDGET})"
         )
-    super_ = np.tensordot(a, b, axes=([2], [0]))
-    r, n, m, s = super_.shape
-    super_ = np.reshape(super_, (r, n * m, s), order="F")
-    cores = list(tt.cores[: d - 1]) + [super_] + list(tt.cores[d + 1 :])
+    cores = list(tt.cores[: d - 1]) + [_chain([a, b])] + list(tt.cores[d + 1 :])
     site = tt.canonical_site
     if site is not None and site > d:
         site -= 1

@@ -238,9 +238,9 @@ class TestSvdTruncRoutes:
     @pytest.mark.parametrize("m, n", [(8, 1 << 19), (2048, 2048)])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_raises(self, m, n, bad):
-        # Wide inputs skip the scan of M when M M^T is finite; square-ish
-        # ones form it only at a loose delta.  Either way one bad entry
-        # is caught.
+        # Wide inputs skip the scan of M when M M^T is finite; square ones
+        # never form it and are scanned.  Either way one bad entry is
+        # caught.
         M = np.ones((m, n))
         M[m - 1, n // 3] = bad
         for delta in (0.0, 1.0):

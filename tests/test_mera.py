@@ -13,7 +13,7 @@ import ttmera.mera
 from conftest import count_qr, decaying_train, sign_fixed_procrustes
 from ttmera.dense import DenseTensor
 from ttmera.errors import NumericError
-from ttmera.experiments import planted_pair_tensor, random_mera_plant
+from ttmera.experiments import planted_pair_tensor, random_mera_plant, run_mera12
 from ttmera.kernels import svd_full
 from ttmera.mera import (
     Disentangler,
@@ -352,23 +352,15 @@ class TestCertifiedBonds:
     """A bond that ``mera_to_tt`` certifies as full rank keeps an identity
     core; everything downstream matches the SVD route to rounding."""
 
-    def _expand(self, monkeypatch, plant, min_rows):
-        monkeypatch.setattr(ttmera.mera, "_CERTIFY_MIN_ROWS", min_rows)
-        return mera_to_tt(plant)
+    @staticmethod
+    def _force_svd(monkeypatch):
+        monkeypatch.setattr(ttmera.mera, "_full_row_rank", lambda M, delta: False)
 
     def test_certified_bond_matches_the_svd_route(self, monkeypatch):
         plant = random_mera_plant(6, 3, seed=0)
-        off = self._expand(monkeypatch, plant, math.inf)
-        calls = []
-        certify = ttmera.mera._full_row_rank
-
-        def spy(M, delta):
-            calls.append((M.shape, certify(M, delta)))
-            return calls[-1][1]
-
-        monkeypatch.setattr(ttmera.mera, "_full_row_rank", spy)
-        on = self._expand(monkeypatch, plant, 300)
-        assert calls == [((324, 324), True)]
+        on = mera_to_tt(plant)
+        self._force_svd(monkeypatch)
+        off = mera_to_tt(plant)
         assert on.ranks == off.ranks
         eye = [
             c for c in on.cores[:-1]
@@ -389,16 +381,50 @@ class TestCertifiedBonds:
         assert abs(errors[0] - errors[1]) <= 1e-12
 
     @pytest.mark.parametrize("I, S", [(4, 2), (6, 3)])
-    def test_desk_plants_never_certify(self, I, S, monkeypatch):
-        # Below the row threshold every bond takes the SVD, so the planted
-        # and criterion 5/7 search counts cannot move.
+    def test_desk_plants_certify_every_square_or_wide_bond(self, I, S, monkeypatch):
+        plant = random_mera_plant(I, S, seed=0)
         calls = []
-        monkeypatch.setattr(
-            ttmera.mera, "_full_row_rank", lambda M, delta: calls.append(M.shape)
-        )
-        mera_to_tt(random_mera_plant(I, S, seed=0))
-        mera_to_tt(random_mera_plant(I, S, seed=0), 1e-12)
-        assert calls == []
+        certify = ttmera.mera._full_row_rank
+
+        def spy(M, delta):
+            calls.append((M.shape[0] <= M.shape[1], certify(M, delta)))
+            return calls[-1][1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ttmera.mera, "_full_row_rank", spy)
+            on = mera_to_tt(plant)
+        self._force_svd(monkeypatch)
+        off = mera_to_tt(plant)
+        assert calls == [(True, True)] * 6
+        assert on.ranks == off.ranks
+        assert _tt_diff_norm(on, off) <= 1e-13 * tt_norm(off)
+
+    def test_search_counts_match_the_svd_route(self, monkeypatch):
+        def iterations():
+            counts = []
+            search = ttmera.mera.find_disentangler
+
+            def spy(*args, **kwargs):
+                result = search(*args, **kwargs)
+                counts.append(result[2].iterations)
+                return result
+
+            with monkeypatch.context() as patch:
+                patch.setattr(ttmera.mera, "find_disentangler", spy)
+                run_mera12(seed=10, max_iters=300, strategies=("procrustes",))
+            return counts
+
+        on = iterations()
+        self._force_svd(monkeypatch)
+        assert len(on) == 7
+        assert iterations() == on
+
+    @pytest.mark.parametrize("round_eps", [-1e-14, 10.0])
+    def test_round_eps_out_of_range(self, round_eps):
+        # An over-large budget is never certified away: the SVD then keeps
+        # nothing, which is refused.
+        with pytest.raises(ValueError, match="round_eps"):
+            mera_to_tt(random_mera_plant(4, 2, seed=0), round_eps)
 
 
 class TestHosvdDisentangler:
