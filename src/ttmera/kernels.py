@@ -14,6 +14,9 @@ Every route takes ``U`` from an orthogonal factorization, not from
 ``M V / sigma``, so it is orthonormal to rounding.
 ``procrustes_solve`` applies no convention: it returns the product
 ``P @ Q.T``, in which the sign of each singular-vector pair cancels exactly.
+The certified tall split ``_certified_qr`` follows the QR convention
+instead: ``R`` has a positive diagonal, which fixes the sign of each of
+``Q``'s columns.
 
 Squaring ``M`` into ``M M^T`` halves the usable precision, so a Gram route
 that truncates needs a loose tolerance.  A call that keeps every row has
@@ -167,12 +170,19 @@ def svd_trunc(M: np.ndarray, delta: float) -> TruncatedSvd:
         U, s, _ = np.linalg.svd(np.linalg.qr(M.T, mode="r").T)
     else:
         U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    tails = np.concatenate([np.cumsum(s[::-1] ** 2)[::-1], [0.0]])
+    # Squared at the scale of s[0], so no square overflows and one that
+    # underflows is negligible next to s[0]^2.  Scaling by a power of two
+    # is exact: where the unscaled squares were representable, the rank and
+    # the energy keep every bit.
+    e = int(np.frexp(s[0])[1])
+    tails = np.concatenate([np.cumsum(np.ldexp(s[::-1], -e) ** 2)[::-1], [0.0]])
     if delta == 0.0:
         thresh = max(m, n) * np.finfo(np.float64).eps * s[0]
         r = int(np.count_nonzero(s > thresh))
     else:
-        r = int(np.argmax(tails <= delta * delta))
+        # An overflowing budget exceeds every tail: rank 0 is right.
+        with np.errstate(over="ignore"):
+            r = int(np.argmax(tails <= np.ldexp(delta, -e) ** 2))
     if wide:
         U, rest = _project(U[:, :r], M)
     else:
@@ -180,9 +190,10 @@ def svd_trunc(M: np.ndarray, delta: float) -> TruncatedSvd:
         # Stored first-index-fastest, like the projection.
         rest = np.multiply(s[:r, None], Vt[:r], order="F")
         _fix_signs(U, rest)
-    return TruncatedSvd(
-        U=U, sigma=s[:r].copy(), rest=rest, discarded_energy=float(tails[r])
-    )
+    # An energy beyond the float range is reported as inf.
+    with np.errstate(over="ignore"):
+        energy = float(np.ldexp(tails[r], 2 * e))
+    return TruncatedSvd(U=U, sigma=s[:r].copy(), rest=rest, discarded_energy=energy)
 
 
 def _full_row_rank(M: np.ndarray, delta: float) -> bool:
@@ -191,26 +202,93 @@ def _full_row_rank(M: np.ndarray, delta: float) -> bool:
 
     A certificate, not a factorization: one inverse and one residual.  ``A``
     is ``M`` if square, else the ``m x m`` factor ``R.T`` of a QR of
-    ``M.T``, which has the singular values of ``M``.  With ``X = inv(A)``
-    and ``F = A X - I``, ``|F| < 1`` gives ``sigma_min >= (1 - |F|_F) /
-    |X|_F`` (a Neumann-series bound, nothing squared); the test asks for
-    ``|F|_F < 1/2``, which leaves room for the rounding of the computed
-    residual.  The rank rule keeps every value once ``sigma_min`` exceeds
-    ``delta`` and, for ``delta=0``, ``max(m, n) * eps * sigma_1 <= max(m, n)
-    * eps * |M|_F``.  ``False`` means unproven (including an exactly
-    singular ``A``), not rank deficient.
+    ``M.T``, which has the singular values of ``M``; :func:`_sigma_min_bound`
+    bounds its smallest one from below.  ``False`` means unproven (including
+    an exactly singular ``A``), not rank deficient.
     """
     m, n = M.shape
     A = M if m == n else np.linalg.qr(M.T, mode="r").T
+    floor = _rank_floor(M.shape, delta, np.linalg.norm(M))
+    return bool(_sigma_min_bound(A) > floor)
+
+
+def _certified_qr(
+    M: np.ndarray, delta: float
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Split ``M = Q @ R`` of the finite tall ``m x n`` matrix ``M``,
+    ``m > n``, if :func:`svd_trunc` at ``delta`` provably keeps all ``n``
+    of its singular values, else ``None``.
+
+    CholeskyQR2 (Fukaya, Nakatsukasa, Yanagisawa & Yamamoto, ScalA 2014):
+    ``R1 = chol(M^T M)^T``, ``Q1 = M R1^-1``, ``R2 = chol(Q1^T Q1)^T``,
+    ``Q = Q1 R2^-1`` and ``R = R2 R1``.  It is all Gram products and
+    triangular inverses, and it gives ``Q`` orthonormal to rounding while
+    the condition number stays below about 1e7 (Yamamoto et al., ETNA 44,
+    2015).  ``R`` is upper triangular with a positive diagonal, which fixes
+    ``Q``'s signs.  A Cholesky breakdown returns ``None``.
+
+    The certificate does not trust that analysis.  With ``omega = |Q^T Q -
+    I|_F`` and ``rho = |M - Q R|_F``, each charged twice the first-order
+    bound of its rounding, and ``ell`` the bound of
+    :func:`_sigma_min_bound` on ``R``, Weyl's inequality gives
+    ``sigma_min(M) >= sqrt(1 - omega) ell - rho``.  The split is returned
+    when ``omega < 1/2`` and that exceeds the floor of :func:`_rank_floor`,
+    above which the rank rule keeps every value.  Every product is formed
+    transposed, so ``Q`` and ``R`` are stored first-index-fastest and their
+    reshapes are views.
+    """
+    m, n = M.shape
+    eps = np.finfo(np.float64).eps
+    G = M.T @ M
+    norm = float(np.sqrt(np.trace(G)))
+    try:
+        R1 = np.linalg.cholesky(G).T
+        Q = (np.linalg.inv(R1).T @ M.T).T
+        R2 = np.linalg.cholesky(Q.T @ Q).T
+    except np.linalg.LinAlgError:
+        return None
+    Q = (np.linalg.inv(R2).T @ Q.T).T
+    R = (R1.T @ R2.T).T
+    W = Q.T @ Q
+    q2 = float(np.trace(W))
+    W[np.diag_indices(n)] -= 1.0
+    omega = np.linalg.norm(W) + 2.0 * m * eps * q2
+    if not omega < 0.5:
+        return None
+    E = (R.T @ Q.T).T
+    E -= M
+    rho = np.linalg.norm(E) + 2.0 * n * eps * np.sqrt(q2) * np.linalg.norm(R)
+    bound = np.sqrt(1.0 - omega) * _sigma_min_bound(R) - rho
+    return (Q, R) if bound > _rank_floor(M.shape, delta, norm) else None
+
+
+def _sigma_min_bound(A: np.ndarray) -> float:
+    """Lower bound on the smallest singular value of the square ``A``;
+    ``0.0`` when unproven.
+
+    With ``X = inv(A)`` and ``F = A X - I``, ``|F| < 1`` gives ``sigma_min
+    >= (1 - |F|_F) / |X|_F`` (a Neumann-series bound, nothing squared).
+    The bound is taken only for ``|F|_F < 1/2``, which leaves room for the
+    rounding of the computed residual.  An exactly singular ``A`` gives
+    ``0.0``.
+    """
     try:
         X = np.linalg.inv(A)
     except np.linalg.LinAlgError:
-        return False
+        return 0.0
     F = A @ X
-    F[np.diag_indices(m)] -= 1.0
+    F[np.diag_indices(A.shape[0])] -= 1.0
     residual = np.linalg.norm(F)
-    floor = max(delta, max(m, n) * np.finfo(np.float64).eps * np.linalg.norm(M))
-    return bool(residual < 0.5 and (1.0 - residual) / np.linalg.norm(X) > floor)
+    return (1.0 - residual) / np.linalg.norm(X) if residual < 0.5 else 0.0
+
+
+def _rank_floor(shape: tuple[int, int], delta: float, norm: float) -> float:
+    """Singular values above this are all kept by the rank rule of
+    :func:`svd_trunc` at ``delta`` for a matrix of ``shape`` and Frobenius
+    norm ``norm``.  It is the larger of ``delta`` and ``max(m, n) * eps *
+    norm``, which bounds the ``delta=0`` threshold ``max(m, n) * eps *
+    sigma_1`` from above."""
+    return max(delta, max(shape) * np.finfo(np.float64).eps * norm)
 
 
 def _project(U: np.ndarray, M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -239,7 +317,13 @@ def _svd_trunc_gram(
     :func:`_certified_sigma` proves full row rank.
     """
     m, n = M.shape
-    norm = float(np.sqrt(np.trace(G)))
+    trace = float(np.trace(G))
+    # A product below the smallest normal number keeps only the absolute
+    # accuracy 2^-1074, so the m n of them in G can swamp eps |M|^2 unless
+    # |M|^2 exceeds m n times that number.
+    if not trace > m * n * np.finfo(np.float64).tiny:
+        return None
+    norm = float(np.sqrt(trace))
     lam, P = np.linalg.eigh(G)
     lam = np.clip(lam[::-1], 0.0, None)
     P = P[:, ::-1]
@@ -247,7 +331,7 @@ def _svd_trunc_gram(
         # An eigenvalue at or below the delta = 0 floor marks a numerically
         # rank-deficient input, which the certificate would refuse; the
         # check spares it the projection.
-        floor = max(m, n) * np.finfo(np.float64).eps * norm
+        floor = _rank_floor(M.shape, 0.0, norm)
         if lam[-1] <= floor * floor:
             return None
         U, rest = _project(P, M)
@@ -289,15 +373,15 @@ def _certified_sigma(
     only ``eps |M|^2 / (d_i d_j)``.  The projection's rounding and
     ``U``'s departure from orthogonality are charged ``m (sqrt(m) + 2) eps
     |M|_F``, twice their first-order bound.  What is left must exceed
-    ``max(delta, max(m, n) eps |M|_F)``, the floor of
-    :func:`_full_row_rank`, above which the rank rule keeps every value.
+    the floor of :func:`_rank_floor`, above which the rank rule keeps every
+    value.
     Sorted, the row norms match the singular values of ``rest`` to a
     relative ``rho`` (Ostrowski's theorem); they come in the descending
     order of the Gram eigenvalues, which a tie may swap within rounding.
     """
     m, n = rest.shape
     eps = np.finfo(np.float64).eps
-    floor = max(delta, max(m, n) * eps * norm)
+    floor = _rank_floor(rest.shape, delta, norm)
     H = rest @ rest.T
     d = np.sqrt(np.diag(H))
     d_min = float(d.min())

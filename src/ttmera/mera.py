@@ -25,7 +25,7 @@ import numpy as np
 
 from .dense import DenseTensor
 from .errors import NumericError
-from .kernels import _full_row_rank, _procrustes, svd_full, svd_trunc
+from .kernels import _certified_qr, _full_row_rank, _procrustes, svd_full, svd_trunc
 from .train import (
     TensorTrain,
     _chain,
@@ -577,14 +577,17 @@ def mera_to_tt(m: Mera, round_eps: float = 1e-14) -> TensorTrain:
     site-``D``-mixed-canonical.  ``round_eps=0`` keeps every numerically
     nonzero singular value.
 
-    Every bond unfolding ``M`` with no more rows than columns, whatever its
-    size, is first tested for full row rank with one inverse and one
-    residual (``kernels._full_row_rank``).  A certified bond is one the
-    SVD's rank rule would keep whole: its core is the identity, the centre
-    moves on as ``M`` unchanged, and it discards nothing.  That split is
-    exact whatever the test says; the test only makes the kept rank the one
-    the SVD would keep.  A tall bond, or one the test cannot certify, takes
-    the SVD.
+    Every bond unfolding ``M`` is first tested for full rank, picked by
+    shape alone.  One with no more rows than columns is tested for full row
+    rank with one inverse and one residual (``kernels._full_row_rank``); a
+    tall one is split ``M = Q R`` by CholeskyQR2 and tested for full column
+    rank on that split (``kernels._certified_qr``).  A certified bond is one
+    the SVD's rank rule would keep whole.  It discards nothing: a wide bond's
+    core is the identity and the centre moves on as ``M`` unchanged; a tall
+    bond's core is ``Q``, whose signs the positive diagonal of ``R`` fixes,
+    and the centre moves on as ``R``.  The test only makes the kept rank
+    the one the SVD would keep.  A bond neither test certifies takes the
+    SVD.
     """
     if round_eps < 0:
         raise ValueError(f"round_eps must be non-negative, got {round_eps}")
@@ -615,15 +618,21 @@ def mera_to_tt(m: Mera, round_eps: float = 1e-14) -> TensorTrain:
             r, n, s = centre.shape
             d = dims[p - 1]
             M = np.reshape(centre, (r * d, n // d * s), order="F")
-            if r * d <= M.shape[1] and _full_row_rank(M, delta):
-                # The rank rule provably keeps every value, so the exact
-                # split is the identity and M itself; nothing is discarded.
-                U, rest = np.eye(r * d, order="F"), M
+            # Where the rank rule provably keeps every value, an exact split
+            # discards nothing: the identity and M itself for a wide bond,
+            # Q and R for a tall one.
+            if r * d > M.shape[1]:
+                split = _certified_qr(M, delta)
+            elif _full_row_rank(M, delta):
+                split = np.eye(r * d, order="F"), M
             else:
+                split = None
+            if split is None:
                 f = svd_trunc(M, delta)
                 if f.rank == 0:
                     raise ValueError("a bond was fully truncated; round_eps too large")
-                U, rest = f.U, f.rest
+                split = f.U, f.rest
+            U, rest = split
             cores.append(np.reshape(U, (r, d, U.shape[1]), order="F"))
             centre = np.reshape(rest, (rest.shape[0], n // d, s), order="F")
         cores.append(centre)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from conftest import loop_fix_signs, record_qr, record_svd, sign_fixed_procrustes
 from ttmera.errors import NumericError
 from ttmera.kernels import (
+    _certified_qr,
     _certified_sigma,
     _fix_signs,
     _full_row_rank,
@@ -252,11 +253,60 @@ class TestSvdTruncRoutes:
         # R-SVD, which never squares, keeps both rows.
         M = _spectrum_matrix(3, 2, 1 << 21, [1.0, 0.5]) * 1e300
         qrs = record_qr(monkeypatch)
-        f = svd_trunc(M, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = svd_trunc(M, 0.0)
         monkeypatch.undo()
         assert qrs == [(1 << 21, 2)]
         assert f.rank == 2
         np.testing.assert_allclose(f.sigma, [1e300, 0.5e300], rtol=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e-160])
+    @pytest.mark.parametrize("frac", [0.0, 0.5])
+    def test_gram_underflow_takes_the_wide_route(self, scale, frac, monkeypatch):
+        # Entries whose products underflow leave M M^T with few or none of
+        # its digits (a Gram route kept rank 0 at 1e-160), and the squared
+        # singular values underflow too.  The R-SVD, its rank rule scaled,
+        # keeps both rows.
+        M = _spectrum_matrix(3, 2, 1 << 21, [1.0, 0.5]) * scale
+        qrs = record_qr(monkeypatch)
+        f = svd_trunc(M, frac * 0.5 * scale)
+        monkeypatch.undo()
+        assert qrs == [(1 << 21, 2)]
+        assert f.rank == 2
+        assert f.discarded_energy == 0.0
+        np.testing.assert_allclose(f.sigma, [scale, 0.5 * scale], rtol=1e-12)
+
+    @pytest.mark.parametrize("name", ["wide", "square"])
+    @pytest.mark.parametrize("k", [-1000, -500, 500, 1000])
+    def test_rank_rule_is_scale_free(self, name, k):
+        # Scaling M and delta by 2^k moves no rank: squares of values near
+        # 2^1000 overflow and near 2^-1000 underflow unless taken at the
+        # scale of sigma_1.  The energy scales by 4^k, to inf or 0 where
+        # that leaves the float range.
+        m, n, spectrum, cut = self.CASES[name]
+        M = _spectrum_matrix(7, m, n, spectrum)
+        s = np.linalg.svd(M, compute_uv=False)
+        tails = np.concatenate([np.cumsum(s[::-1] ** 2)[::-1], [0.0]])
+        for delta in (0.0, float(np.sqrt((tails[cut] + tails[cut + 1]) / 2))):
+            f = svd_trunc(M, delta)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                g = svd_trunc(np.ldexp(M, k), np.ldexp(delta, k))
+            with np.errstate(over="ignore", under="ignore"):
+                energy = np.ldexp(f.discarded_energy, 2 * k)
+            assert g.rank == f.rank
+            assert g.discarded_energy == pytest.approx(energy, rel=1e-12, abs=0.0)
+            np.testing.assert_allclose(g.sigma, np.ldexp(f.sigma, k), rtol=1e-12)
+
+    def test_overflowing_values_keep_their_rank(self):
+        # sigma = (1e300, 5e299) at delta = 1e299 keeps both; squared
+        # unscaled, both the tails and delta^2 read inf and rank 0 passed.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = svd_trunc(np.diag([1.0, 0.5]) * 1e300, 1e299)
+        assert f.rank == 2
+        assert f.discarded_energy == 0.0
 
 
 class TestCertifiedSigma:
@@ -385,6 +435,46 @@ class TestFullRowRank:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert not _full_row_rank(M, 0.0)
+
+
+class TestCertifiedQr:
+    """The tall split: certified only when the rank rule of ``svd_trunc``
+    provably keeps every column, and then an orthonormal ``Q`` and an upper
+    triangular ``R`` with a positive diagonal whose product is ``M``."""
+
+    @pytest.mark.parametrize("m, n", [(200, 30), (61, 60)])
+    @pytest.mark.parametrize("delta", [0.0, 1e-12])
+    def test_gaussian_splits(self, m, n, delta):
+        M = np.asfortranarray(gaussian(3, m, n))
+        Q, R = _certified_qr(M, delta)
+        assert Q.flags.f_contiguous
+        np.testing.assert_allclose(Q.T @ Q, np.eye(n), rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(R, np.triu(R))
+        assert np.all(np.diag(R) > 0.0)
+        np.testing.assert_allclose(Q @ R, M, rtol=0, atol=1e-14 * np.linalg.norm(M))
+        assert svd_trunc(M, delta).rank == n
+
+    def test_smallest_value_against_the_floor(self):
+        # CholeskyQR2 holds to about kappa = 1e7, so the floor is tested at
+        # a delta it reaches: sigma_min = delta / 2 is refused.
+        m, n, delta = 200, 30, 1e-5
+        for s_min, certified in ((delta / 2, False), (4 * delta, True)):
+            M = _spectrum_matrix(5, m, n, [1.0] * (n - 1) + [s_min])
+            assert (_certified_qr(M, delta) is not None) is certified, s_min
+            assert (svd_trunc(M, delta).rank == n) is certified
+
+    def test_repeated_column_refused(self):
+        M = gaussian(8, 200, 30)
+        M[:, 1] = M[:, 0]
+        assert _certified_qr(M, 0.0) is None
+
+    def test_kappa_1e9_refused(self):
+        # sigma_min = 1e-9 is far above the delta = 0 floor, but squaring
+        # gives M^T M a condition number of 1e18, past what the Cholesky
+        # factors can resolve.
+        M = _spectrum_matrix(5, 300, 40, np.logspace(0, -9, 40))
+        assert svd_trunc(M, 0.0).rank == 40
+        assert _certified_qr(M, 0.0) is None
 
 
 class TestQrThin:

@@ -350,11 +350,26 @@ class TestMeraToTrain:
 
 class TestCertifiedBonds:
     """A bond that ``mera_to_tt`` certifies as full rank keeps an identity
-    core; everything downstream matches the SVD route to rounding."""
+    core if wide and a ``Q`` core if tall; everything downstream matches the
+    SVD route to rounding."""
 
     @staticmethod
     def _force_svd(monkeypatch):
         monkeypatch.setattr(ttmera.mera, "_full_row_rank", lambda M, delta: False)
+        monkeypatch.setattr(ttmera.mera, "_certified_qr", lambda M, delta: None)
+
+    @staticmethod
+    def _spy(patch, name, record):
+        """Wrap ``ttmera.mera.<name>`` so ``record(M, result)`` sees each
+        call."""
+        fn = getattr(ttmera.mera, name)
+
+        def spy(M, delta):
+            result = fn(M, delta)
+            record(M, result)
+            return result
+
+        patch.setattr(ttmera.mera, name, spy)
 
     def test_certified_bond_matches_the_svd_route(self, monkeypatch):
         plant = random_mera_plant(6, 3, seed=0)
@@ -384,20 +399,50 @@ class TestCertifiedBonds:
     def test_desk_plants_certify_every_square_or_wide_bond(self, I, S, monkeypatch):
         plant = random_mera_plant(I, S, seed=0)
         calls = []
-        certify = ttmera.mera._full_row_rank
-
-        def spy(M, delta):
-            calls.append((M.shape[0] <= M.shape[1], certify(M, delta)))
-            return calls[-1][1]
-
         with monkeypatch.context() as patch:
-            patch.setattr(ttmera.mera, "_full_row_rank", spy)
+            self._spy(
+                patch, "_full_row_rank",
+                lambda M, ok: calls.append((M.shape[0] <= M.shape[1], ok)),
+            )
             on = mera_to_tt(plant)
         self._force_svd(monkeypatch)
         off = mera_to_tt(plant)
         assert calls == [(True, True)] * 6
         assert on.ranks == off.ranks
         assert _tt_diff_norm(on, off) <= 1e-13 * tt_norm(off)
+
+    @pytest.mark.parametrize("I, S, refused", [(4, 2, (64, 16)), (6, 3, (216, 54))])
+    def test_desk_plants_split_every_full_rank_tall_bond(
+        self, I, S, refused, monkeypatch
+    ):
+        # Ten tall bonds; the one the SVD truncates is the one refused.
+        plant = random_mera_plant(I, S, seed=0)
+        tall, svds = [], []
+        with monkeypatch.context() as patch:
+            self._spy(patch, "_certified_qr", lambda M, f: tall.append((M.shape, f)))
+            self._spy(patch, "svd_trunc", lambda M, f: svds.append((M.shape, f.rank)))
+            on = mera_to_tt(plant)
+        self._force_svd(monkeypatch)
+        off = mera_to_tt(plant)
+        assert len(tall) == 10
+        assert [shape for shape, f in tall if f is None] == [refused]
+        assert [shape for shape, rank in svds] == [refused]
+        assert svds[0][1] < refused[1]
+        assert on.ranks == off.ranks
+        assert _tt_diff_norm(on, off) <= 1e-13 * tt_norm(off)
+        for core in on.cores[:-1]:
+            r, d, s = core.shape
+            U = np.reshape(core, (r * d, s), order="F")
+            np.testing.assert_allclose(U.T @ U, np.eye(s), rtol=0, atol=1e-13)
+
+    @pytest.mark.paperscale
+    def test_full_size_tall_bonds_certify(self, monkeypatch):
+        # The three tall bonds that took a full SVD keep every column.
+        tall = []
+        self._spy(monkeypatch, "_certified_qr", lambda M, f: tall.append((M.shape, f)))
+        mera_to_tt(random_mera_plant(10, 5, seed=0), round_eps=1e-12)
+        certified = {shape for shape, f in tall if f is not None}
+        assert {(25000, 250), (5000, 250), (2500, 500)} <= certified
 
     def test_search_counts_match_the_svd_route(self, monkeypatch):
         def iterations():
