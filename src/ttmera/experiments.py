@@ -18,7 +18,7 @@ import statistics
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -106,6 +106,37 @@ class CompressionReport:
         out["ranks"] = list(self.ranks)
         out.update(out.pop("detail") or {})
         return out
+
+
+def _report(
+    method: str, elapsed: float, error: float, storage: int, total: int,
+    ranks: Sequence[int], detail: dict | None = None,
+) -> CompressionReport:
+    """A report of ``storage`` entries kept out of ``total``."""
+    storage = int(storage)
+    return CompressionReport(method, elapsed, error, storage,
+                             compression_ratio(total, storage), tuple(ranks),
+                             detail)
+
+
+def _write_reports(
+    out: Path, stem: str, columns: Sequence[str],
+    reports: Sequence[CompressionReport], meta: dict,
+) -> None:
+    """Write ``<stem>.csv``, one row of ``columns`` per report, and
+    ``<stem>.json``, ``meta`` followed by the reports.
+
+    A CSV cell is read from the report's dictionary, so ``strategy`` comes
+    from its detail (empty when absent); ranks are joined by ``|``.
+    """
+    rows = [r.as_dict() for r in reports]
+    write_csv(out / f"{stem}.csv", columns, [
+        ["|".join(map(str, row[c])) if c == "ranks" else row.get(c, "")
+         for c in columns]
+        for row in rows
+    ])
+    payload = {**meta, "reports": rows}
+    (out / f"{stem}.json").write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def _out_dir(out_dir: str | Path | None) -> Path | None:
@@ -276,36 +307,19 @@ def run_compress(
     reports = []
     for m in methods:
         tt, elapsed, storage, ranks, detail = builders[m](t, epsilon, norm)
-        reports.append(CompressionReport(
-            method=m,
-            elapsed_seconds=elapsed,
-            relative_error=_relative_error(tt, t, norm),
-            storage_count=int(storage),
-            compression_ratio=compression_ratio(t.size, int(storage)),
-            ranks=tuple(ranks),
-            detail=detail,
-        ))
+        error = _relative_error(tt, t, norm)
+        reports.append(_report(m, elapsed, error, storage, t.size, ranks, detail))
     out = _out_dir(out_dir)
     if out is not None:
-        write_csv(
-            out / "compress.csv",
+        _write_reports(
+            out,
+            "compress",
             ["method", "elapsed_seconds", "relative_error", "storage_count",
              "compression_ratio", "ranks"],
-            [
-                [r.method, r.elapsed_seconds, r.relative_error,
-                 r.storage_count, r.compression_ratio,
-                 "|".join(str(x) for x in r.ranks)]
-                for r in reports
-            ],
+            reports,
+            {"epsilon": epsilon, "factorize": factorize, "dims": list(t.dims),
+             "original_entries": t.size},
         )
-        payload = {
-            "epsilon": epsilon,
-            "factorize": factorize,
-            "dims": list(t.dims),
-            "original_entries": t.size,
-            "reports": [r.as_dict() for r in reports],
-        }
-        (out / "compress.json").write_text(json.dumps(payload, indent=2) + "\n")
     return reports
 
 
@@ -391,13 +405,6 @@ def planted_pair_tensor(
     }
 
 
-def _plant_supercore(tensor: DenseTensor) -> tuple[TensorTrain, DenseTensor]:
-    """Exact train of the plant and its mixed-canonical middle supercore."""
-    tt = tt_svd(tensor, 0.0)
-    merged = merge_cores(orthogonalize(tt, 2), 2)
-    return tt, DenseTensor(merged.core(2))
-
-
 def run_planted(
     I: int = 8,
     rprime: int = 32,
@@ -418,35 +425,31 @@ def run_planted(
     iteratively disentangled supercore, plus image renderings of each
     matrix stage.
     """
+    top = None
     if image is not None:
         top = _resize_bilinear(load_pgm(image), rprime, rprime)
-    else:
-        top = None
     plant = planted_pair_tensor(I, rprime, seed, top=top)
-    tt, supercore = _plant_supercore(plant["tensor"])
+    # The exact train of the plant and its mixed-canonical middle supercore.
+    tt = tt_svd(plant["tensor"], 0.0)
+    supercore = DenseTensor(merge_cores(orthogonalize(tt, 2), 2).core(2))
+    rl, _, rr = supercore.dims
 
-    mat = np.reshape(
-        supercore.to_array(), (supercore.dims[0] * I, I * supercore.dims[2]),
-        order="F",
-    )
-    original_sigma = np.linalg.svd(mat, compute_uv=False)
+    def sigma(a: np.ndarray) -> np.ndarray:
+        """Singular values of the bond unfolding of a supercore array."""
+        mat = np.reshape(a, (rl * I, I * rr), order="F")
+        return np.linalg.svd(mat, compute_uv=False)
 
+    original_sigma = sigma(supercore.to_array())
     _, hosvd_transformed = _hosvd_disentangler(supercore.to_array(), (I, I))
-    hosvd_mat = np.reshape(hosvd_transformed, mat.shape, order="F")
-    hosvd_sigma = np.linalg.svd(hosvd_mat, compute_uv=False)
+    hosvd_sigma = sigma(hosvd_transformed)
 
     start = time.perf_counter()
     dis, transformed, report = find_disentangler(
-        supercore,
-        (I, I),
-        rprime,
-        gap_threshold=gap_threshold,
-        max_iters=max_iters,
-        trace_stride=trace_stride,
+        supercore, (I, I), rprime, gap_threshold=gap_threshold,
+        max_iters=max_iters, trace_stride=trace_stride,
     )
     elapsed = time.perf_counter() - start
-    found_mat = np.reshape(transformed.to_array(), mat.shape, order="F")
-    found_sigma = np.linalg.svd(found_mat, compute_uv=False)
+    found_sigma = sigma(transformed.to_array())
 
     result = {
         "I": I,
@@ -488,24 +491,14 @@ def run_planted(
                     for k, v in enumerate(sig)
                 ],
             )
-        (out / "report.json").write_text(
-            json.dumps(
-                {
-                    "I": I,
-                    "rprime": rprime,
-                    "seed": seed,
-                    "tt_ranks": list(tt.ranks),
-                    "target_rank": report.target_rank,
-                    "iterations": report.iterations,
-                    "final_gap": report.final_gap,
-                    "achieved_rank": report.achieved_rank,
-                    "converged": report.converged,
-                    "elapsed_seconds": elapsed,
-                },
-                indent=2,
-            )
-            + "\n"
-        )
+        summary = {
+            "I": I, "rprime": rprime, "seed": seed, "tt_ranks": list(tt.ranks),
+        }
+        for f in fields(report):
+            if f.name != "singular_value_trace":
+                summary[f.name] = getattr(report, f.name)
+        summary["elapsed_seconds"] = elapsed
+        (out / "report.json").write_text(json.dumps(summary, indent=2) + "\n")
     return result
 
 
@@ -516,17 +509,11 @@ def run_planted(
 def _scan_point(
     I: int, rprime: int, seed: int, gap_threshold: float, max_iters: int
 ) -> DisentanglerReport:
-    """One plant-and-search trial; used by both scans."""
-    plant = planted_pair_tensor(I, rprime, seed)
-    _, supercore = _plant_supercore(plant["tensor"])
-    _, _, report = find_disentangler(
-        supercore,
-        (I, I),
-        rprime,
-        gap_threshold=gap_threshold,
-        max_iters=max_iters,
-    )
-    return report
+    """One plant-and-search trial of :func:`run_planted`, for the scans."""
+    return run_planted(
+        I, rprime, seed, gap_threshold=gap_threshold, max_iters=max_iters,
+        trace_stride=0,
+    )["report"]
 
 
 def _scan(job, keys: Sequence, seeds: int, threads: int) -> dict:
@@ -767,31 +754,16 @@ def run_mera12(
     round_eps = 1e-12 if paper_scale else 1e-14
     plant = random_mera_plant(I, S, arity, order, layers, seed)
     total = math.prod(plant.input_dims)
-    mera_store = mera_storage(plant)
 
     start = time.perf_counter()
     tt = mera_to_tt(plant, round_eps=round_eps)
     expand_seconds = time.perf_counter() - start
-    tt_store = tt_storage(tt)
 
     reports = [
-        CompressionReport(
-            method="tt",
-            elapsed_seconds=expand_seconds,
-            relative_error=0.0,
-            storage_count=int(tt_store),
-            compression_ratio=compression_ratio(total, int(tt_store)),
-            ranks=tuple(tt.ranks[1:-1]),
-        ),
-        CompressionReport(
-            method="mera",
-            elapsed_seconds=0.0,
-            relative_error=0.0,
-            storage_count=int(mera_store),
-            compression_ratio=compression_ratio(total, int(mera_store)),
-            ranks=_isometry_outputs(plant),
-            detail={"strategy": "plant"},
-        ),
+        _report("tt", expand_seconds, 0.0, tt_storage(tt), total,
+                tt.ranks[1:-1]),
+        _report("mera", 0.0, 0.0, mera_storage(plant), total,
+                _isometry_outputs(plant), {"strategy": "plant"}),
     ]
 
     targets = _recovery_targets(plant, round_eps)
@@ -811,52 +783,28 @@ def run_mera12(
             max_output_dim=None if search else S,
         )
         elapsed = time.perf_counter() - start
-        err = mera_relative_error(m2, tt)
-        store = mera_storage(m2)
         recovered[strat] = m2
         reports.append(
-            CompressionReport(
-                method="mera",
-                elapsed_seconds=elapsed,
-                relative_error=err,
-                storage_count=int(store),
-                compression_ratio=compression_ratio(total, int(store)),
-                ranks=_isometry_outputs(m2),
-                detail={"strategy": strat},
-            )
+            _report("mera", elapsed, mera_relative_error(m2, tt),
+                    mera_storage(m2), total, _isometry_outputs(m2),
+                    {"strategy": strat})
         )
 
     out = _out_dir(out_dir)
     if out is not None:
         if "procrustes" in recovered:
             save_mera(out / "recovered.mera", recovered["procrustes"])
-        write_csv(
-            out / "mera12.csv",
+        _write_reports(
+            out,
+            "mera12",
             ["method", "strategy", "elapsed_seconds", "relative_error",
              "storage_count", "compression_ratio", "ranks"],
-            [
-                [r.method,
-                 (r.detail or {}).get("strategy", ""),
-                 r.elapsed_seconds, r.relative_error, r.storage_count,
-                 r.compression_ratio, "|".join(str(x) for x in r.ranks)]
-                for r in reports
-            ],
+            reports,
+            {"I": I, "S": S, "arity": arity, "order": order, "layers": layers,
+             "seed": seed, "epsilon": epsilon, "gap_threshold": gap_threshold,
+             "original_entries": total, "tt_ranks": list(tt.ranks),
+             "recovery_targets": targets},
         )
-        payload = {
-            "I": I,
-            "S": S,
-            "arity": arity,
-            "order": order,
-            "layers": layers,
-            "seed": seed,
-            "epsilon": epsilon,
-            "gap_threshold": gap_threshold,
-            "original_entries": total,
-            "tt_ranks": list(tt.ranks),
-            "recovery_targets": targets,
-            "reports": [r.as_dict() for r in reports],
-        }
-        (out / "mera12.json").write_text(json.dumps(payload, indent=2) + "\n")
     return {
         "plant": plant,
         "train": tt,

@@ -313,10 +313,9 @@ def find_disentangler(
 
     Returns ``(disentangler, transformed supercore, report)``.
     """
+    M = _supercore_mat(supercore, split)
     rl, n, rr = supercore.dims
     il, ir = split
-    if il * ir != n:
-        raise ValueError(f"split {il}x{ir} does not match fused dimension {n}")
     max_rank = min(rl * il, ir * rr)
     if not 1 <= target_rank <= max_rank:
         raise ValueError(f"target rank {target_rank} outside 1..{max_rank}")
@@ -325,7 +324,6 @@ def find_disentangler(
     for name, value in (("max_iters", max_iters), ("trace_stride", trace_stride)):
         if value < 0:
             raise ValueError(f"{name} must be non-negative, got {value}")
-    M = _supercore_mat(supercore, split)
     A0 = _shuf_mat(M, rl, il, ir, rr)
     V = np.eye(il * ir)
     trace: list[tuple[int, np.ndarray]] = []

@@ -42,6 +42,14 @@ __all__ = [
 DENSE_ENTRY_BUDGET = 10**8
 
 
+def _check_budget(entries: int, what: str) -> None:
+    """Refuse to allocate more than ``DENSE_ENTRY_BUDGET`` entries."""
+    if entries > DENSE_ENTRY_BUDGET:
+        raise CapacityError(
+            f"{what} would create {entries} entries (budget {DENSE_ENTRY_BUDGET})"
+        )
+
+
 class TensorTrain:
     """Immutable chain of 3-way cores, optionally tagged with its canonical site.
 
@@ -217,12 +225,7 @@ def tt_contract(tt: TensorTrain) -> DenseTensor:
 
     Refuses to allocate more than ``DENSE_ENTRY_BUDGET`` entries.
     """
-    total = math.prod(tt.dims)
-    if total > DENSE_ENTRY_BUDGET:
-        raise CapacityError(
-            f"contraction would create {total} entries "
-            f"(budget {DENSE_ENTRY_BUDGET})"
-        )
+    _check_budget(math.prod(tt.dims), "contraction")
     return DenseTensor.from_flat(_chain(tt.cores).ravel(order="F"), tt.dims)
 
 
@@ -260,11 +263,7 @@ def merge_cores(tt: TensorTrain, d: int) -> TensorTrain:
         raise ValueError(f"cannot merge at {d}: need cores {d} and {d + 1}")
     a, b = tt.cores[d - 1], tt.cores[d]
     total = a.shape[0] * a.shape[1] * b.shape[1] * b.shape[2]
-    if total > DENSE_ENTRY_BUDGET:
-        raise CapacityError(
-            f"merging cores {d} and {d + 1} would create {total} entries "
-            f"(budget {DENSE_ENTRY_BUDGET})"
-        )
+    _check_budget(total, f"merging cores {d} and {d + 1}")
     cores = list(tt.cores[: d - 1]) + [_chain([a, b])] + list(tt.cores[d + 1 :])
     site = tt.canonical_site
     if site is not None and site > d:
@@ -334,11 +333,7 @@ def interface_matrices(tt: TensorTrain, d: int) -> InterfaceMatrices:
     dims = tt.dims
     left_size = math.prod(dims[: d - 1]) * tt.ranks[d - 1]
     right_size = math.prod(dims[d:]) * tt.ranks[d]
-    if max(left_size, right_size) > DENSE_ENTRY_BUDGET:
-        raise CapacityError(
-            f"interface at site {d} would create "
-            f"{max(left_size, right_size)} entries (budget {DENSE_ENTRY_BUDGET})"
-        )
+    _check_budget(max(left_size, right_size), f"interface at site {d}")
     left = _chain(tt.cores[: d - 1])[0].T
     right = _chain(tt.cores[d:])[:, :, 0]
     core = tt.core(d)

@@ -384,3 +384,66 @@ class TestRunMera12:
 def test_desk_heat_config_matches_direct_solve():
     assert DESK_HEAT.nodes == 50
     assert DESK_HEAT.steps == 2500
+
+
+_REPORT_KEYS = ["method", "elapsed_seconds", "relative_error", "storage_count",
+                "compression_ratio", "ranks"]
+
+
+def _csv_header(path):
+    with open(path, newline="") as f:
+        return next(csv.reader(f))
+
+
+class TestArtifactSchemas:
+    """The header rows and key orders that readers of the artifacts rely on."""
+
+    def test_compress(self, tmp_path):
+        run_compress(small_tensor(seed=2), epsilon=1e-2, out_dir=tmp_path)
+        assert _csv_header(tmp_path / "compress.csv") == _REPORT_KEYS
+        payload = json.loads((tmp_path / "compress.json").read_text())
+        assert list(payload) == [
+            "epsilon", "factorize", "dims", "original_entries", "reports",
+        ]
+        assert [list(r) for r in payload["reports"]] == [
+            _REPORT_KEYS,
+            _REPORT_KEYS,
+            _REPORT_KEYS + ["tt_svd_seconds", "conversion_seconds"],
+        ]
+
+    def test_mera12(self, tmp_path):
+        run_mera12(seed=10, strategies=["hosvd"], out_dir=tmp_path)
+        assert _csv_header(tmp_path / "mera12.csv") == [
+            "method", "strategy", "elapsed_seconds", "relative_error",
+            "storage_count", "compression_ratio", "ranks",
+        ]
+        payload = json.loads((tmp_path / "mera12.json").read_text())
+        assert list(payload) == [
+            "I", "S", "arity", "order", "layers", "seed", "epsilon",
+            "gap_threshold", "original_entries", "tt_ranks",
+            "recovery_targets", "reports",
+        ]
+        assert [list(r) for r in payload["reports"]] == [
+            _REPORT_KEYS,
+            _REPORT_KEYS + ["strategy"],
+            _REPORT_KEYS + ["strategy"],
+        ]
+        with open(tmp_path / "mera12.csv", newline="") as f:
+            rows = list(csv.reader(f))
+        assert [row[:2] for row in rows[1:]] == [
+            ["tt", ""], ["mera", "plant"], ["mera", "hosvd"],
+        ]
+
+    def test_planted(self, tmp_path):
+        run_planted(I=4, rprime=2, seed=4, out_dir=tmp_path)
+        assert _csv_header(tmp_path / "sigma_decay.csv") == [
+            "index", "original", "svd_rotation", "iterative",
+        ]
+        assert _csv_header(tmp_path / "sigma_trace.csv") == [
+            "iteration", "index", "sigma",
+        ]
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert list(report) == [
+            "I", "rprime", "seed", "tt_ranks", "target_rank", "iterations",
+            "final_gap", "achieved_rank", "converged", "elapsed_seconds",
+        ]
