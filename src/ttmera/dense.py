@@ -226,7 +226,8 @@ class DenseTensor:
 
 
 # Unchecked array versions of the unfolding and its inverse, with 0-based
-# modes, for loops that keep their working tensor a plain array.
+# modes.  They serve DenseTensor.unfold and fold, and the reference loops
+# of the tests; sthosvd_dense views its core as an (a, n, b) array instead.
 
 
 def _unfold(a: np.ndarray, axis: int) -> np.ndarray:

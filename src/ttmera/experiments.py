@@ -286,7 +286,7 @@ def run_compress(
             raise ConfigError(
                 f"unknown method {m!r}; choose from {', '.join(COMPRESS_METHODS)}"
             )
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ConfigError(f"epsilon must be positive, got {epsilon}")
     if isinstance(source, DenseTensor):
         t = source

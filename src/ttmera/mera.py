@@ -319,7 +319,7 @@ def find_disentangler(
     max_rank = min(rl * il, ir * rr)
     if not 1 <= target_rank <= max_rank:
         raise ValueError(f"target rank {target_rank} outside 1..{max_rank}")
-    if gap_threshold <= 1:
+    if not gap_threshold > 1:
         raise ValueError(f"gap threshold must exceed 1, got {gap_threshold}")
     for name, value in (("max_iters", max_iters), ("trace_stride", trace_stride)):
         if value < 0:
@@ -426,7 +426,7 @@ def tt_to_mera(
     Returns the MERA and the per-isometry discarded energies in
     construction order.
     """
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
     if layers < 1:
         raise ValueError(f"need at least one layer, got {layers}")
@@ -587,7 +587,7 @@ def mera_to_tt(m: Mera, round_eps: float = 1e-14) -> TensorTrain:
     the one the SVD would keep.  A bond neither test certifies takes the
     SVD.
     """
-    if round_eps < 0:
+    if not round_eps >= 0:
         raise ValueError(f"round_eps must be non-negative, got {round_eps}")
     current = tt_svd(m.top, 0.0)
     for layer in reversed(m.layers):

@@ -164,7 +164,7 @@ def _tt_svd_sweep(t: DenseTensor, epsilon: float) -> tuple[TensorTrain, float]:
     cores kept so far, so the discards add up exactly:
     ``|t - reconstruction|_F^2 == discarded``.
     """
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
     D = t.order
     dims = t.dims
@@ -236,7 +236,7 @@ def tt_round(tt: TensorTrain, epsilon: float) -> TensorTrain:
     ``epsilon * |tt|_F / sqrt(D-1)``.  Result is site-``D``-mixed-canonical.
     ``epsilon=0`` removes only numerically zero singular values.
     """
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
     tt = orthogonalize(tt, 1)
     delta = epsilon * tt_norm(tt) / math.sqrt(max(1, tt.order - 1))

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import DenseTensor, _fold, _unfold
-from .kernels import qr_thin, svd_trunc
+from .dense import DenseTensor
+from .kernels import _svd_trunc, qr_thin, svd_trunc
 from .train import TensorTrain, orthogonalize, tt_norm
 
 __all__ = [
@@ -83,7 +83,7 @@ def tt_to_hosvd(tt: TensorTrain, epsilon: float) -> TuckerTT:
     keeping the sweep site-mixed-canonical.  The total squared error is
     exactly ``sum(mode_discarded)``, hence at most ``(epsilon |tt|_F)^2``.
     """
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
     tt = orthogonalize(tt, 1)
     delta = epsilon * tt_norm(tt) / math.sqrt(tt.order)
@@ -157,8 +157,18 @@ def sthosvd_dense(
     factor is split off; each truncation gets budget
     ``epsilon * |t|_F / sqrt(D)``.  Returns ``(factors, core,
     mode_discarded)``.
+
+    Mode ``d`` is truncated on the core viewed as an ``(a, I_d, b)``
+    array, ``a`` and ``b`` the products of the dimensions before and after
+    ``d``, by the private form of ``svd_trunc``.  Its Gram routes read the
+    core in place and store the projected core first-index-fastest; its
+    wide R-SVD and direct SVD routes copy a middle mode's unfolding, and
+    the next view copies their projection.  An input not stored
+    first-index-fastest is copied once.  The returned core is the last
+    projection, not copied: first-index-fastest unless the last mode took
+    the wide or direct route, which stores the last index fastest.
     """
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
     D = t.order
     delta = epsilon * t.norm() / math.sqrt(D)
@@ -166,14 +176,16 @@ def sthosvd_dense(
     factors: list[np.ndarray] = []
     discarded = np.zeros(D)
     for d in range(D):
-        # ``rest`` is the projected unfolding U.T @ unfold(core), so it folds
-        # back as the next core.  The core stays a plain array until return.
-        f = svd_trunc(_unfold(core, d), delta)
+        dims = core.shape
+        a, n, b = math.prod(dims[:d]), dims[d], math.prod(dims[d + 1:])
+        # ``rest`` comes back as the (a, r, b) array of U.T @ unfold(core),
+        # so a reshape of it is the next core.
+        f = _svd_trunc(np.reshape(core, (a, n, b), order="F"), delta)
         if f.rank == 0:
             raise ValueError(f"mode {d + 1} fully truncated; epsilon too large")
         factors.append(f.U)
         discarded[d] = f.discarded_energy
-        core = _fold(f.rest, d, core.shape)
+        core = np.reshape(f.rest, dims[:d] + (f.rank,) + dims[d + 1:], order="F")
     return factors, DenseTensor(core), discarded
 
 

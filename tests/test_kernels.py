@@ -102,6 +102,11 @@ class TestSvdTrunc:
         with pytest.raises(ValueError):
             svd_trunc(np.eye(2), -1.0)
 
+    @pytest.mark.parametrize("shape", [(4,), (2, 3, 4)])
+    def test_rejects_non_matrix(self, shape):
+        with pytest.raises(ValueError, match="must be a matrix"):
+            svd_trunc(np.ones(shape), 0.1)
+
     def test_wide_matrix_loose_tolerance_contract(self):
         # large enough to take the Gram shortcut; the public contract must
         # hold regardless of the internal route
@@ -318,6 +323,12 @@ class TestCertifiedSigma:
     EPS = np.finfo(np.float64).eps
 
     @staticmethod
+    def _certify(rest, delta, norm):
+        """The certificate as the Gram routes call it: on ``rest``'s Gram
+        matrix and column count."""
+        return _certified_sigma(rest @ rest.T, rest.shape[1], delta, norm)
+
+    @staticmethod
     def _rows(norms, angle=np.pi / 2, n=3):
         """Two rows of length ``n`` and the given norms at ``angle``."""
         rest = np.zeros((2, n))
@@ -327,13 +338,13 @@ class TestCertifiedSigma:
 
     def test_orthogonal_rows_certify_with_their_norms(self):
         rest = self._rows([2.0, 0.5])
-        sigma = _certified_sigma(rest, 0.1, np.linalg.norm(rest))
+        sigma = self._certify(rest, 0.1, np.linalg.norm(rest))
         np.testing.assert_array_equal(sigma, [2.0, 0.5])
 
     @pytest.mark.parametrize("short, certified", [(0.05, False), (0.4, True)])
     def test_shortest_row_against_delta(self, short, certified):
         rest = self._rows([1.0, short])
-        got = _certified_sigma(rest, 0.1, np.linalg.norm(rest))
+        got = self._certify(rest, 0.1, np.linalg.norm(rest))
         assert (got is not None) is certified
 
     @pytest.mark.parametrize("short, certified", [(100, False), (4000, True)])
@@ -341,7 +352,7 @@ class TestCertifiedSigma:
         # At delta = 0 the rank rule drops values up to max(m, n) eps |M|,
         # 1000 eps here, so a shorter row is not certified.
         rest = self._rows([1.0, short * self.EPS], n=1000)
-        got = _certified_sigma(rest, 0.0, 1.0)
+        got = self._certify(rest, 0.0, 1.0)
         assert (got is not None) is certified
 
     @pytest.mark.parametrize("angle, certified", [(1e-6, False), (1.0, True)])
@@ -349,7 +360,7 @@ class TestCertifiedSigma:
         # Unit rows at a small angle have sigma_min ~ angle / sqrt(2): long
         # rows alone prove nothing.
         rest = self._rows([1.0, 1.0], angle)
-        got = _certified_sigma(rest, 1e-3, np.linalg.norm(rest))
+        got = self._certify(rest, 1e-3, np.linalg.norm(rest))
         assert (got is not None) is certified
 
     def test_relative_to_each_row(self):
@@ -358,7 +369,7 @@ class TestCertifiedSigma:
         # scaled by the row norms it costs 1e-8 of the small row.
         rest = self._rows([1.0, 1e-9])
         rest[1, 0] = 1e-17
-        got = _certified_sigma(rest, 1e-10, np.linalg.norm(rest))
+        got = self._certify(rest, 1e-10, np.linalg.norm(rest))
         assert got is not None
         assert got[1] == pytest.approx(1e-9, rel=1e-12)
 
@@ -368,7 +379,7 @@ class TestCertifiedSigma:
         # the projection, 2 (sqrt(2) + 2) eps |M|, is not certified.
         rest = self._rows([1.0, short])
         assert short > 3 * self.EPS
-        got = _certified_sigma(rest, 0.0, 1.0)
+        got = self._certify(rest, 0.0, 1.0)
         assert (got is not None) is certified
 
 

@@ -1,5 +1,8 @@
 """Tucker conversion: error accounting, bounds, caps, reconstruction."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import decaying_train
 from ttmera import kernels
-from ttmera.dense import _fold, _unfold
+from ttmera.dense import DenseTensor, _fold, _unfold
 from ttmera.experiments import DESK_HEAT
 from ttmera.heat import reshape_to_factors, solve_heat
 from ttmera.kernels import svd_trunc
@@ -163,11 +166,17 @@ class TestSthosvdDense:
             return sigma
 
         monkeypatch.setattr(kernels, "_certified_sigma", spy)
+        tracemalloc.start()
         factors, _, discarded = sthosvd_dense(t, 1e-7)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
         monkeypatch.undo()
         ranks = (2, 5, 5, 2, 5, 5, 2, 2, 5, 5, 5, 4)
         assert tuple(U.shape[1] for U in factors) == ranks
         assert sum(certified) == 11
+        # Each mode reads the core in place: the old core and its
+        # projection are all that is alive at once, never an unfolding copy.
+        assert peak < 2.5 * t.size * 8
         for U in factors:
             np.testing.assert_allclose(U.T @ U, np.eye(U.shape[1]), atol=1e-12)
         # Reference: the same sequential truncation on LAPACK's SVD.
@@ -183,6 +192,79 @@ class TestSthosvdDense:
             core = _fold(U[:, :r].T @ M, d, core.shape)
         train_ranks = (1, 2, 10, 22, 39, 71, 21, 14, 13, 10, 6, 4, 1)
         assert tt_svd(t, 1e-7).ranks == train_ranks
+
+    # Dimensions and per-mode weights of a Gaussian tensor above the Gram
+    # size gate.  Its modes view the core as (a, n, b) with a = 1, a small
+    # a n, slabs with a < n and with a >= n, and b = 1; 0.97^k keeps every
+    # direction at both tolerances below, and the last mode drops its 1e-3
+    # direction at the loose one.
+    VIEW_DIMS = (2, 3, 40, 5, 10, 120, 4)
+
+    def _view_tensor(self):
+        rng = np.random.default_rng(17)
+        a = rng.standard_normal(self.VIEW_DIMS)
+        for d, n in enumerate(self.VIEW_DIMS):
+            last = d == len(self.VIEW_DIMS) - 1
+            w = [1.0, 0.5, 0.25, 1e-3] if last else 0.97 ** np.arange(n)
+            a *= np.reshape(w, (1,) * d + (n,) + (1,) * (a.ndim - d - 1))
+        return DenseTensor(np.asfortranarray(a))
+
+    @pytest.mark.parametrize("epsilon, last_rank", [(1e-2, 3), (1e-9, 4)])
+    def test_view_kernels_match_the_unfolding_loop(
+        self, epsilon, last_rank, monkeypatch
+    ):
+        t = self._view_tensor()
+        assert t.size >= kernels._GRAM_MIN_ENTRIES
+        shapes, certified = [], []
+        gram, certify = kernels._gram, kernels._certified_sigma
+
+        def gram_spy(X):
+            shapes.append(X.shape)
+            return gram(X)
+
+        def certify_spy(*args):
+            sigma = certify(*args)
+            certified.append(sigma is not None)
+            return sigma
+
+        monkeypatch.setattr(kernels, "_gram", gram_spy)
+        monkeypatch.setattr(kernels, "_certified_sigma", certify_spy)
+        factors, core, discarded = sthosvd_dense(t, epsilon)
+        monkeypatch.undo()
+        # Every mode took a Gram route on a view of the core; at the tight
+        # tolerance each kept all of its rows by the certificate, whose Gram
+        # matrix of rest has the shape of the mode's own.
+        modes = shapes[:: 2 if certified else 1]
+        assert [n for _, n, _ in modes] == list(self.VIEW_DIMS)
+        assert certified == ([True] * t.order if epsilon < 1e-7 else [])
+        a, n, b = zip(*modes)
+        assert a[0] == 1 and b[-1] == 1
+        assert a[1] * n[1] <= kernels._VIEW_MAX_ROWS
+        assert all(x * y > kernels._VIEW_MAX_ROWS for x, y in zip(a[2:], n[2:]))
+        assert a[2] < n[2] and a[3] >= n[3]
+        # Reference: svd_trunc on each DenseTensor unfolding, folded back.
+        delta = epsilon * t.norm() / math.sqrt(t.order)
+        ref, ref_factors, ref_discarded = t, [], []
+        for d in range(1, t.order + 1):
+            f = svd_trunc(ref.unfold(d), delta)
+            ref_factors.append(f.U)
+            ref_discarded.append(f.discarded_energy)
+            ref = ref.fold(d, f.rest)
+        ranks = tuple(U.shape[1] for U in factors)
+        assert ranks == tuple(U.shape[1] for U in ref_factors)
+        assert ranks == self.VIEW_DIMS[:-1] + (last_rank,)
+        for U, V in zip(factors, ref_factors):
+            gap = np.linalg.norm(U @ U.T - V @ V.T)
+            assert gap <= 1e-12
+        assert core.dims == ref.dims
+        gap = np.linalg.norm(core.to_array() - ref.to_array())
+        assert gap <= 1e-12 * t.norm()
+        # The truncating Gram route charges m eps sigma_1^2 of noise.
+        eps = np.finfo(np.float64).eps
+        for d, size in enumerate(self.VIEW_DIMS):
+            margin = size * eps * t.norm() ** 2
+            assert abs(discarded[d] - ref_discarded[d]) <= margin
+        assert np.count_nonzero(discarded) == (1 if last_rank == 3 else 0)
 
     def test_agrees_with_train_route_on_ranks(self):
         # both routes see the same per-mode singular spectra, so at a clear
