@@ -1,10 +1,11 @@
 """Reproducible experiment drivers.
 
-Each ``run_*`` function is the engine behind one CLI subcommand.  They are
-deterministic given a seed (and a thread count of one for the scans): every
+Each ``run_*`` function is the engine behind one CLI subcommand, and the
+only home of its defaults.  They are deterministic given a seed: every
 random constituent draws from its own named substream, so results do not
-depend on evaluation order.  Wall-clock timings are reported but are the
-only nondeterministic outputs.
+depend on evaluation order, and a scan gives the same rows at one and at
+two threads.  Wall-clock timings are reported but are the only
+nondeterministic outputs.
 
 Artifacts are written into an output directory when one is given: binary
 tensors, PGM images, CSV tables with a header row, and JSON reports.
@@ -690,7 +691,7 @@ def random_mera_plant(
     return Mera(layers=tuple(built), top=top)
 
 
-def _recovery_targets(m: Mera, round_eps: float) -> list[list[int]]:
+def _recovery_targets(m: Mera) -> list[list[int]]:
     """Per-layer disentangler rank goals taken from the plant.
 
     The goal for layer ``ell`` is the list of internal train ranks of the
@@ -701,7 +702,7 @@ def _recovery_targets(m: Mera, round_eps: float) -> list[list[int]]:
     for ell in range(1, len(m.layers) + 1):
         if ell < len(m.layers):
             above = Mera(layers=m.layers[ell:], top=m.top)
-            train = mera_to_tt(above, round_eps=round_eps)
+            train = mera_to_tt(above)
         else:
             train = tt_svd(m.top, 0.0)
         targets.append([int(r) for r in train.ranks[1:-1]])
@@ -718,9 +719,8 @@ def _isometry_outputs(m: Mera) -> tuple[int, ...]:
 
 
 def run_mera12(
-    paper_scale: bool = False,
-    I: int | None = None,
-    S: int | None = None,
+    I: int = 4,
+    S: int = 2,
     arity: int = 2,
     order: int = 12,
     layers: int = 2,
@@ -733,6 +733,11 @@ def run_mera12(
 ) -> dict:
     """Plant a deep MERA, expand it into a train, and recover it.
 
+    The plant is ``random_mera_plant(I, S, arity, order, layers, seed)``;
+    the defaults give a desk-sized network, and ``ttmera mera12
+    --paper-scale`` runs the paper's.  The expansion, and the plant's rank
+    goals, use :func:`mera_to_tt` at its default ``round_eps``.
+
     Reports the storage of both representations, then reruns the
     train-to-MERA conversion with each requested strategy: the pure SVD
     rotation cannot lower the link ranks and loses essentially all energy
@@ -740,8 +745,6 @@ def run_mera12(
     the iterative search recovers the plant to within the tolerance.
     Rank goals for the iterative search come from the plant.
     """
-    I = I if I is not None else (10 if paper_scale else 4)
-    S = S if S is not None else (5 if paper_scale else 2)
     for name, v in (("I", I), ("S", S), ("arity", arity), ("order", order),
                     ("layers", layers)):
         if v < 2 and name != "layers":
@@ -751,12 +754,11 @@ def run_mera12(
     for strat in strategies:
         if strat not in ("hosvd", "procrustes"):
             raise ConfigError(f"unknown strategy {strat!r}")
-    round_eps = 1e-12 if paper_scale else 1e-14
     plant = random_mera_plant(I, S, arity, order, layers, seed)
     total = math.prod(plant.input_dims)
 
     start = time.perf_counter()
-    tt = mera_to_tt(plant, round_eps=round_eps)
+    tt = mera_to_tt(plant)
     expand_seconds = time.perf_counter() - start
 
     reports = [
@@ -766,7 +768,7 @@ def run_mera12(
                 _isometry_outputs(plant), {"strategy": "plant"}),
     ]
 
-    targets = _recovery_targets(plant, round_eps)
+    targets = _recovery_targets(plant)
     recovered: dict[str, Mera] = {}
     for strat in strategies:
         start = time.perf_counter()

@@ -77,6 +77,11 @@ class Isometry:
             raise ValueError(
                 f"isometry data must have {rows} rows, got shape {self.data.shape}"
             )
+        if min((*self.input_dims, self.output_dim)) < 1:
+            raise ValueError(
+                f"isometry sizes must be positive, got input dims "
+                f"{self.input_dims} and output {self.output_dim}"
+            )
         if self.output_dim > rows:
             raise ValueError(
                 f"output dimension {self.output_dim} exceeds fused input {rows}"
@@ -104,6 +109,8 @@ class Disentangler:
     data: np.ndarray
 
     def __post_init__(self):
+        if min(self.dims) < 1:
+            raise ValueError(f"disentangler dims must be positive, got {self.dims}")
         n = self.dims[0] * self.dims[1]
         if self.data.shape != (n, n):
             raise ValueError(

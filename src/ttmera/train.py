@@ -71,6 +71,8 @@ class TensorTrain:
             c = np.asarray(c, dtype=np.float64)
             if c.ndim != 3:
                 raise ValueError(f"core {d + 1} must be 3-way, got {c.ndim} axes")
+            if 0 in c.shape:
+                raise ValueError(f"core {d + 1} has an empty axis: shape {c.shape}")
             if not np.all(np.isfinite(c)):
                 raise NumericError(f"core {d + 1} contains non-finite entries")
             checked.append(c)

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import inspect
 import json
 import os
 import struct
@@ -10,8 +11,10 @@ from pathlib import Path
 import pytest
 
 import ttmera
-from ttmera.cli import main
+from ttmera import experiments
+from ttmera.cli import PAPER_SCALE, main
 from ttmera.formats import load_tensor
+from ttmera.heat import HeatConfig
 
 
 def run(argv):
@@ -224,6 +227,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["compress", "x", "--method", "qr"])
 
+    @pytest.mark.parametrize("value", ["5-3,7", "5-3"])
+    def test_descending_range_is_usage_error(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["iters-vs-rank", "--rprimes", value])
+        assert exc.value.code == 2
+        assert "descending range '5-3'" in capsys.readouterr().err
+
     def test_seed_range_enforced(self):
         with pytest.raises(SystemExit):
             main(["rmin-scan", "--seed", "-1"])
@@ -243,3 +253,116 @@ class TestParser:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class Called(Exception):
+    """Raised by a spied driver once it has recorded its arguments."""
+
+
+class TestDriverArguments:
+    """A driver receives the flags given, and under --paper-scale the
+    table's values for the flags left unset; an explicit flag wins."""
+
+    DRIVERS = {
+        "heat2d": "run_heat2d",
+        "compress": "run_compress",
+        "planted": "run_planted",
+        "rmin-scan": "run_rmin_scan",
+        "mera12": "run_mera12",
+        "iters-vs-rank": "run_iters_vs_rank",
+    }
+
+    def received(self, monkeypatch, argv):
+        """The keywords the subcommand's driver is called with; for
+        ``heat2d``, the fields of its configuration that differ from
+        ``HeatConfig()``."""
+        seen = {}
+        name = self.DRIVERS[argv[0]]
+        signature = inspect.signature(getattr(experiments, name))
+
+        def spy(*args, **kwargs):
+            signature.bind(*args, **kwargs)
+            seen.update(kwargs)
+            if args:
+                seen["cfg"] = args[0]
+            raise Called
+
+        monkeypatch.setattr(experiments, name, spy)
+        with pytest.raises(Called):
+            main(argv)
+        cfg = seen.pop("cfg", None)
+        if cfg is not None:
+            assert not seen
+            seen = {k: v for k, v in vars(cfg).items()
+                    if v != getattr(HeatConfig(), k)}
+        return seen
+
+    @pytest.mark.parametrize("command", list(DRIVERS))
+    def test_no_flags_leaves_driver_defaults(self, command, monkeypatch):
+        argv = [command, "in.mrt1"] if command == "compress" else [command]
+        expected = {"source": "in.mrt1"} if command == "compress" else {}
+        assert self.received(monkeypatch, argv) == expected
+
+    @pytest.mark.parametrize("command, expected", [
+        ("heat2d", {"ds": 1e-2}),
+        ("planted", {"I": 19, "rprime": 128}),
+        ("rmin-scan", {"I_values": tuple(range(2, 15))}),
+        ("mera12", {"I": 10, "S": 5}),
+        ("iters-vs-rank", {"I": 8, "rprimes": tuple(range(20, 65))}),
+    ])
+    def test_paper_scale_passes_the_table(self, command, expected,
+                                          monkeypatch):
+        assert PAPER_SCALE[command] == expected
+        assert self.received(monkeypatch, [command, "--paper-scale"]) == \
+            expected
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["heat2d", "--ds", "0.05", "--t-end", "0.1"],
+         {"ds": 0.05, "t_end": 0.1}),
+        (["planted", "--I", "5", "--gap", "1e9"],
+         {"I": 5, "rprime": 128, "gap_threshold": 1e9}),
+        (["rmin-scan", "--I-values", "2-3", "--threads", "2"],
+         {"I_values": [2, 3], "threads": 2}),
+        (["mera12", "--S", "3", "--strategy", "hosvd", "--seed", "7"],
+         {"I": 10, "S": 3, "strategies": ["hosvd"], "seed": 7}),
+        (["iters-vs-rank", "--rprimes", "30", "--seeds", "2"],
+         {"I": 8, "rprimes": [30], "seeds": 2}),
+    ])
+    def test_explicit_flag_wins(self, argv, expected, monkeypatch):
+        assert self.received(monkeypatch, [*argv, "--paper-scale"]) == \
+            expected
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["heat2d", "--ds", "0.05", "--dt", "1e-4", "--t-end", "0.1",
+          "--out", "d"],
+         {"ds": 0.05, "dt": 1e-4, "t_end": 0.1}),
+        (["compress", "in.mrt1", "--eps", "1e-2", "--method", "tt",
+          "--factorize", "--out", "d"],
+         {"source": "in.mrt1", "epsilon": 1e-2, "methods": ["tt"],
+          "factorize": True, "out_dir": "d"}),
+        (["planted", "--I", "5", "--rprime", "9", "--image", "x.pgm",
+          "--gap", "1e9", "--max-iters", "7", "--trace-stride", "3",
+          "--seed", "2", "--out", "d"],
+         {"I": 5, "rprime": 9, "image": "x.pgm", "gap_threshold": 1e9,
+          "max_iters": 7, "trace_stride": 3, "seed": 2, "out_dir": "d"}),
+        (["rmin-scan", "--I-values", "2,3", "--gap", "1e9", "--max-iters",
+          "7", "--seeds", "2", "--seed", "2", "--threads", "2",
+          "--out", "d"],
+         {"I_values": [2, 3], "gap_threshold": 1e9, "max_iters": 7,
+          "seeds": 2, "seed": 2, "threads": 2, "out_dir": "d"}),
+        (["mera12", "--I", "5", "--S", "3", "--arity", "2", "--order", "8",
+          "--layers", "1", "--eps", "1e-9", "--gap", "1e9", "--max-iters",
+          "7", "--strategy", "hosvd", "--seed", "2", "--out", "d"],
+         {"I": 5, "S": 3, "arity": 2, "order": 8, "layers": 1,
+          "epsilon": 1e-9, "gap_threshold": 1e9, "max_iters": 7,
+          "strategies": ["hosvd"], "seed": 2, "out_dir": "d"}),
+        (["iters-vs-rank", "--I", "5", "--rprimes", "3-4", "--gap", "1e9",
+          "--max-iters", "7", "--seeds", "2", "--seed", "2", "--threads",
+          "2", "--out", "d"],
+         {"I": 5, "rprimes": [3, 4], "gap_threshold": 1e9, "max_iters": 7,
+          "seeds": 2, "seed": 2, "threads": 2, "out_dir": "d"}),
+    ])
+    def test_every_flag_reaches_its_parameter(self, argv, expected,
+                                              monkeypatch):
+        # the spy binds what it receives to the real driver's signature
+        assert self.received(monkeypatch, argv) == expected

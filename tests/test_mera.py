@@ -108,6 +108,14 @@ class TestConstituents:
         with pytest.raises(ValueError, match="rows"):
             Isometry(input_dims=(2, 2), data=W)
 
+    def test_sizes_below_one_rejected(self):
+        with pytest.raises(ValueError, match="isometry sizes must be positive"):
+            Isometry(input_dims=(2, 2), data=np.zeros((4, 0)))
+        with pytest.raises(ValueError, match="isometry sizes must be positive"):
+            Isometry(input_dims=(-2, -2), data=random_isometry(stream(0), 4, 2))
+        with pytest.raises(ValueError, match="disentangler dims must be"):
+            Disentangler(dims=(2, 0), data=np.zeros((0, 0)))
+
     def test_nonfinite_constituents_rejected(self):
         # NaN compares false against the orthonormality tolerance
         with pytest.raises(NumericError, match="non-finite"):

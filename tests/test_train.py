@@ -62,6 +62,14 @@ class TestConstruction:
         with pytest.raises(ValueError, match="trailing rank"):
             TensorTrain([np.ones((1, 2, 2))])
 
+    @pytest.mark.parametrize("cores", [
+        [np.zeros((1, 3, 0)), np.zeros((0, 2, 1))],
+        [np.zeros((1, 0, 1))],
+    ], ids=["rank", "dimension"])
+    def test_rejects_empty_axis(self, cores):
+        with pytest.raises(ValueError, match="core 1 has an empty axis"):
+            TensorTrain(cores)
+
     def test_rejects_non_finite(self):
         c = np.ones((1, 2, 1))
         c[0, 0, 0] = np.nan
