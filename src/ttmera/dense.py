@@ -214,7 +214,7 @@ class DenseTensor:
         over this tensor's other modes."""
         if not 1 <= d <= self.order:
             raise ValueError(f"mode {d} outside 1..{self.order}")
-        return DenseTensor(_fold(M, d - 1, self.dims))
+        return DenseTensor(_fold(np.asarray(M, dtype=np.float64), d - 1, self.dims))
 
     def norm(self) -> float:
         """Frobenius norm, summed in memory order (no copy): one ``np.dot``
@@ -226,18 +226,18 @@ class DenseTensor:
 
 
 # Unchecked array versions of the unfolding and its inverse, with 0-based
-# modes.  They serve DenseTensor.unfold and fold, and the reference loops
-# of the tests; sthosvd_dense views its core as an (a, n, b) array instead.
+# modes: the package's one mode unfolding of arrays, cores and supercores.
+# An explicit transpose costs half of a generic axis move on small arrays.
 
 
 def _unfold(a: np.ndarray, axis: int) -> np.ndarray:
-    moved = np.moveaxis(a, axis, 0)
-    return np.reshape(moved, (a.shape[axis], -1), order="F")
+    perm = (axis, *range(axis), *range(axis + 1, a.ndim))
+    return a.transpose(perm).reshape((a.shape[axis], -1), order="F")
 
 
 def _fold(M: np.ndarray, axis: int, dims: tuple[int, ...]) -> np.ndarray:
     """The array whose ``axis`` unfolding is ``M`` and whose other modes
     are those of ``dims``."""
     rest = dims[:axis] + dims[axis + 1:]
-    folded = np.reshape(M, (M.shape[0],) + rest, order="F")
-    return np.moveaxis(folded, 0, axis)
+    folded = M.reshape((M.shape[0],) + rest, order="F")
+    return folded.transpose((*range(1, axis + 1), 0, *range(axis + 1, len(dims))))

@@ -55,12 +55,12 @@ class HeatConfig:
     def __post_init__(self):
         if not 0.0 < self.ds < 0.5:
             raise ConfigError(f"spatial step must lie in (0, 0.5), got {self.ds}")
-        if self.t_end <= 0.0:
-            raise ConfigError(f"end time must be positive, got {self.t_end}")
+        if not 0.0 < self.t_end < np.inf:
+            raise ConfigError(f"end time must be positive and finite, got {self.t_end}")
         limit = 0.25 * self.ds * self.ds
         if self.dt is not None:
-            if self.dt <= 0.0:
-                raise ConfigError(f"time step must be positive, got {self.dt}")
+            if not 0.0 < self.dt < np.inf:
+                raise ConfigError(f"time step must be positive and finite, got {self.dt}")
             if self.dt > limit * (1.0 + 1e-12):
                 raise ConfigError(
                     f"time step {self.dt} violates the stability bound "

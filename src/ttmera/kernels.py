@@ -31,8 +31,8 @@ Dense ST-HOSVD truncates the mode-2 unfolding of its core viewed as an
 case ``a = 1``.  The Gram routes read that array in place: its Gram
 matrices and projections are formed from one view of it or from runs of
 its ``b`` slabs, so they copy no more than a run.  The wide R-SVD and
-direct SVD routes build the 2-D unfolding, which is a view of the array
-only when ``a = 1`` or ``b = 1``.
+direct SVD routes build the 2-D unfolding with ``dense._unfold``, a view
+of the array only when ``a = 1`` or ``b = 1``, and fold back by ``_fold``.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .dense import _fold, _unfold
 from .errors import NumericError
 
 __all__ = ["TruncatedSvd", "svd_trunc", "svd_full", "qr_thin", "procrustes_solve"]
@@ -175,8 +176,8 @@ def _svd_trunc(X: np.ndarray, delta: float) -> TruncatedSvd:
 
     The Gram routes read ``X`` in place, fast when it is stored
     first-index-fastest, and store ``rest`` that way.  The wide and direct
-    routes build the unfolding, a copy unless ``a = 1`` or ``b = 1``, and
-    return a view of their 2-D ``rest``.
+    routes build ``M`` by ``_unfold``, a copy unless ``a = 1`` or ``b = 1``,
+    and return the ``_fold`` view of their 2-D ``rest``.
     """
     if not delta >= 0:
         raise ValueError(f"delta must be non-negative, got {delta}")
@@ -196,8 +197,8 @@ def _svd_trunc(X: np.ndarray, delta: float) -> TruncatedSvd:
         f = _svd_trunc_gram(X, G, delta)
         if f is not None:
             return f
-    # The unfolding: a view of X when a = 1 or b = 1, else a copy.
-    M = X[0] if a == 1 else np.reshape(np.moveaxis(X, 1, 0), (m, n), order="F")
+    # A view of X when a = 1 or b = 1, else a copy.
+    M = _unfold(X, 1)
     if wide:
         U, s, _ = np.linalg.svd(np.linalg.qr(M.T, mode="r").T)
     else:
@@ -223,7 +224,7 @@ def _svd_trunc(X: np.ndarray, delta: float) -> TruncatedSvd:
         # Stored first-index-fastest, like the projection.
         rest = np.multiply(s[:r, None], Vt[:r], order="F")
         _fix_signs(U, rest)
-    rest = np.reshape(rest, (r, a, b), order="F").transpose(1, 0, 2)
+    rest = _fold(rest, 1, X.shape)
     # An energy beyond the float range is reported as inf.
     with np.errstate(over="ignore"):
         energy = float(np.ldexp(tails[r], 2 * e))
@@ -350,7 +351,7 @@ def _gram(X: np.ndarray) -> np.ndarray:
     for k in range(0, b, step):
         S = X[:, :, k : k + step]
         if a < n:
-            W = np.reshape(np.moveaxis(S, 1, 0), (n, -1), order="F")
+            W = _unfold(S, 1)
             G += W @ W.T
         else:
             S = S.transpose(2, 1, 0)

@@ -23,7 +23,7 @@ from typing import Literal
 
 import numpy as np
 
-from .dense import DenseTensor
+from .dense import DenseTensor, _fold, _unfold
 from .errors import NumericError
 from .kernels import _certified_qr, _full_row_rank, _procrustes, svd_full, svd_trunc
 from .train import (
@@ -242,22 +242,12 @@ def _check_layer_shape(order: int, arity: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# shuffle bookkeeping between the two supercore matricizations
-
-
-def _shuf_mat(M: np.ndarray, rl: int, il: int, ir: int, rr: int) -> np.ndarray:
-    """From ``(R_l I_l, I_r R_r)`` to ``(I_l I_r, R_l R_r)``."""
-    T = np.reshape(M, (rl, il, ir, rr), order="F")
-    return np.reshape(T.transpose(1, 2, 0, 3), (il * ir, rl * rr), order="F")
-
-
-def _shuf_inv_mat(A: np.ndarray, rl: int, il: int, ir: int, rr: int) -> np.ndarray:
-    """From ``(I_l I_r, R_l R_r)`` back to ``(R_l I_l, I_r R_r)``."""
-    T = np.reshape(A, (il, ir, rl, rr), order="F")
-    return np.reshape(T.transpose(2, 0, 1, 3), (rl * il, ir * rr), order="F")
+# the supercore's (R_l I_l, I_r R_r) matricization and its shuffle, the mode-2 unfolding
 
 
 def _supercore_mat(supercore: DenseTensor, split: tuple[int, int]) -> np.ndarray:
+    if supercore.order != 3:
+        raise ValueError(f"supercore must have 3 modes, got {supercore.order}")
     rl, n, rr = supercore.dims
     il, ir = split
     if il * ir != n:
@@ -269,11 +259,11 @@ def shuf(supercore: DenseTensor, split: tuple[int, int]) -> np.ndarray:
     """Matricize a supercore with the free pair on rows, ranks on columns.
 
     The supercore has dimensions ``(R_l, I_l * I_r, R_r)``; the result is
-    ``(I_l I_r) x (R_l R_r)``, a pure reordering of the same entries.
+    its ``(I_l I_r) x (R_l R_r)`` mode-2 unfolding, a pure reordering of
+    the same entries.  ``split`` is checked against the fused dimension.
     """
-    rl, n, rr = supercore.dims
-    il, ir = split
-    return _shuf_mat(_supercore_mat(supercore, split), rl, il, ir, rr)
+    _supercore_mat(supercore, split)
+    return _unfold(supercore.to_array(), 1)
 
 
 def shuf_inv(
@@ -291,9 +281,8 @@ def shuf_inv(
         raise ValueError(
             f"expected shape {(il * ir, rl * rr)} for dims {dims}, got {A.shape}"
         )
-    M = _shuf_inv_mat(A, rl, il, ir, rr)
-    T = DenseTensor(np.reshape(M, (rl, il * ir, rr), order="F"))
-    return T, np.reshape(T.to_array(), M.shape, order="F")
+    T = DenseTensor(_fold(A, 1, (rl, il * ir, rr)).copy(order="F"))
+    return T, np.reshape(T.to_array(), (rl * il, ir * rr), order="F")
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +310,7 @@ def find_disentangler(
     Returns ``(disentangler, transformed supercore, report)``.
     """
     M = _supercore_mat(supercore, split)
-    rl, n, rr = supercore.dims
+    dims = rl, n, rr = supercore.dims
     il, ir = split
     max_rank = min(rl * il, ir * rr)
     if not 1 <= target_rank <= max_rank:
@@ -331,8 +320,8 @@ def find_disentangler(
     for name, value in (("max_iters", max_iters), ("trace_stride", trace_stride)):
         if value < 0:
             raise ValueError(f"{name} must be non-negative, got {value}")
-    A0 = _shuf_mat(M, rl, il, ir, rr)
-    V = np.eye(il * ir)
+    A0 = _unfold(supercore.to_array(), 1)
+    V = np.eye(n)
     trace: list[tuple[int, np.ndarray]] = []
     iterations = 0
     while True:
@@ -352,10 +341,10 @@ def find_disentangler(
         reference = U[:, :target_rank] @ (
             s[:target_rank, None] * Wt[:target_rank]
         )
-        A = _shuf_mat(M, rl, il, ir, rr)
-        A_low = _shuf_mat(reference, rl, il, ir, rr)
+        A = _unfold(M.reshape(dims, order="F"), 1)
+        A_low = _unfold(reference.reshape(dims, order="F"), 1)
         Vhat = _procrustes(A, A_low)
-        M = _shuf_inv_mat(Vhat @ A, rl, il, ir, rr)
+        M = _fold(Vhat @ A, 1, dims).reshape(M.shape, order="F")
         V = Vhat @ V
     # Long products of near-orthogonal updates drift; snap the accumulated
     # transform back onto the orthogonal manifold, then rebuild the final
@@ -363,7 +352,7 @@ def find_disentangler(
     # applied to the input.
     P, _, Qt = svd_full(V)
     V = P @ Qt
-    M = _shuf_inv_mat(V @ A0, rl, il, ir, rr)
+    M = _fold(V @ A0, 1, dims).reshape(M.shape, order="F")
     # The accumulated rotations inject rounding noise a few times above the
     # strict elementwise rank cutoff; a small relative Frobenius floor makes
     # the reported rank robust to it.
@@ -554,10 +543,10 @@ def _hosvd_disentangler(
     ``R.T`` of a thin QR of its transpose, which has the same ``U``, so the
     square right factor of the wide center is never formed.
     """
-    r, n, s = core.shape
-    center = np.reshape(core.transpose(1, 0, 2), (n, r * s), order="F")
-    U, _, _ = svd_full(center if n > r * s else np.linalg.qr(center.T, mode="r").T)
-    transformed = np.reshape(U.T @ center, (n, r, s), order="F").transpose(1, 0, 2)
+    center = _unfold(core, 1)
+    n, rs = center.shape
+    U, _, _ = svd_full(center if n > rs else np.linalg.qr(center.T, mode="r").T)
+    transformed = _fold(U.T @ center, 1, core.shape)
     return Disentangler(dims=pair, data=U.T.copy()), transformed
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import DenseTensor
+from .dense import DenseTensor, _unfold
 from .errors import CapacityError, NumericError
 from .kernels import qr_thin, svd_trunc
 
@@ -338,7 +338,4 @@ def interface_matrices(tt: TensorTrain, d: int) -> InterfaceMatrices:
     _check_budget(max(left_size, right_size), f"interface at site {d}")
     left = _chain(tt.cores[: d - 1])[0].T
     right = _chain(tt.cores[d:])[:, :, 0]
-    core = tt.core(d)
-    r, n, s = core.shape
-    center = np.reshape(core.transpose(1, 0, 2), (n, r * s), order="F")
-    return InterfaceMatrices(left=left, right=right, center=center)
+    return InterfaceMatrices(left=left, right=right, center=_unfold(tt.core(d), 1))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import DenseTensor
+from .dense import DenseTensor, _fold, _unfold
 from .kernels import _svd_trunc, qr_thin, svd_trunc
 from .train import TensorTrain, orthogonalize, tt_norm
 
@@ -113,11 +113,8 @@ def tucker_sweep(
     discarded = np.zeros(D)
     out: list[np.ndarray] = []
     for d in range(D):
-        r, n, s = cores[d].shape
-        center = np.reshape(
-            cores[d].transpose(1, 0, 2), (n, r * s), order="F"
-        )
-        f = svd_trunc(center, delta)
+        r, _, s = cores[d].shape
+        f = svd_trunc(_unfold(cores[d], 1), delta)
         if f.rank == 0:
             raise ValueError(f"mode {d + 1} fully truncated; epsilon too large")
         keep = f.rank
@@ -127,7 +124,7 @@ def tucker_sweep(
             extra = float(np.sum(f.sigma[keep:] ** 2))
         factors.append(f.U[:, :keep])
         discarded[d] = f.discarded_energy + extra
-        T = np.reshape(f.rest[:keep], (keep, r, s), order="F").transpose(1, 0, 2)
+        T = _fold(f.rest[:keep], 1, (r, keep, s))
         if d == D - 1:
             out.append(T)
         else:

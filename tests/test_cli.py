@@ -42,6 +42,13 @@ class TestHeat2d:
         assert code == 2
         assert "stability" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--t-end", "inf"), ("--t-end", "nan"),
+                                             ("--dt", "nan")])
+    def test_nonfinite_time_exit_code(self, tmp_path, capsys, flag, value):
+        code = run(["heat2d", "--ds", "0.2", flag, value, "--out", tmp_path])
+        assert code == 2
+        assert "positive and finite" in capsys.readouterr().err
+
 
 class TestCompress:
     @pytest.fixture()

@@ -53,6 +53,16 @@ class TestHeatConfig:
         with pytest.raises(ConfigError, match="end time"):
             HeatConfig(t_end=0.0)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_end_time_rejected(self, value):
+        with pytest.raises(ConfigError, match="end time must be positive and finite"):
+            HeatConfig(t_end=value)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_time_step_rejected(self, value):
+        with pytest.raises(ConfigError, match="time step must be positive and finite"):
+            HeatConfig(dt=value)
+
 
 class TestSolveHeat:
     def test_first_slab_is_initial_field(self):

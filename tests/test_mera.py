@@ -21,9 +21,6 @@ from ttmera.mera import (
     Mera,
     MeraLayer,
     _hosvd_disentangler,
-    _shuf_inv_mat,
-    _shuf_mat,
-    _supercore_mat,
     _tt_diff_norm,
     disentangler_positions,
     find_disentangler,
@@ -90,6 +87,8 @@ class TestShuf:
         sc = DenseTensor(standard_normal(stream(0), (2, 6, 2)))
         with pytest.raises(ValueError, match="split"):
             shuf(sc, (2, 2))
+        with pytest.raises(ValueError, match="supercore must have 3 modes"):
+            shuf(DenseTensor(np.ones((2, 4))), (2, 2))
 
     def test_shuf_inv_shape_validated(self):
         with pytest.raises(ValueError):
@@ -160,13 +159,27 @@ class TestConstituents:
         assert plant.input_dims == (3,) * 8
 
 
+def shuf_4way(M, rl, il, ir, rr):
+    """From ``(R_l I_l, I_r R_r)`` to ``(I_l I_r, R_l R_r)`` through the
+    4-way view of the supercore."""
+    T = np.reshape(M, (rl, il, ir, rr), order="F")
+    return np.reshape(T.transpose(1, 2, 0, 3), (il * ir, rl * rr), order="F")
+
+
+def shuf_inv_4way(A, rl, il, ir, rr):
+    """From ``(I_l I_r, R_l R_r)`` back to ``(R_l I_l, I_r R_r)``."""
+    T = np.reshape(A, (il, ir, rl, rr), order="F")
+    return np.reshape(T.transpose(2, 0, 1, 3), (rl * il, ir * rr), order="F")
+
+
 def sign_fixed_search(supercore, split, target_rank, max_iters):
     """The disentangler search transcribed with a sign-fixed Procrustes
-    solve at every iteration: ``(V, transformed core, iterations, gap)``."""
+    solve at every iteration and its own 4-way shuffles: ``(V, transformed
+    core, iterations, gap)``."""
     rl, n, rr = supercore.dims
     il, ir = split
-    M = _supercore_mat(supercore, split)
-    A0 = _shuf_mat(M, rl, il, ir, rr)
+    M = np.reshape(supercore.to_array(), (rl * il, ir * rr), order="F")
+    A0 = shuf_4way(M, rl, il, ir, rr)
     V = np.eye(il * ir)
     iterations = 0
     while True:
@@ -177,13 +190,13 @@ def sign_fixed_search(supercore, split, target_rank, max_iters):
             break
         iterations += 1
         reference = U[:, :r] @ (s[:r, None] * Wt[:r])
-        A = _shuf_mat(M, rl, il, ir, rr)
-        Vhat = sign_fixed_procrustes(A, _shuf_mat(reference, rl, il, ir, rr))
-        M = _shuf_inv_mat(Vhat @ A, rl, il, ir, rr)
+        A = shuf_4way(M, rl, il, ir, rr)
+        Vhat = sign_fixed_procrustes(A, shuf_4way(reference, rl, il, ir, rr))
+        M = shuf_inv_4way(Vhat @ A, rl, il, ir, rr)
         V = Vhat @ V
     P, _, Qt = svd_full(V)
     V = P @ Qt
-    M = _shuf_inv_mat(V @ A0, rl, il, ir, rr)
+    M = shuf_inv_4way(V @ A0, rl, il, ir, rr)
     return V, np.reshape(M, (rl, n, rr), order="F"), iterations, gap
 
 
@@ -247,6 +260,8 @@ class TestFindDisentangler:
             find_disentangler(sc, (4, 4), 2, gap_threshold=0.5)
         with pytest.raises(ValueError):
             find_disentangler(sc, (5, 4), 2)
+        with pytest.raises(ValueError, match="supercore must have 3 modes"):
+            find_disentangler(DenseTensor(np.ones((2, 4))), (2, 2), 1)
         with pytest.raises(ValueError, match="max_iters"):
             find_disentangler(sc, (4, 4), 2, max_iters=-5)
         with pytest.raises(ValueError, match="trace_stride"):
@@ -493,6 +508,20 @@ class TestHosvdDisentangler:
         rows = np.zeros(n)
         rows[: sigma.size] = sigma
         np.testing.assert_allclose(np.linalg.norm(mixed, axis=1), rows, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(3, 16, 2), (4, 16, 5)], ids=["tall", "wide"])
+    def test_bit_identical_to_transposed_centre_loop(self, shape):
+        # the disentangler and mixed core as computed on the centre built by
+        # an explicit transpose and folded back the same way
+        core = standard_normal(stream(7), shape)
+        r, n, s = shape
+        center = np.reshape(core.transpose(1, 0, 2), (n, r * s), order="F")
+        U, _, _ = svd_full(center if n > r * s else np.linalg.qr(center.T, mode="r").T)
+        mixed = np.reshape(U.T @ center, (n, r, s), order="F").transpose(1, 0, 2)
+        dis, transformed = _hosvd_disentangler(core, (4, 4))
+        for got, want in ((dis.data, U.T), (transformed, mixed)):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
     def test_wide_centre_allocates_no_right_factor(self):
         # a (16 x 3600) centre; its full SVD's right factor alone would be

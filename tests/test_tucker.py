@@ -13,7 +13,8 @@ from ttmera import kernels
 from ttmera.dense import DenseTensor, _fold, _unfold
 from ttmera.experiments import DESK_HEAT
 from ttmera.heat import reshape_to_factors, solve_heat
-from ttmera.kernels import svd_trunc
+from ttmera.kernels import qr_thin, svd_trunc
+from ttmera.rng import standard_normal, stream
 from ttmera.tucker import (
     TuckerTT,
     compression_ratio,
@@ -22,7 +23,7 @@ from ttmera.tucker import (
     tucker_reconstruct_tt,
     tucker_sweep,
 )
-from ttmera.train import orthogonalize, tt_contract, tt_norm, tt_svd
+from ttmera.train import TensorTrain, orthogonalize, tt_contract, tt_norm, tt_svd
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -101,6 +102,52 @@ class TestRankCaps:
         tt = orthogonalize(decaying_train(0, (3, 3)), 1)
         with pytest.raises(ValueError, match="positive"):
             tucker_sweep(tt, 0.0, max_rank=0)
+
+
+def transposed_centre_sweep(tt, delta, max_rank):
+    """:func:`tucker_sweep`'s loop on centres built by an explicit transpose
+    and folded back the same way: ``(factors, cores, discarded)``."""
+    cores = list(orthogonalize(tt, 1).cores)
+    factors, out, discarded = [], [], []
+    for d in range(len(cores)):
+        r, n, s = cores[d].shape
+        center = np.reshape(cores[d].transpose(1, 0, 2), (n, r * s), order="F")
+        f = svd_trunc(center, delta)
+        keep = f.rank
+        extra = 0.0
+        if max_rank is not None and max_rank < keep:
+            keep = max_rank
+            extra = float(np.sum(f.sigma[keep:] ** 2))
+        factors.append(f.U[:, :keep])
+        discarded.append(f.discarded_energy + extra)
+        T = np.reshape(f.rest[:keep], (keep, r, s), order="F").transpose(1, 0, 2)
+        if d == len(cores) - 1:
+            out.append(T)
+        else:
+            Q, R = qr_thin(np.reshape(T, (r * keep, s), order="F"))
+            out.append(np.reshape(Q, (r, keep, Q.shape[1]), order="F"))
+            cores[d + 1] = np.tensordot(R, cores[d + 1], axes=([1], [0]))
+    return factors, out, np.array(discarded)
+
+
+class TestSweepBits:
+    @pytest.mark.parametrize("delta, max_rank", [(0.0, None), (1e-2, 2)],
+                             ids=["exact", "capped"])
+    def test_bit_identical_to_transposed_centre_loop(self, delta, max_rank):
+        # ranks (1, 3, 6, 1): a first core with one left rank, a wide middle
+        # centre (2 x 18, capped 2 x 12) and a tall last one (12 x 6, 12 x 4)
+        shapes = [(1, 3, 3), (3, 2, 6), (6, 12, 1)]
+        tt = TensorTrain([standard_normal(stream(4, d), shape)
+                          for d, shape in enumerate(shapes)])
+        factors, core, discarded = tucker_sweep(tt, delta, max_rank)
+        want_factors, want_cores, want_discarded = transposed_centre_sweep(
+            tt, delta, max_rank)
+        pairs = list(zip(factors, want_factors)) + list(zip(core.cores, want_cores))
+        pairs.append((discarded, want_discarded))
+        assert len(pairs) == 2 * len(shapes) + 1
+        for got, want in pairs:
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 class TestSthosvdDense:
