@@ -17,97 +17,26 @@ The package is organised bottom-up:
 - :mod:`ttmera.experiments` -- reproducible experiment drivers behind the
   command line interface.
 
-All numeric payloads are 64-bit floats; flattening follows the
-first-index-fastest convention throughout.
+The package namespace holds the ``__all__`` names of ``dense``,
+``errors``, ``kernels``, ``train``, ``tucker`` and ``mera``, which export
+disjoint sets.  All numeric payloads are 64-bit floats; flattening follows
+the first-index-fastest convention throughout.
 """
 
-from .dense import DenseTensor, MultiIndex, linear_index, multi_index_from_linear
-from .errors import CapacityError, ConfigError, FormatError, NumericError
-from .kernels import TruncatedSvd, procrustes_solve, qr_thin, svd_full, svd_trunc
-from .mera import (
-    Disentangler,
-    DisentanglerReport,
-    Isometry,
-    Mera,
-    MeraLayer,
-    disentangler_positions,
-    find_disentangler,
-    isometry_positions,
-    mera_relative_error,
-    mera_storage,
-    mera_to_tt,
-    shuf,
-    shuf_inv,
-    tt_to_mera,
-)
-from .train import (
-    InterfaceMatrices,
-    TensorTrain,
-    interface_matrices,
-    merge_cores,
-    orthogonalize,
-    split_core,
-    tt_contract,
-    tt_norm,
-    tt_round,
-    tt_storage,
-    tt_svd,
-)
-from .tucker import (
-    TuckerTT,
-    compression_ratio,
-    sthosvd_dense,
-    tt_to_hosvd,
-    tucker_reconstruct_tt,
-    tucker_sweep,
-)
+from . import dense, errors, kernels, mera, train, tucker
+from .dense import *
+from .errors import *
+from .kernels import *
+from .mera import *
+from .train import *
+from .tucker import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DenseTensor",
-    "MultiIndex",
-    "linear_index",
-    "multi_index_from_linear",
-    "CapacityError",
-    "ConfigError",
-    "FormatError",
-    "NumericError",
-    "TruncatedSvd",
-    "svd_trunc",
-    "svd_full",
-    "qr_thin",
-    "procrustes_solve",
-    "TensorTrain",
-    "tt_svd",
-    "tt_norm",
-    "tt_round",
-    "tt_contract",
-    "tt_storage",
-    "orthogonalize",
-    "merge_cores",
-    "split_core",
-    "InterfaceMatrices",
-    "interface_matrices",
-    "TuckerTT",
-    "tt_to_hosvd",
-    "tucker_sweep",
-    "tucker_reconstruct_tt",
-    "sthosvd_dense",
-    "compression_ratio",
-    "Isometry",
-    "Disentangler",
-    "MeraLayer",
-    "Mera",
-    "DisentanglerReport",
-    "shuf",
-    "shuf_inv",
-    "find_disentangler",
-    "disentangler_positions",
-    "isometry_positions",
-    "tt_to_mera",
-    "mera_to_tt",
-    "mera_storage",
-    "mera_relative_error",
-    "__version__",
-]
+__all__ = ["__version__"]
+__all__ += dense.__all__
+__all__ += errors.__all__
+__all__ += kernels.__all__
+__all__ += train.__all__
+__all__ += tucker.__all__
+__all__ += mera.__all__

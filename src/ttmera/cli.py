@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 configuration or input-format problem, 3 capacity
 guard tripped or memory exhausted, 4 numeric failure.  Every subcommand
-takes ``--out``; each also takes those of ``--seed``, ``--threads`` and
-``--paper-scale`` that it reads, and refuses the others as a usage error.
+takes ``--out``; each also takes those of ``--seed``, ``--threads``,
+``--paper-scale`` and the search flags ``--gap`` and ``--max-iters`` that
+it reads, and refuses the others as a usage error.
 
 A subcommand hands its driver only the flags the user gave, under their
 ``dest`` names, which are the driver's parameter names; every other
@@ -84,6 +85,10 @@ def _build_parser() -> argparse.ArgumentParser:
     scale = argparse.ArgumentParser(add_help=False, argument_default=unset)
     scale.add_argument("--paper-scale", action="store_true",
                        help="full-size configuration instead of desk scale")
+    search = argparse.ArgumentParser(add_help=False, argument_default=unset)
+    search.add_argument("--gap", dest="gap_threshold", type=float,
+                        help="rank-gap convergence threshold")
+    search.add_argument("--max-iters", type=int, help="iteration budget")
 
     parser = argparse.ArgumentParser(
         prog="ttmera",
@@ -119,7 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_compress)
 
     p = sub.add_parser(
-        "planted", parents=[out, seed, scale], argument_default=unset,
+        "planted", parents=[out, seed, scale, search], argument_default=unset,
         help="recover a planted rank-lowering disentangler",
     )
     p.add_argument("--I", type=int,
@@ -129,29 +134,24 @@ def _build_parser() -> argparse.ArgumentParser:
                         "paper scale)")
     p.add_argument("--image", metavar="PGM",
                    help="grayscale image used as the top matrix")
-    p.add_argument("--gap", dest="gap_threshold", type=float,
-                   help="rank-gap convergence threshold")
-    p.add_argument("--max-iters", type=int, help="iteration budget")
     p.add_argument("--trace-stride", type=int,
                    help="sample the spectrum every N iterations (0 = off)")
     p.set_defaults(func=_cmd_planted)
 
     p = sub.add_parser(
-        "rmin-scan", parents=[out, seed, threads, scale],
+        "rmin-scan", parents=[out, seed, threads, scale, search],
         argument_default=unset,
         help="smallest convergent target rank per index size",
     )
     p.add_argument("--I-values", type=_int_list, metavar="LIST",
                    help="index sizes, e.g. 2,3,4,5 or 2-7 "
                         f"({_paper('rmin-scan', 'I_values')} at paper scale)")
-    p.add_argument("--gap", dest="gap_threshold", type=float)
-    p.add_argument("--max-iters", type=int)
     p.add_argument("--seeds", type=int,
                    help="plants per index size for the majority vote")
     p.set_defaults(func=_cmd_rmin_scan)
 
     p = sub.add_parser(
-        "mera12", parents=[out, seed, scale], argument_default=unset,
+        "mera12", parents=[out, seed, scale, search], argument_default=unset,
         help="plant a deep network, expand it, and recover it",
     )
     p.add_argument("--I", type=int,
@@ -165,15 +165,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layers", type=int)
     p.add_argument("--eps", dest="epsilon", type=float,
                    help="recovery error budget")
-    p.add_argument("--gap", dest="gap_threshold", type=float)
-    p.add_argument("--max-iters", type=int)
     p.add_argument("--strategy", dest="strategies", action="append",
                    choices=["hosvd", "procrustes"],
                    help="recovery strategy (repeatable; default both)")
     p.set_defaults(func=_cmd_mera12)
 
     p = sub.add_parser(
-        "iters-vs-rank", parents=[out, seed, threads, scale],
+        "iters-vs-rank", parents=[out, seed, threads, scale, search],
         argument_default=unset,
         help="search iterations as the target rank varies",
     )
@@ -184,8 +182,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="target ranks, e.g. 2-16 (default full range; "
                         f"{_paper('iters-vs-rank', 'rprimes')} at paper "
                         "scale)")
-    p.add_argument("--gap", dest="gap_threshold", type=float)
-    p.add_argument("--max-iters", type=int)
     p.add_argument("--seeds", type=int,
                    help="plants per rank; the median count is reported")
     p.set_defaults(func=_cmd_iters_vs_rank)

@@ -148,16 +148,9 @@ class DenseTensor:
         return self._a
 
     def entry(self, m: Sequence[int]) -> float:
-        """Entry at a 1-based multi-index."""
-        m = MultiIndex(m)
-        if len(m) != self.order:
-            raise ValueError(
-                f"multi-index has {len(m)} components, tensor has order {self.order}"
-            )
-        for k, (i, d) in enumerate(zip(m, self.dims)):
-            if i > d:
-                raise ValueError(f"index {i} exceeds dimension {d} at mode {k + 1}")
-        return float(self._a[tuple(i - 1 for i in m)])
+        """Entry at a 1-based multi-index, checked by :func:`linear_index`."""
+        pos = linear_index(m, self.dims) - 1
+        return float(self._a[np.unravel_index(pos, self.dims, order="F")])
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"DenseTensor(dims={self.dims})"

@@ -5,6 +5,8 @@ names the offending mode or dimension.  The classes below exist where the
 command line needs to distinguish failure modes by exit code.
 """
 
+__all__ = ["CapacityError", "NumericError", "ConfigError", "FormatError"]
+
 
 class CapacityError(RuntimeError):
     """A dense materialization would exceed the configured entry budget."""

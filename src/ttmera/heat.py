@@ -45,7 +45,8 @@ class HeatConfig:
     ``0, ds, 2 ds, ...``.  ``dt`` defaults to the stability bound
     ``ds^2 / 4``; a larger value is rejected since forward Euler then
     diverges.  The snapshot count is ``round(t_end / dt)``, covering the
-    initial state and ``round(t_end / dt) - 1`` completed steps.
+    initial state and ``round(t_end / dt) - 1`` completed steps; a time
+    step that leaves ``t_end / dt`` infinite is rejected.
     """
 
     ds: float = 0.02
@@ -66,6 +67,11 @@ class HeatConfig:
                     f"time step {self.dt} violates the stability bound "
                     f"{limit} for spatial step {self.ds}"
                 )
+        # 0.25 ds^2 can underflow to zero, and t_end / dt overflow.
+        if not self.time_step > 0.0 or self.t_end / self.time_step == np.inf:
+            raise ConfigError(
+                f"time step {self.time_step} is too small for end time {self.t_end}"
+            )
 
     @property
     def nodes(self) -> int:
@@ -105,8 +111,8 @@ def solve_heat(config: HeatConfig) -> DenseTensor:
         )
     if n * n * steps > SNAPSHOT_BUDGET:
         raise CapacityError(
-            f"snapshot stack of {n}x{n}x{steps} entries exceeds the "
-            f"{SNAPSHOT_BUDGET} entry budget"
+            f"snapshot stack of {n:.3g}x{n:.3g}x{steps:.3g} entries exceeds "
+            f"the {SNAPSHOT_BUDGET:.3g} entry budget"
         )
     h = config.ds
     coords = h * np.arange(n + 1)

@@ -29,10 +29,11 @@ Matrix Anal. Appl. 13(4), 1992).
 Dense ST-HOSVD truncates the mode-2 unfolding of its core viewed as an
 ``(a, n, b)`` array, through the private ``_svd_trunc``; a matrix is the
 case ``a = 1``.  The Gram routes read that array in place: its Gram
-matrices and projections are formed from one view of it or from runs of
-its ``b`` slabs, so they copy no more than a run.  The wide R-SVD and
-direct SVD routes build the 2-D unfolding with ``dense._unfold``, a view
-of the array only when ``a = 1`` or ``b = 1``, and fold back by ``_fold``.
+matrices and projections are formed from one ``(a n, b)`` view of it, of
+which a matrix is the one-slab case, or from runs of its ``b`` slabs, so
+they copy no more than a run.  The wide R-SVD and direct SVD routes build
+the 2-D unfolding with ``dense._unfold``, a view of the array only when
+``a = 1`` or ``b = 1``, and fold back by ``_fold``.
 """
 
 from __future__ import annotations
@@ -128,8 +129,8 @@ _GRAM_DELTA_FLOOR = 1e-7
 # An m x n input with n >= _WIDE_RATIO * m is reduced to the m x m triangular
 # factor of a QR of its transpose before the SVD.
 _WIDE_RATIO = 2
-# The Gram routes read an (a, n, b) array with a > 1 as one (a n, b) view up
-# to this many rows, and in runs of whole slabs of at most _SLAB_STACK
+# The Gram routes read an (a, n, b) array as one (a n, b) view when a = 1 or
+# up to this many rows, and in runs of whole slabs of at most _SLAB_STACK
 # entries beyond.  Timed on the modes of the 12-way desk tensor (2 cores,
 # OpenBLAS): the view beats the slab runs at a n = 50 and loses at
 # a n = 100, and the slab runs time alike from 2^14 entries up.
@@ -175,7 +176,8 @@ def _svd_trunc(X: np.ndarray, delta: float) -> TruncatedSvd:
     b)`` array whose unfolding is ``U.T @ M``.
 
     The Gram routes read ``X`` in place, fast when it is stored
-    first-index-fastest, and store ``rest`` that way.  The wide and direct
+    first-index-fastest, and store ``rest`` that way; a matrix, ``a = 1``,
+    is the one-slab case of their ``(a n, b)`` view.  The wide and direct
     routes build ``M`` by ``_unfold``, a copy unless ``a = 1`` or ``b = 1``,
     and return the ``_fold`` view of their 2-D ``rest``.
     """
@@ -330,19 +332,19 @@ def _gram(X: np.ndarray) -> np.ndarray:
     """``M M^T`` of the mode-2 unfolding ``M`` of the ``(a, n, b)`` array
     ``X``, from ``X`` in place.
 
-    With ``a n <= _VIEW_MAX_ROWS`` it is the sum over ``i`` of the diagonal
-    blocks ``(i, i)`` of ``Y Y^T`` for the ``(a n, b)`` view ``Y``: one
-    BLAS call at ``a`` times the arithmetic.  Otherwise it is summed over
-    runs of whole slabs ``X[:, :, k]`` of at most ``_SLAB_STACK`` entries:
-    with ``a >= n`` as the slabs' own Gram matrices, and with ``a < n``,
-    where those would outsize the slabs, as the Gram matrix of the run's
-    unfolding, a copy of the run (on a ``(6, 100, 10000)`` array, 26 ms
-    against 132 ms for the slab Gram matrices).
+    With ``a = 1`` or ``a n <= _VIEW_MAX_ROWS`` it is the sum over ``i`` of
+    the diagonal blocks ``(i, i)`` of ``Y Y^T`` for the ``(a n, b)`` view
+    ``Y``: one BLAS call at ``a`` times the arithmetic.  A matrix is the
+    one-slab case: ``Y`` is ``M`` itself, and the sum over one block copies
+    ``M M^T`` exactly.  Otherwise it is summed over runs of whole slabs
+    ``X[:, :, k]`` of at most ``_SLAB_STACK`` entries: with ``a >= n`` as
+    the slabs' own Gram matrices, and with ``a < n``, where those would
+    outsize the slabs, as the Gram matrix of the run's unfolding, a copy of
+    the run (on a ``(6, 100, 10000)`` array, 26 ms against 132 ms for the
+    slab Gram matrices).
     """
     a, n, b = X.shape
-    if a == 1:
-        return X[0] @ X[0].T
-    if a * n <= _VIEW_MAX_ROWS:
+    if a == 1 or a * n <= _VIEW_MAX_ROWS:
         Y = np.reshape(X, (a * n, b), order="F")
         blocks = np.reshape(Y @ Y.T, (a, n, a, n), order="F")
         return np.trace(blocks, axis1=0, axis2=2)
@@ -365,17 +367,16 @@ def _project(U: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``(a, n, b)`` array ``X``, stored first-index-fastest.
 
     Fixing the signs first means ``rest`` needs no compensation.  With
-    ``a = 1`` it is ``(M.T @ U).T``; with ``a n <= _VIEW_MAX_ROWS``,
-    ``kron(U, I_a)`` applied to the ``(a n, b)`` view of ``X``; otherwise
-    ``X[:, :, k] @ U`` written slab by slab into place.
+    ``a = 1`` or ``a n <= _VIEW_MAX_ROWS`` it is ``kron(U, I_a)`` applied
+    to the ``(a n, b)`` view of ``X``, which for a matrix is ``(M.T @
+    U).T`` with an exact copy of ``U``; otherwise ``X[:, :, k] @ U``
+    written slab by slab into place.
     """
     U = np.ascontiguousarray(U)
     _fix_signs(U, np.zeros((U.shape[1], 0)))
     a, n, b = X.shape
     r = U.shape[1]
-    if a == 1:
-        return U, (X[0].T @ U).T[None]
-    if a * n <= _VIEW_MAX_ROWS:
+    if a == 1 or a * n <= _VIEW_MAX_ROWS:
         Y = np.reshape(X, (a * n, b), order="F")
         rest = (Y.T @ np.kron(U, np.eye(a))).T
         return U, np.reshape(rest, (a, r, b), order="F")

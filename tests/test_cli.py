@@ -49,6 +49,26 @@ class TestHeat2d:
         assert code == 2
         assert "positive and finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["--ds", "1e-200"], ["--ds", "1e-160"],
+                                      ["--dt", "1e-320"]])
+    def test_vanishing_time_step_exit_code(self, tmp_path, capsys, argv):
+        # 0.25 ds^2 underflows to zero, or t_end / dt overflows
+        code = run(["heat2d", *argv, "--out", tmp_path])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: time step")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["--ds", "0.2", "--t-end", "1e300"],
+                                      ["--ds", "1e-100"]])
+    def test_huge_capacity_message_is_short(self, tmp_path, capsys, argv):
+        code = run(["heat2d", *argv, "--out", tmp_path])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "entry budget" in err
+        assert err.count("\n") == 1
+        assert len(err) < 200
+
 
 class TestCompress:
     @pytest.fixture()
@@ -241,6 +261,16 @@ class TestParser:
         assert exc.value.code == 2
         assert "descending range '5-3'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["planted", "rmin-scan", "mera12",
+                                         "iters-vs-rank"])
+    def test_search_flags_documented(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "--gap GAP_THRESHOLD rank-gap convergence threshold" in text
+        assert "--max-iters MAX_ITERS iteration budget" in text
+
     def test_seed_range_enforced(self):
         with pytest.raises(SystemExit):
             main(["rmin-scan", "--seed", "-1"])
@@ -253,6 +283,8 @@ class TestParser:
         ["heat2d", "--threads", "2"],
         ["planted", "--threads", "2"],
         ["mera12", "--threads", "2"],
+        ["heat2d", "--gap", "1e9"],
+        ["compress", "heat.mrt1", "--max-iters", "7"],
     ])
     def test_unread_flag_is_usage_error(self, argv, capsys):
         # a flag the subcommand would ignore is refused before any work

@@ -83,6 +83,18 @@ class TestDenseTensor:
             m = multi_index_from_linear(pos, dims)
             assert t.entry(m) == pos - 1
 
+    @pytest.mark.parametrize("m, message", [
+        ((1, 3, 1), "index 3 exceeds dimension 2 at mode 2"),
+        ((1, 1), "multi-index has 2 components, tensor has order 3"),
+        ((1, 0, 1), "index 0 at mode 2 is not positive"),
+        ((), "at least one component"),
+    ])
+    def test_entry_refuses_what_linear_index_refuses(self, m, message):
+        t = DenseTensor.from_flat(np.arange(24.0), (3, 2, 4))
+        for lookup in (t.entry, lambda m: linear_index(m, t.dims)):
+            with pytest.raises(ValueError, match=message):
+                lookup(m)
+
     def test_from_flat_size_mismatch(self):
         with pytest.raises(ValueError):
             DenseTensor.from_flat([1.0, 2.0, 3.0], (2, 2))

@@ -58,6 +58,19 @@ class TestHeatConfig:
         with pytest.raises(ConfigError, match="end time must be positive and finite"):
             HeatConfig(t_end=value)
 
+    @pytest.mark.parametrize("kwargs", [{"ds": 1e-200}, {"ds": 1e-160},
+                                        {"dt": 1e-320},
+                                        {"dt": 1e-300, "t_end": 1e10}])
+    def test_vanishing_time_step_rejected(self, kwargs):
+        # the default step 0.25 ds^2 underflows to zero, or the snapshot
+        # count t_end / dt overflows
+        with pytest.raises(ConfigError, match="time step .* too small"):
+            HeatConfig(**kwargs)
+
+    def test_tiny_time_step_with_finite_count_accepted(self):
+        assert HeatConfig(dt=1e-300, t_end=1e-10).steps > 10**289
+        assert HeatConfig(ds=1e-100).steps > 10**199
+
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_nonfinite_time_step_rejected(self, value):
         with pytest.raises(ConfigError, match="time step must be positive and finite"):
@@ -131,6 +144,14 @@ class TestSolveHeat:
     def test_capacity_budget_enforced(self):
         with pytest.raises(CapacityError, match="budget"):
             solve_heat(HeatConfig(ds=1e-3))
+
+    def test_capacity_message_in_scientific_form(self):
+        with pytest.raises(CapacityError) as exc:
+            solve_heat(HeatConfig(ds=1e-100))
+        assert str(exc.value) == (
+            "snapshot stack of 1e+100x1e+100x1e+200 entries exceeds the "
+            "2e+08 entry budget"
+        )
 
     def test_too_coarse_grid_rejected(self):
         with pytest.raises(ConfigError, match="interior"):

@@ -20,6 +20,8 @@ from ttmera.kernels import (
     _certified_sigma,
     _fix_signs,
     _full_row_rank,
+    _gram,
+    _project,
     procrustes_solve,
     qr_thin,
     svd_full,
@@ -312,6 +314,38 @@ class TestSvdTruncRoutes:
             f = svd_trunc(np.diag([1.0, 0.5]) * 1e300, 1e299)
         assert f.rank == 2
         assert f.discarded_energy == 0.0
+
+
+class TestMatrixCase:
+    """A matrix is the one-slab case ``a = 1`` of the Gram routes' array
+    reading: ``_gram`` and ``_project`` give it the bytes of the plain
+    matrix products, on both sides of ``_VIEW_MAX_ROWS`` and in either
+    storage order."""
+
+    CASES = [(m, order) for m in (5, 64, 65, 100) for order in "CF"]
+
+    @staticmethod
+    def matrix(m, order):
+        return np.asarray(gaussian(m, m, 3 * m + 7), order=order)
+
+    @pytest.mark.parametrize("m, order", CASES)
+    def test_gram_is_the_matrix_product(self, m, order):
+        M = self.matrix(m, order)
+        assert _gram(M[None]).tobytes() == (M @ M.T).tobytes()
+
+    @pytest.mark.parametrize("m, order", CASES)
+    @pytest.mark.parametrize("r", [1, 4, None])
+    def test_project_is_the_matrix_product(self, m, order, r):
+        # U as the Gram route hands it over: a slice of the eigenvectors
+        # in descending order, so neither C- nor F-contiguous.
+        M = self.matrix(m, order)
+        U = np.linalg.eigh(M @ M.T)[1][:, ::-1][:, :r]
+        fixed = np.ascontiguousarray(U)
+        loop_fix_signs(fixed, np.zeros((fixed.shape[1], 0)))
+        V, rest = _project(U, M[None])
+        assert V.tobytes() == fixed.tobytes()
+        assert rest.shape == (1, fixed.shape[1], M.shape[1])
+        assert rest[0].tobytes() == (M.T @ fixed).T.tobytes()
 
 
 class TestCertifiedSigma:

@@ -32,6 +32,39 @@ def test_every_exported_name_resolves():
         assert hasattr(ttmera, name), name
 
 
+# The modules whose exports the package re-exports.
+_CORE = ("dense", "errors", "kernels", "train", "tucker", "mera")
+
+
+def _core_modules():
+    return [importlib.import_module(f"ttmera.{name}") for name in _CORE]
+
+
+def test_core_exports_are_the_defining_objects():
+    for module in _core_modules():
+        for name in module.__all__:
+            assert getattr(ttmera, name) is getattr(module, name), (
+                f"ttmera.{name} is not {module.__name__}.{name}"
+            )
+
+
+def test_no_name_exported_by_two_modules():
+    # The package star-imports the core modules, so a second export of a
+    # name would silently shadow the first.
+    seen = {}
+    for module in _core_modules():
+        for name in module.__all__:
+            assert name not in seen, f"{name} in {seen.get(name)} and {module.__name__}"
+            seen[name] = module.__name__
+
+
+def test_package_exports_exactly_the_core_names():
+    core = [name for module in _core_modules() for name in module.__all__]
+    assert len(ttmera.__all__) == len(set(ttmera.__all__))
+    assert set(ttmera.__all__) == {*core, "__version__"}
+    assert len(ttmera.__all__) == 45
+
+
 def test_traced_functions_exist():
     for mod_name, fn_name in _tracing().TRACED:
         module = importlib.import_module(f"ttmera.{mod_name}")
