@@ -20,11 +20,19 @@ instead: ``R`` has a positive diagonal, which fixes the sign of each of
 
 Squaring ``M`` into ``M M^T`` halves the usable precision, so a Gram route
 that truncates needs a loose tolerance.  A call that keeps every row has
-nothing to decide once full row rank is proven, and the Gram eigenvectors
-give that proof at any tolerance: the rows of ``U.T @ M`` are nearly
-orthogonal, and a scaled Gershgorin bound on their Gram matrix gives the
-smallest singular value to relative accuracy (Demmel & Veselic, SIAM J.
-Matrix Anal. Appl. 13(4), 1992).
+nothing to decide once full row rank is proven, and it climbs a ladder of
+proofs, cheapest first, taking the wide R-SVD route when none holds:
+
+1. the smallest Gram eigenvalue at or below the squared ``delta = 0``
+   floor marks a numerically rank-deficient input, refused at once;
+2. a Gershgorin bound on ``U.T @ G @ U`` for the Gram matrix ``G`` and
+   eigenvectors ``U`` in hand, charged the rounding of ``G``, proves
+   ``sigma_min`` when it exceeds about ``sqrt(n eps) |M|_F`` and reads
+   nothing of ``M``;
+3. below that, the rows of ``U.T @ M`` are nearly orthogonal, and a scaled
+   Gershgorin bound on their Gram matrix gives the smallest singular value
+   to relative accuracy (Demmel & Veselic, SIAM J. Matrix Anal. Appl.
+   13(4), 1992) at the price of one more pass.
 
 Dense ST-HOSVD truncates the mode-2 unfolding of its core viewed as an
 ``(a, n, b)`` array, through the private ``_svd_trunc``; a matrix is the
@@ -117,10 +125,25 @@ class TruncatedSvd:
 
 
 # Large wide matrices go through an eigendecomposition of ``M M^T`` instead
-# of a direct SVD: far less memory traffic and arithmetic when m is small.
-# The Gram matrix also stands in for the finiteness scan of M.  Below this
-# size the truncating route's discards are off by about eps |M|^2.
-_GRAM_MIN_ENTRIES = 1 << 22
+# of a QR: far less memory traffic and arithmetic when m is small.  The Gram
+# matrix also stands in for the finiteness scan of M.  Timed against the
+# wide R-SVD (2 cores, OpenBLAS, m = 8 to 500, best of five), the truncating
+# route was 3 to 7 times faster at every size from 2^18 entries up, but it
+# decides the rank on squared values, within a margin of m eps sigma_1^2 of
+# the R-SVD's rule.  It serves inputs from 2^20 entries, where it saves at
+# least 9 ms a call (11 -> 2 ms at m = 8, 83 -> 25 ms at m = 500); the many
+# smaller truncations of train arithmetic keep the R-SVD.
+_GRAM_MIN_ENTRIES = 1 << 20
+# A call at a tight delta learns that it keeps every row only after forming
+# M M^T and its eigenvalues, and one that truncates then takes the R-SVD
+# anyway.  Below 2^22 entries that cost shows: with M M^T formed first, the
+# 44 x 62,500 and 195 x 12,500 unfoldings of the 12-way desk tensor at
+# 1e-7, which keep 39 and 71 rows, took 79 and 96 ms against 56 and 90 ms.
+# So from 2^20 entries a call forms M M^T only if a norm pass (0.5 ms on
+# 2.75e6 entries) shows its delta loose, and from 2^22 entries every call
+# does: the desk tensor's 6.25e6-entry keep-all modes take 24 to 55 ms on
+# the Gram route against 98 to 173 ms on the R-SVD.
+_GRAM_KEEP_ALL_MIN_ENTRIES = 1 << 22
 # Squaring halves the usable precision, so a Gram call that truncates is
 # gated on the tolerance being far above the noise floor, and bails out
 # whenever a kept direction would be unreliable.  A call that keeps
@@ -147,14 +170,20 @@ def svd_trunc(M: np.ndarray, delta: float) -> TruncatedSvd:
 
     Four routes, chosen from the input, give the same contract:
 
-    - **Gram** (large, ``n >= 2m``, loose ``delta``): the eigenpairs of
-      ``M M^T`` are the left singular vectors and squared singular values.
-    - **Gram keep-all** (large, ``n >= 2m``, any tighter ``delta``): the
-      same eigenvectors, kept whole once a rigorous bound proves that every
-      singular value exceeds the rank floor, so the rank is the one the SVD
-      would keep.  The split ``M = U @ (U.T @ M)`` is exact whatever the
-      bound says, so the discard of ``0`` never depends on it.  An input
-      the bound does not certify takes the wide route.
+    - **Gram** (``n >= 2m``, at least ``_GRAM_MIN_ENTRIES`` = 2^20
+      entries, ``delta > 1e-7 |M|_F``): the eigenpairs of ``M M^T`` are the
+      left singular vectors and squared singular values.  Below
+      ``_GRAM_KEEP_ALL_MIN_ENTRIES`` one norm pass decides the gate, so a
+      call at a tighter ``delta`` never forms ``M M^T``.
+    - **Gram keep-all** (``n >= 2m``, at least
+      ``_GRAM_KEEP_ALL_MIN_ENTRIES`` = 2^22 entries, any tighter
+      ``delta``): the same eigenvectors, kept whole once a rigorous bound
+      proves that every singular value exceeds the rank floor, so the rank
+      is the one the SVD would keep.  The bound is taken from the Gram
+      matrix in hand when it suffices, else from the Gram matrix of ``rest``
+      (the module docstring's ladder).  The split ``M = U @ (U.T @ M)`` is
+      exact whatever the bound says, so the discard of ``0`` never depends
+      on it.  An input no bound certifies takes the wide route.
     - **Wide** (``n >= 2m``): the R-SVD of T. F. Chan (ACM TOMS 8(1),
       1982).  ``M.T = Q R`` gives ``M = R.T Q.T``, so the ``m x m`` factor
       ``R.T`` has the singular values and left singular vectors of ``M``;
@@ -187,7 +216,12 @@ def _svd_trunc(X: np.ndarray, delta: float) -> TruncatedSvd:
     n = a * b
     wide = n >= _WIDE_RATIO * m
     G = None
-    if wide and X.size >= _GRAM_MIN_ENTRIES:
+    # Below the keep-all floor only a truncating call forms M M^T, and one
+    # norm pass tells it apart.
+    if wide and X.size >= _GRAM_MIN_ENTRIES and (
+        X.size >= _GRAM_KEEP_ALL_MIN_ENTRIES
+        or delta > _GRAM_DELTA_FLOOR * np.linalg.norm(X)
+    ):
         with np.errstate(over="ignore", invalid="ignore"):
             G = _gram(X)
     # A non-finite entry of M reaches the diagonal of M M^T, so a finite
@@ -394,10 +428,21 @@ def _svd_trunc_gram(
 
     At a loose ``delta`` the eigenpairs of ``G`` are the left singular
     vectors and squared singular values, and ``rest`` is one projection
-    ``U.T @ M``.  Rank selection shaves an eigenvalue-noise margin off
-    ``delta^2`` so the discarded tail never exceeds the budget.  At a
-    tighter ``delta`` ``M`` keeps every eigenvector if
-    :func:`_certified_sigma` proves full row rank.
+    ``U.T @ M``.  Rank selection shaves an eigenvalue-noise margin ``m eps
+    lambda_1`` off ``delta^2`` so the discarded tail never exceeds the
+    budget.  That margin charges the eigensolver's rounding, not the
+    rounding of ``G`` itself, whose worst case ``gamma_n |M|_F^2`` (see
+    :func:`_gram_certified`) can be far larger: on the 100 x 400,000 first
+    unfolding of the 100 x 100 x 4000 heat tensor at 1e-3 it is 4.4e-11
+    ``|M|_F^2`` against a margin of 2.2e-14, while the reported discard
+    lies 8.1e-16 ``|M|_F^2`` from the true one.  A discard is exact to the
+    margin in practice, not in the worst case.
+
+    At a tighter ``delta`` ``M`` keeps every eigenvector if
+    :func:`_gram_certified` proves full row rank from ``G`` and ``U``, with
+    the square roots of the eigenvalues as ``sigma``, or else if
+    :func:`_certified_sigma` proves it from the Gram matrix of ``rest``,
+    with that matrix's row norms as ``sigma``.
     """
     a, m, b = X.shape
     n = a * b
@@ -413,15 +458,18 @@ def _svd_trunc_gram(
     P = P[:, ::-1]
     if delta <= _GRAM_DELTA_FLOOR * norm:
         # An eigenvalue at or below the delta = 0 floor marks a numerically
-        # rank-deficient input, which the certificate would refuse; the
+        # rank-deficient input, which both certificates would refuse; the
         # check spares it the projection.
         floor = _rank_floor((m, n), 0.0, norm)
         if lam[-1] <= floor * floor:
             return None
         U, rest = _project(P, X)
-        sigma = _certified_sigma(_gram(rest), n, delta, norm)
-        if sigma is None:
-            return None
+        if _gram_certified(G, U, n, delta, trace):
+            sigma = np.sqrt(lam)
+        else:
+            sigma = _certified_sigma(_gram(rest), n, delta, norm)
+            if sigma is None:
+                return None
         return TruncatedSvd(U=U, sigma=sigma, rest=rest, discarded_energy=0.0)
     s = np.sqrt(lam)
     tails = np.concatenate([np.cumsum(lam[::-1])[::-1], [0.0]])
@@ -438,6 +486,56 @@ def _svd_trunc_gram(
     return TruncatedSvd(
         U=U, sigma=s[:r].copy(), rest=rest, discarded_energy=float(tails[r]),
     )
+
+
+def _gram_certified(
+    G: np.ndarray, U: np.ndarray, n: int, delta: float, trace: float
+) -> bool:
+    """Whether the computed Gram matrix ``G = fl(M M^T)`` of the ``m x n``
+    matrix ``M``, with trace ``trace``, and the ``m x m`` matrix ``U`` of
+    its eigenvectors prove that every singular value of ``M`` exceeds the
+    rank floor.  It reads nothing of ``M``.
+
+    Every entry of ``G`` is a sum of ``n`` products, so ``|G - M M^T|_2 <=
+    gamma_n |M|_F^2`` with ``gamma_n = n u / (1 - n u)`` and ``u = eps / 2``
+    (Higham, Accuracy and Stability of Numerical Algorithms, Thm. 3.5).  For
+    ``H = fl(U^T G U)``, Gershgorin's discs of its symmetric part give
+    ``lambda_min >= g = min_i (H_ii - sum_{j != i} (|H_ij| + |H_ji|) / 2)``,
+    which for a symmetric ``H`` is the row sum, less ``|Delta H|`` for the
+    rounding of the two products.  With ``omega = |U^T U - I|_F``,
+    Ostrowski's theorem moves that to the symmetric part of ``G``, no
+    farther from ``M M^T`` than ``G``, at a factor ``1 + omega``, so
+    ``sigma_min(M)^2 >= (g - |Delta H| - (1 + omega) gamma_n |M|_F^2) / (1 +
+    omega)``: a Gershgorin bound in the manner of Demmel & Veselic, unscaled,
+    with the eigenvectors' departure from orthogonality kept.  ``omega``
+    and ``|Delta H|`` are charged twice
+    their first-order rounding bounds, as in :func:`_certified_qr`, and the
+    Gram term ``2 gamma_n trace``, which covers ``gamma_n |M|_F^2`` and the
+    rounding of the bound itself.  The bound must exceed the square of the
+    floor of :func:`_rank_floor`.
+
+    ``gamma_n |M|_F^2`` caps what it can prove: an ``M`` with ``sigma_min /
+    |M|_F`` below about ``sqrt(2 n u)`` is refused, whatever its
+    eigenvectors, and :func:`_certified_sigma` decides it instead.
+    """
+    m = G.shape[0]
+    eps = np.finfo(np.float64).eps
+    nu = n * eps / 2.0
+    if not nu < 0.5:
+        return False
+    gamma = nu / (1.0 - nu)
+    W = U.T @ U
+    q2 = float(np.trace(W))
+    W[np.diag_indices(m)] -= 1.0
+    omega = np.linalg.norm(W) + 2.0 * m * eps * q2
+    H = U.T @ (G @ U)
+    dH = 2.0 * m * eps * q2 * np.linalg.norm(G)
+    A = np.abs(H)
+    radius = (A.sum(axis=0) + A.sum(axis=1)) / 2.0 - np.diag(A)
+    g = float(np.min(np.diag(H) - radius))
+    bound = (g - dH) / (1.0 + omega) - 2.0 * gamma * trace
+    floor = _rank_floor((m, n), delta, np.sqrt(trace))
+    return bool(bound > floor * floor)
 
 
 def _certified_sigma(

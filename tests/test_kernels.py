@@ -14,13 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import loop_fix_signs, record_qr, record_svd, sign_fixed_procrustes
+from ttmera import kernels
 from ttmera.errors import NumericError
+from ttmera.heat import HeatConfig, solve_heat
 from ttmera.kernels import (
     _certified_qr,
     _certified_sigma,
     _fix_signs,
     _full_row_rank,
     _gram,
+    _gram_certified,
     _project,
     procrustes_solve,
     qr_thin,
@@ -314,6 +317,162 @@ class TestSvdTruncRoutes:
             f = svd_trunc(np.diag([1.0, 0.5]) * 1e300, 1e299)
         assert f.rank == 2
         assert f.discarded_energy == 0.0
+
+
+def _spy(monkeypatch, name: str) -> list:
+    """Record the result of every call of ``kernels.<name>``."""
+    results = []
+    fn = getattr(kernels, name)
+
+    def spy(*args):
+        result = fn(*args)
+        results.append(result)
+        return result
+
+    monkeypatch.setattr(kernels, name, spy)
+    return results
+
+
+class TestGramFloors:
+    """Between the two size floors a wide input takes the truncating Gram
+    route at a loose delta, with the R-SVD's rank, and never forms ``M
+    M^T`` at a tight one."""
+
+    # 16 x 2^17 = 2^21 entries; 0.3^15 = 1.4e-8 lies below 1e-7 |M|_F, so a
+    # tight delta can truncate too.
+    SHAPE = (16, 1 << 17)
+    EPS = np.finfo(np.float64).eps
+
+    def _input(self):
+        M = _spectrum_matrix(11, *self.SHAPE, 0.3 ** np.arange(self.SHAPE[0]))
+        assert kernels._GRAM_MIN_ENTRIES <= M.size < kernels._GRAM_KEEP_ALL_MIN_ENTRIES
+        s = np.linalg.svd(M, compute_uv=False)
+        return M, np.concatenate([np.cumsum(s[::-1] ** 2)[::-1], [0.0]])
+
+    def test_loose_delta_takes_the_gram_route(self, monkeypatch):
+        M, tails = self._input()
+        m, n = M.shape
+        delta = float(np.sqrt((tails[3] + tails[4]) / 2))
+        assert delta > kernels._GRAM_DELTA_FLOOR * np.linalg.norm(M)
+        monkeypatch.setattr(kernels, "_GRAM_MIN_ENTRIES", M.size + 1)
+        qrs = record_qr(monkeypatch)
+        wide = svd_trunc(M, delta)
+        monkeypatch.undo()
+        assert qrs == [(n, m)]
+        grams = _spy(monkeypatch, "_gram")
+        qrs, svds = record_qr(monkeypatch), record_svd(monkeypatch)
+        f = svd_trunc(M, delta)
+        monkeypatch.undo()
+        assert len(grams) == 1 and (qrs, svds) == ([], [])
+        assert f.rank == wide.rank == 4
+        TestSvdTruncRoutes._check(M, f, 4)
+        # Within the route's eigenvalue-noise margin of the exact tail.
+        margin = m * self.EPS * f.sigma[0] ** 2
+        assert abs(f.discarded_energy - tails[4]) <= margin
+
+    @pytest.mark.parametrize("cut", [None, 14])
+    def test_tight_delta_never_forms_the_gram_matrix(self, cut, monkeypatch):
+        M, tails = self._input()
+        m, n = M.shape
+        delta = 0.0 if cut is None else float(np.sqrt((tails[cut] + tails[cut + 1]) / 2))
+        assert delta <= kernels._GRAM_DELTA_FLOOR * np.linalg.norm(M)
+        grams = _spy(monkeypatch, "_gram")
+        qrs = record_qr(monkeypatch)
+        f = svd_trunc(M, delta)
+        monkeypatch.undo()
+        assert grams == []
+        assert qrs == [(n, m)]
+        TestSvdTruncRoutes._check(M, f, m if cut is None else cut + 1)
+
+    def test_heat_discard_within_the_eigensolver_margin(self):
+        # The first unfolding of the 100 x 100 x 4000 heat tensor at tt_svd's
+        # budget for 1e-3.  The margin m eps lambda_1 charges the
+        # eigensolver, not the worst case of the Gram product's rounding,
+        # 2,000 times larger here; the reported discard must still lie
+        # within it of the residual, streamed over column blocks.
+        t = solve_heat(HeatConfig(ds=1e-2, t_end=0.1))
+        M = t.data.reshape(100, -1, order="F")
+        assert M.shape == (100, 400_000)
+        delta = 1e-3 * t.norm() / np.sqrt(2)
+        f = svd_trunc(M, delta)
+        assert f.rank == 5
+        residual = 0.0
+        for j in range(0, M.shape[1], 1 << 14):
+            R = M[:, j : j + (1 << 14)] - f.U @ f.rest[:, j : j + (1 << 14)]
+            residual += float(np.vdot(R, R))
+        margin = M.shape[0] * self.EPS * f.sigma[0] ** 2
+        assert abs(f.discarded_energy - residual) <= margin
+        assert margin <= 2.5e-14 * t.norm() ** 2
+
+
+class TestGramCertified:
+    """The keep-all certificate read off the Gram matrix in hand: it proves
+    full row rank of well-conditioned inputs without another pass, refuses
+    what lies below its rounding charge, and then the certificate of
+    ``rest`` decides with the bytes it always had."""
+
+    EPS = np.finfo(np.float64).eps
+
+    @staticmethod
+    def _parts(M):
+        """``G``, its trace, and the sign-fixed eigenvectors, as the Gram
+        route forms them."""
+        G = _gram(M[None])
+        U, _ = _project(np.linalg.eigh(G)[1][:, ::-1], M[None])
+        return G, float(np.trace(G)), U
+
+    def test_well_conditioned_input_certified_from_its_gram_matrix(self, monkeypatch):
+        m, n = 8, 1 << 19
+        M = _spectrum_matrix(7, m, n, np.linspace(1.0, 0.5, m))
+        proofs = _spy(monkeypatch, "_gram_certified")
+        grams = _spy(monkeypatch, "_gram")
+        fallbacks = _spy(monkeypatch, "_certified_sigma")
+        svds, qrs = record_svd(monkeypatch), record_qr(monkeypatch)
+        f = svd_trunc(M, 0.0)
+        monkeypatch.undo()
+        assert proofs == [True] and len(grams) == 1 and fallbacks == []
+        assert (svds, qrs) == ([], [])
+        TestSvdTruncRoutes._check(M, f, m)
+        assert f.discarded_energy == 0.0
+        s_exact = np.linalg.svd(M, compute_uv=False)
+        np.testing.assert_allclose(f.sigma, s_exact, rtol=1e-9)
+
+    def test_below_the_rounding_charge_falls_back_to_rest(self, monkeypatch):
+        # sigma_min / |M|_F = 3.8e-7, below sqrt(n u) = 7.6e-6: the Gram
+        # matrix's own rounding could hide it, so only rest's Gram matrix
+        # proves it, and U, rest and sigma are the bytes of that route.
+        m, n = 8, 1 << 19
+        M = _spectrum_matrix(7, m, n, [1.0] * 7 + [1e-6])
+        assert 1e-6 / np.linalg.norm(M) < np.sqrt(n * self.EPS / 2)
+        proofs = _spy(monkeypatch, "_gram_certified")
+        fallbacks = _spy(monkeypatch, "_certified_sigma")
+        f = svd_trunc(M, 0.0)
+        monkeypatch.undo()
+        assert proofs == [False] and fallbacks[0] is not None
+        G, trace, U = self._parts(M)
+        rest = (M.T @ U).T
+        sigma = _certified_sigma(rest @ rest.T, n, 0.0, np.sqrt(trace))
+        assert f.U.tobytes() == U.tobytes()
+        assert f.rest.tobytes() == rest.tobytes()
+        assert f.sigma.tobytes() == sigma.tobytes()
+        TestSvdTruncRoutes._check(M, f, m)
+
+    @pytest.mark.parametrize("ratio, certified", [(0.9, True), (1.1, False)])
+    def test_smallest_value_against_delta(self, ratio, certified):
+        # sigma_min = 0.5: certified while delta stays below it.
+        M = _spectrum_matrix(3, 4, 4096, [1.0, 1.0, 1.0, 0.5])
+        G, trace, U = self._parts(M)
+        assert _gram_certified(G, U, M.shape[1], ratio * 0.5, trace) is certified
+
+    def test_eigenvectors_carry_the_proof(self):
+        # Rows of norms 1 and 2 at 0.5 rad: sigma_min^2 = 0.19 |M|^2 / 5,
+        # but the Gershgorin disc of G itself reaches below zero.
+        M = np.zeros((2, 64))
+        M[0, 0] = 1.0
+        M[1, :2] = 2.0 * np.cos(0.5), 2.0 * np.sin(0.5)
+        G, trace, U = self._parts(M)
+        assert _gram_certified(G, U, 64, 0.0, trace)
+        assert not _gram_certified(G, np.eye(2), 64, 0.0, trace)
 
 
 class TestMatrixCase:
@@ -619,6 +778,22 @@ class TestProcrustes:
 
 
 class TestFixSigns:
+    def test_restores_a_negated_column_of_an_8x8_array(self):
+        # On NumPy 2.4.6, np.negative(U[:, j], out=U[:, j]) writes wrong
+        # values into column 3 of this C-ordered array.  The flip must give
+        # back exactly the column that was negated, and nothing else.
+        U = np.arange(1.0, 65.0).reshape(8, 8)
+        negated = -U[:, 3]
+        X = U.copy()
+        X[:, 3] = negated
+        W = np.ones((8, 2))
+        _fix_signs(X, W)
+        assert X[:, 3].tobytes() == (-negated).tobytes()
+        assert X.tobytes() == U.tobytes()
+        flipped = np.ones((8, 2))
+        flipped[3] = -1.0
+        assert W.tobytes() == flipped.tobytes()
+
     @settings(max_examples=300, deadline=None)
     @given(SEEDS, st.integers(1, 8), st.integers(0, 8), st.integers(-3, 3))
     def test_flips_exactly_what_the_loop_flips(self, seed, m, k, extra):

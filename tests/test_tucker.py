@@ -33,6 +33,29 @@ def dense_error_sq(tuck, reference):
     return float(np.linalg.norm(recon.data - reference.data) ** 2)
 
 
+def _spy_certificates(monkeypatch) -> list:
+    """Record, for each keep-all Gram call that reaches a certificate, which
+    one proved full row rank: ``"gram"`` (from the Gram matrix in hand),
+    ``"rest"`` (from the Gram matrix of the projection) or ``None``."""
+    certified = []
+    gram_certified, certified_sigma = kernels._gram_certified, kernels._certified_sigma
+
+    def gram_spy(*args):
+        proven = gram_certified(*args)
+        certified.append("gram" if proven else None)
+        return proven
+
+    def sigma_spy(*args):
+        sigma = certified_sigma(*args)
+        if sigma is not None:
+            certified[-1] = "rest"
+        return sigma
+
+    monkeypatch.setattr(kernels, "_gram_certified", gram_spy)
+    monkeypatch.setattr(kernels, "_certified_sigma", sigma_spy)
+    return certified
+
+
 class TestHosvdFromTrain:
     @settings(max_examples=40, deadline=None)
     @given(SEEDS, st.sampled_from([1e-1, 1e-3]))
@@ -202,17 +225,9 @@ class TestSthosvdDense:
     def test_desk_tensor_at_tight_tolerance(self, monkeypatch):
         # The 12-way desk tensor at 1e-7: every mode unfolds to 2 x 3,125,000
         # or 5 x 1,250,000, and all but the last keep full rank, which the
-        # Gram keep-all certificate proves without a QR.
+        # Gram keep-all certificates prove without a QR.
         t = reshape_to_factors(solve_heat(DESK_HEAT))
-        certified = []
-        certify = kernels._certified_sigma
-
-        def spy(*args):
-            sigma = certify(*args)
-            certified.append(sigma is not None)
-            return sigma
-
-        monkeypatch.setattr(kernels, "_certified_sigma", spy)
+        certified = _spy_certificates(monkeypatch)
         tracemalloc.start()
         factors, _, discarded = sthosvd_dense(t, 1e-7)
         peak = tracemalloc.get_traced_memory()[1]
@@ -220,7 +235,8 @@ class TestSthosvdDense:
         monkeypatch.undo()
         ranks = (2, 5, 5, 2, 5, 5, 2, 2, 5, 5, 5, 4)
         assert tuple(U.shape[1] for U in factors) == ranks
-        assert sum(certified) == 11
+        # A mode counts as certified by either certificate.
+        assert sum(c is not None for c in certified) == 11
         # Each mode reads the core in place: the old core and its
         # projection are all that is alive at once, never an unfolding copy.
         assert peak < 2.5 * t.size * 8
@@ -261,29 +277,37 @@ class TestSthosvdDense:
         self, epsilon, last_rank, monkeypatch
     ):
         t = self._view_tensor()
-        assert t.size >= kernels._GRAM_MIN_ENTRIES
-        shapes, certified = [], []
-        gram, certify = kernels._gram, kernels._certified_sigma
+        assert t.size >= kernels._GRAM_KEEP_ALL_MIN_ENTRIES
+        modes, shapes = [], []
+        route, gram = kernels._svd_trunc_gram, kernels._gram
+
+        def route_spy(X, *args):
+            modes.append(X.shape)
+            return route(X, *args)
 
         def gram_spy(X):
             shapes.append(X.shape)
             return gram(X)
 
-        def certify_spy(*args):
-            sigma = certify(*args)
-            certified.append(sigma is not None)
-            return sigma
-
+        monkeypatch.setattr(kernels, "_svd_trunc_gram", route_spy)
         monkeypatch.setattr(kernels, "_gram", gram_spy)
-        monkeypatch.setattr(kernels, "_certified_sigma", certify_spy)
+        certified = _spy_certificates(monkeypatch)
         factors, core, discarded = sthosvd_dense(t, epsilon)
         monkeypatch.undo()
         # Every mode took a Gram route on a view of the core; at the tight
-        # tolerance each kept all of its rows by the certificate, whose Gram
-        # matrix of rest has the shape of the mode's own.
-        modes = shapes[:: 2 if certified else 1]
+        # tolerance each kept all of its rows by a certificate.  The Gram
+        # matrix of rest, formed only when the mode's own does not certify,
+        # has the shape of the mode's own.
         assert [n for _, n, _ in modes] == list(self.VIEW_DIMS)
-        assert certified == ([True] * t.order if epsilon < 1e-7 else [])
+        assert [c is not None for c in certified] == (
+            [True] * t.order if epsilon < 1e-7 else []
+        )
+        expected = []
+        for d, shape in enumerate(modes):
+            expected.append(shape)
+            if d < len(certified) and certified[d] == "rest":
+                expected.append(shape)
+        assert shapes == expected
         a, n, b = zip(*modes)
         assert a[0] == 1 and b[-1] == 1
         assert a[1] * n[1] <= kernels._VIEW_MAX_ROWS
