@@ -508,11 +508,10 @@ def _gram_certified(
     ``sigma_min(M)^2 >= (g - |Delta H| - (1 + omega) gamma_n |M|_F^2) / (1 +
     omega)``: a Gershgorin bound in the manner of Demmel & Veselic, unscaled,
     with the eigenvectors' departure from orthogonality kept.  ``omega``
-    and ``|Delta H|`` are charged twice
-    their first-order rounding bounds, as in :func:`_certified_qr`, and the
-    Gram term ``2 gamma_n trace``, which covers ``gamma_n |M|_F^2`` and the
-    rounding of the bound itself.  The bound must exceed the square of the
-    floor of :func:`_rank_floor`.
+    and ``|Delta H|`` are charged twice their first-order rounding bounds,
+    as in :func:`_certified_qr`, and the Gram term ``2 gamma_n trace``,
+    which covers ``gamma_n |M|_F^2`` and the rounding of the bound itself.
+    The bound must exceed the square of the floor of :func:`_rank_floor`.
 
     ``gamma_n |M|_F^2`` caps what it can prove: an ``M`` with ``sigma_min /
     |M|_F`` below about ``sqrt(2 n u)`` is refused, whatever its
