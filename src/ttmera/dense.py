@@ -95,9 +95,10 @@ class DenseTensor:
     """An order-``D`` array of 64-bit reals with 1-based index semantics.
 
     The wrapped values are immutable; operations return new tensors.
-    Constructors reject non-finite entries.  A float64 array is taken over,
-    not copied, and marked read-only; a caller that still holds a writable
-    alias of its memory must not write through it.
+    Constructors reject non-finite entries; reshapes and permutations
+    re-wrap entries already checked, without a second scan.  A float64
+    array is taken over, not copied, and marked read-only; a caller that
+    still holds a writable alias of its memory must not write through it.
     """
 
     __slots__ = ("_a",)
@@ -111,6 +112,15 @@ class DenseTensor:
             raise NumericError("tensor entries must be finite")
         a.setflags(write=False)
         self._a = a
+
+    @classmethod
+    def _wrap(cls, a: np.ndarray) -> DenseTensor:
+        """Take over a float64 array of order one or more whose entries are
+        already known finite: no scan and no copy, only marked read-only."""
+        t = object.__new__(cls)
+        a.setflags(write=False)
+        t._a = a
+        return t
 
     @classmethod
     def from_flat(cls, data: Sequence, dims: Sequence[int]) -> DenseTensor:
@@ -165,7 +175,7 @@ class DenseTensor:
                 f"cannot reshape {self.dims} ({self.size} entries) to "
                 f"{new_dims} ({math.prod(new_dims)} entries)"
             )
-        return DenseTensor(np.reshape(self._a, new_dims, order="F"))
+        return DenseTensor._wrap(np.reshape(self._a, new_dims, order="F"))
 
     def permute(self, perm: Sequence[int]) -> DenseTensor:
         """Reorder modes; ``perm`` is a 1-based permutation of ``1..D``.
@@ -177,7 +187,7 @@ class DenseTensor:
             raise ValueError(
                 f"{perm} is not a permutation of 1..{self.order}"
             )
-        return DenseTensor(np.transpose(self._a, tuple(p - 1 for p in perm)))
+        return DenseTensor._wrap(np.transpose(self._a, tuple(p - 1 for p in perm)))
 
     def unfold(self, d: int) -> np.ndarray:
         """Mode-``d`` matricization, shape ``(I_d, prod of the rest)``.

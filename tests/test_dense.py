@@ -105,6 +105,29 @@ class TestDenseTensor:
         with pytest.raises(NumericError):
             DenseTensor([np.inf])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_every_public_constructor_rejects_non_finite(self, bad):
+        entries = np.arange(6.0)
+        entries[4] = bad
+        with pytest.raises(NumericError):
+            DenseTensor(entries.reshape(2, 3))
+        with pytest.raises(NumericError):
+            DenseTensor.from_flat(entries, (2, 3))
+        with pytest.raises(NumericError):
+            DenseTensor.from_flat(range(6), (2, 3)).fold(1, entries.reshape(2, 3))
+
+    def test_reshape_and_permute_do_not_rescan(self, monkeypatch):
+        t = DenseTensor.from_flat(range(24), (2, 3, 4))
+        scans = []
+        real = np.isfinite
+        monkeypatch.setattr(
+            np, "isfinite", lambda a, *args, **kw: scans.append(1) or real(a, *args, **kw)
+        )
+        r = t.reshape((6, 4)).permute((2, 1))
+        assert scans == []
+        assert not r.to_array().flags.writeable
+        np.testing.assert_array_equal(r.to_array(), t.to_array().reshape((6, 4), order="F").T)
+
     def test_values_read_only(self):
         t = DenseTensor([[1.0, 2.0], [3.0, 4.0]])
         with pytest.raises(ValueError):

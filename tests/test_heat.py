@@ -1,9 +1,13 @@
 """Tests for the finite-difference heat solver and mode-splitting helpers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import ttmera.heat
 from ttmera.errors import CapacityError, ConfigError
+from ttmera.experiments import DESK_HEAT
 from ttmera.heat import (
     HeatConfig,
     default_initial,
@@ -160,6 +164,67 @@ class TestSolveHeat:
     def test_end_time_shorter_than_one_step_rejected(self):
         with pytest.raises(ConfigError, match="shorter"):
             solve_heat(HeatConfig(ds=0.2, dt=0.01, t_end=0.004))
+
+
+def slicing_march(config):
+    """Oracle for the in-place march: the textbook update on shifted 2-d
+    views of the padded field, with fresh temporaries every step."""
+    n, h = config.nodes, config.ds
+    coords = h * np.arange(n + 1)
+    u = default_initial(coords[:, None], coords[None, :])
+    alpha = config.time_step / (h * h)
+    snapshots = np.empty((n, n, config.steps), dtype=np.float64, order="F")
+    snapshots[:, :, 0] = u[:n, :n]
+    for k in range(1, config.steps):
+        interior = (
+            u[2:, 1:-1] + u[:-2, 1:-1] + u[1:-1, 2:] + u[1:-1, :-2]
+            - 4.0 * u[1:-1, 1:-1]
+        )
+        u[1:-1, 1:-1] += alpha * interior
+        snapshots[:, :, k] = u[:n, :n]
+    return snapshots
+
+
+class TestInPlaceMarch:
+    @pytest.mark.parametrize("config", [
+        HeatConfig(ds=0.3),                       # n = 3, the smallest grid
+        HeatConfig(ds=0.2, t_end=0.01),           # a single snapshot
+        HeatConfig(ds=0.1, t_end=0.25),
+        HeatConfig(ds=0.1, dt=0.002, t_end=0.1),  # below the stability bound
+        dataclasses.replace(DESK_HEAT, t_end=0.05),
+    ], ids=["n3", "one-step", "ds0.1", "explicit-dt", "desk-cut"])
+    def test_bit_identical_to_slicing_loop(self, config):
+        t = solve_heat(config)
+        assert t.to_array().tobytes() == slicing_march(config).tobytes()
+
+    @pytest.mark.parametrize("where, value", [
+        ((2, 2), np.nan),      # interior node
+        ((0, 2), np.inf),      # frozen row 0, outside the flat span
+        ((2, 0), -np.inf),     # frozen column 0, written back each step
+        ((2, 5), np.nan),      # ghost column at coordinate n*ds
+    ], ids=["interior", "row0", "column0", "ghost"])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_field_still_refused(self, monkeypatch, where, value):
+        def planted(x, y):
+            u = default_initial(x, y)
+            u[where] = value
+            return u
+
+        monkeypatch.setattr(ttmera.heat, "default_initial", planted)
+        with pytest.raises(ConfigError, match="time marching diverged"):
+            solve_heat(HeatConfig(ds=0.2, t_end=0.05))
+
+    def test_stack_never_scanned_entry_by_entry(self, monkeypatch):
+        c = HeatConfig(ds=0.1, t_end=0.05)
+        scanned = []
+        real = np.isfinite
+        monkeypatch.setattr(
+            np, "isfinite",
+            lambda a, *args, **kw: scanned.append(np.size(a)) or real(a, *args, **kw),
+        )
+        t = reshape_to_factors(solve_heat(c))
+        assert t.size == c.nodes**2 * c.steps
+        assert scanned == [c.nodes**2]
 
 
 class TestFactorDims:
