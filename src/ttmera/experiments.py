@@ -31,7 +31,6 @@ from .formats import load_pgm, save_mera, save_pgm, save_tensor, write_csv
 from .heat import HeatConfig, reshape_to_factors, solve_heat
 from .mera import (
     Disentangler,
-    DisentanglerReport,
     Isometry,
     Mera,
     MeraLayer,
@@ -379,12 +378,13 @@ def planted_pair_tensor(
     Returns the ``(I, I, I, I)`` tensor whose middle-pair rank was raised
     from ``rprime`` to (generically) ``I^2``, alongside the intermediate
     matrices.  The plant is fully determined by ``(I, rprime, seed)`` and
-    the optional ``top``.
+    the optional ``top``, whose plant is checked as outside data.
     """
     if I < 2:
         raise ConfigError(f"index size must be at least 2, got {I}")
     if not 1 <= rprime <= I * I:
         raise ConfigError(f"planted rank {rprime} outside 1..{I * I}")
+    wrap = DenseTensor._wrap if top is None else DenseTensor
     if top is None:
         top = standard_normal(stream(seed, 0), (rprime, rprime))
     elif top.shape != (rprime, rprime):
@@ -395,7 +395,7 @@ def planted_pair_tensor(
     V = random_orthogonal(stream(seed, 2), I * I)
     low = W @ top @ W.T
     entangled = _apply_middle_pair(low, V, I)
-    tensor = DenseTensor.from_flat(entangled.ravel(order="F"), (I,) * 4)
+    tensor = wrap(np.reshape(entangled, (I,) * 4, order="F"))
     return {
         "top": top,
         "isometry": W,
@@ -432,7 +432,7 @@ def run_planted(
     plant = planted_pair_tensor(I, rprime, seed, top=top)
     # The exact train of the plant and its mixed-canonical middle supercore.
     tt = tt_svd(plant["tensor"], 0.0)
-    supercore = DenseTensor(merge_cores(orthogonalize(tt, 2), 2).core(2))
+    supercore = DenseTensor._wrap(merge_cores(orthogonalize(tt, 2), 2).core(2))
     rl, _, rr = supercore.dims
 
     def sigma(a: np.ndarray) -> np.ndarray:
@@ -507,16 +507,6 @@ def run_planted(
 # convergence scans
 
 
-def _scan_point(
-    I: int, rprime: int, seed: int, gap_threshold: float, max_iters: int
-) -> DisentanglerReport:
-    """One plant-and-search trial of :func:`run_planted`, for the scans."""
-    return run_planted(
-        I, rprime, seed, gap_threshold=gap_threshold, max_iters=max_iters,
-        trace_stride=0,
-    )["report"]
-
-
 def _scan(job, keys: Sequence, seeds: int, threads: int) -> dict:
     """``job(key, s)`` for every key and seed offset ``s < seeds``, mapped
     over ``threads`` threads; the results grouped by key in seed order."""
@@ -542,7 +532,8 @@ def _rmin_for_seed(
     # Scanning downward finds it with a single exhausted-budget run.
     boundary = I * I
     for rprime in range(I * I - 1, 1, -1):
-        if _scan_point(I, rprime, seed, gap_threshold, max_iters).converged:
+        if run_planted(I, rprime, seed, gap_threshold=gap_threshold,
+                       max_iters=max_iters, trace_stride=0)["report"].converged:
             boundary = rprime
         else:
             break
@@ -615,7 +606,8 @@ def run_iters_vs_rank(
     if any(not 1 <= r <= I * I for r in rprimes):
         raise ConfigError(f"target ranks must lie in 1..{I * I}")
     grouped = _scan(
-        lambda r, s: _scan_point(I, r, seed + s, gap_threshold, max_iters),
+        lambda r, s: run_planted(I, r, seed + s, gap_threshold=gap_threshold,
+                                 max_iters=max_iters, trace_stride=0)["report"],
         rprimes, seeds, threads,
     )
     rows = []
@@ -685,7 +677,7 @@ def random_mera_plant(
         )
         built.append(MeraLayer(isometries=isometries, disentanglers=disentanglers))
         cur_order //= arity
-    top = DenseTensor(
+    top = DenseTensor._wrap(
         standard_normal(stream(seed, layers + 1, 0, 0), (S,) * cur_order)
     )
     return Mera(layers=tuple(built), top=top)

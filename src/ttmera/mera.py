@@ -347,10 +347,10 @@ def find_disentangler(
         M = _fold(Vhat @ A, 1, dims).reshape(M.shape, order="F")
         V = Vhat @ V
     # Long products of near-orthogonal updates drift; snap the accumulated
-    # transform back onto the orthogonal manifold, then rebuild the final
-    # matrix from it so the returned supercore is exactly the stored map
-    # applied to the input.
-    P, _, Qt = svd_full(V)
+    # transform back onto the orthogonal manifold (P Q^T, which no sign
+    # convention changes), then rebuild the final matrix from it so the
+    # returned supercore is exactly the stored map applied to the input.
+    P, _, Qt = np.linalg.svd(V)
     V = P @ Qt
     M = _fold(V @ A0, 1, dims).reshape(M.shape, order="F")
     # The accumulated rotations inject rounding noise a few times above the
@@ -365,7 +365,7 @@ def find_disentangler(
         converged=converged,
         singular_value_trace=tuple(trace) if trace_stride else None,
     )
-    transformed = DenseTensor(np.reshape(M, (rl, n, rr), order="F"))
+    transformed = DenseTensor._wrap(np.reshape(M, (rl, n, rr), order="F"))
     return Disentangler(dims=(il, ir), data=V), transformed, report
 
 
@@ -489,7 +489,7 @@ def _build_layer(
         if strategy == "hosvd":
             dis, mixed = _hosvd_disentangler(fused.core(p), pair)
         else:
-            supercore = DenseTensor(fused.core(p))
+            supercore = DenseTensor._wrap(fused.core(p))
             goal = ranks_goal[k] if ranks_goal is not None else None
             if goal is None:
                 goal = max(1, svd_trunc(_supercore_mat(supercore, pair), delta).rank)

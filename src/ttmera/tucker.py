@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import DenseTensor, _fold, _unfold
-from .kernels import _svd_trunc, qr_thin, svd_trunc
+from .dense import DenseTensor
+from .kernels import _svd_trunc, qr_thin
 from .train import TensorTrain, orthogonalize, tt_norm
 
 __all__ = [
@@ -114,7 +114,7 @@ def tucker_sweep(
     out: list[np.ndarray] = []
     for d in range(D):
         r, _, s = cores[d].shape
-        f = svd_trunc(_unfold(cores[d], 1), delta)
+        f = _svd_trunc(cores[d], delta)
         if f.rank == 0:
             raise ValueError(f"mode {d + 1} fully truncated; epsilon too large")
         keep = f.rank
@@ -124,7 +124,7 @@ def tucker_sweep(
             extra = float(np.sum(f.sigma[keep:] ** 2))
         factors.append(f.U[:, :keep])
         discarded[d] = f.discarded_energy + extra
-        T = _fold(f.rest[:keep], 1, (r, keep, s))
+        T = f.rest[:, :keep]
         if d == D - 1:
             out.append(T)
         else:
@@ -183,7 +183,7 @@ def sthosvd_dense(
         factors.append(f.U)
         discarded[d] = f.discarded_energy
         core = np.reshape(f.rest, dims[:d] + (f.rank,) + dims[d + 1:], order="F")
-    return factors, DenseTensor(core), discarded
+    return factors, DenseTensor._wrap(core), discarded
 
 
 def compression_ratio(original_entries: int, stored_entries: int) -> float:

@@ -49,6 +49,41 @@ def count_qr(monkeypatch) -> list:
     return calls
 
 
+def record_scans(monkeypatch) -> list:
+    """Record every array ``np.isfinite`` is asked to scan.  A constructor
+    that checks an ndarray scans that very object, so a test asks whether
+    an array was scanned by identity."""
+    scanned = []
+    real = np.isfinite
+
+    def recorded(a, *args, **kwargs):
+        scanned.append(a)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", recorded)
+    return scanned
+
+
+def scan_count(scanned: list, a: np.ndarray) -> int:
+    """How many times ``a`` itself was among the scanned arrays."""
+    return sum(x is a for x in scanned)
+
+
+def record_searches(monkeypatch, module) -> list:
+    """Record the ``(supercore, transformed supercore)`` arrays of every
+    ``find_disentangler`` call that ``module`` makes."""
+    searched = []
+    search = module.find_disentangler
+
+    def recorded(supercore, *args, **kwargs):
+        out = search(supercore, *args, **kwargs)
+        searched.append((supercore.to_array(), out[1].to_array()))
+        return out
+
+    monkeypatch.setattr(module, "find_disentangler", recorded)
+    return searched
+
+
 def _record_linalg(monkeypatch, name: str) -> list:
     """Record the input shape of every ``np.linalg.<name>`` call."""
     calls = []

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ttmera.dense import DenseTensor
-from ttmera.errors import ConfigError
+from ttmera.errors import ConfigError, NumericError
 from ttmera.experiments import (
     DESK_HEAT,
     _relative_error,
@@ -27,7 +27,8 @@ from ttmera.mera import mera_storage, mera_to_tt
 from ttmera.train import tt_contract, tt_round, tt_storage, tt_svd
 from ttmera.tucker import sthosvd_dense, tucker_reconstruct_tt
 
-from conftest import decaying_train
+import ttmera.experiments
+from conftest import decaying_train, record_scans, record_searches, scan_count
 
 
 def small_tensor(seed=0, dims=(6, 5, 4, 3)):
@@ -223,6 +224,22 @@ class TestPlantedPairTensor:
         p = planted_pair_tensor(3, 2, seed=0, top=top)
         np.testing.assert_array_equal(p["top"], top)
 
+    def test_generated_plant_is_wrapped_and_supplied_top_checked(
+        self, monkeypatch
+    ):
+        # Normals and their orthogonal products are finite; a supplied top
+        # is outside data, so its plant is scanned.
+        scanned = record_scans(monkeypatch)
+        p = planted_pair_tensor(4, 3, seed=5)
+        assert scan_count(scanned, p["tensor"].to_array()) == 0
+        q = planted_pair_tensor(4, 3, seed=5, top=p["top"])
+        assert scan_count(scanned, q["tensor"].to_array()) == 1
+        monkeypatch.undo()
+        top = np.eye(3)
+        top[0, 1] = np.nan
+        with pytest.raises(NumericError):
+            planted_pair_tensor(4, 3, seed=5, top=top)
+
     def test_validation(self):
         with pytest.raises(ConfigError, match="at least 2"):
             planted_pair_tensor(1, 1, seed=0)
@@ -262,6 +279,17 @@ class TestRunPlanted:
             rows = list(csv.reader(f))
         assert rows[0] == ["index", "original", "svd_rotation", "iterative"]
         assert len(rows) == 1 + len(result["original_sigma"])
+
+    def test_supercores_are_not_rescanned(self, monkeypatch):
+        # The supercore is a core of the merged train, which checked it; the
+        # transformed one is an orthogonal map of it.
+        searched = record_searches(monkeypatch, ttmera.experiments)
+        scanned = record_scans(monkeypatch)
+        run_planted(I=4, rprime=2, seed=4, trace_stride=0)
+        monkeypatch.undo()
+        [(supercore, transformed)] = searched
+        assert scan_count(scanned, supercore) == 1
+        assert scan_count(scanned, transformed) == 0
 
     def test_budget_exhaustion_is_reported_not_raised(self):
         result = run_planted(I=4, rprime=2, seed=0, max_iters=40)
@@ -317,6 +345,11 @@ class TestRunItersVsRank:
 
 
 class TestRandomMeraPlant:
+    def test_top_is_not_scanned(self, monkeypatch):
+        scanned = record_scans(monkeypatch)
+        m = random_mera_plant(4, 2, seed=0)
+        assert scan_count(scanned, m.top.to_array()) == 0
+
     def test_desk_configuration_storage(self):
         m = random_mera_plant(4, 2, arity=2, order=12, layers=2, seed=10)
         assert m.input_dims == (4,) * 12

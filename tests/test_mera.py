@@ -10,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ttmera.mera
-from conftest import count_qr, decaying_train, sign_fixed_procrustes
+from conftest import (
+    count_qr,
+    decaying_train,
+    record_scans,
+    record_searches,
+    scan_count,
+    sign_fixed_procrustes,
+)
 from ttmera.dense import DenseTensor
 from ttmera.errors import NumericError
 from ttmera.experiments import planted_pair_tensor, random_mera_plant, run_mera12
@@ -571,6 +578,22 @@ class TestTrainToMera:
         positions = [p for p, _ in m.layers[0].disentanglers]
         assert positions == disentangler_positions(order, 2)
         assert mera_relative_error(m, tt) <= 1e-10
+
+    def test_search_supercores_are_not_rescanned(self, monkeypatch):
+        # Each supercore is a core of the fused train, which checked it, and
+        # each transformed supercore an orthogonal map of it: a procrustes
+        # layer wraps both, so each is scanned once, by the train holding it.
+        plant = random_mera_plant(3, 2, arity=2, order=8, layers=1, seed=1)
+        tt = mera_to_tt(plant)
+        searched = record_searches(monkeypatch, ttmera.mera)
+        scanned = record_scans(monkeypatch)
+        tt_to_mera(tt, arity=2, epsilon=1e-10, strategy="procrustes",
+                   max_iters=20)
+        monkeypatch.undo()
+        assert len(searched) == 3
+        for supercore, transformed in searched:
+            assert scan_count(scanned, supercore) == 1
+            assert scan_count(scanned, transformed) == 1
 
     def test_two_layer_shapes(self):
         tt = decaying_train(5, (2,) * 8, max_rank=6)

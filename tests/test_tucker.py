@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import decaying_train
+from conftest import decaying_train, record_scans, scan_count
 from ttmera import kernels
 from ttmera.dense import DenseTensor, _fold, _unfold
 from ttmera.experiments import DESK_HEAT
@@ -172,6 +172,44 @@ class TestSweepBits:
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("r, s", [(324, 108), (108, 324)])
+    def test_large_wide_centre_truncates_in_place(self, r, s, monkeypatch):
+        # A centre of 2^20 entries or more whose (36, r s) unfolding is wide,
+        # at a delta above 1e-7 |core|: the truncating Gram route reads the
+        # core itself, where the unfolding loop takes it on a copy.
+        cores = [standard_normal(stream(6, 0), (1, r, r)),
+                 standard_normal(stream(6, 1), (r, 36, s))
+                 * (0.8 ** np.arange(36))[:, None],
+                 standard_normal(stream(6, 2), (s, s, 1))]
+        tt = TensorTrain(cores)
+        delta = 1e-3 * tt_norm(tt)
+        modes = []
+        route = kernels._svd_trunc_gram
+
+        def route_spy(X, *args):
+            modes.append(X.shape)
+            return route(X, *args)
+
+        monkeypatch.setattr(kernels, "_svd_trunc_gram", route_spy)
+        factors, core, discarded = tucker_sweep(tt, delta)
+        monkeypatch.undo()
+        # Mode 1 keeps r1 <= r of the centre's left rank.
+        r1 = factors[0].shape[1]
+        assert modes == [(r1, 36, s)] and r1 * 36 * s >= kernels._GRAM_MIN_ENTRIES
+        want_factors, want_cores, want_discarded = transposed_centre_sweep(
+            tt, delta, None)
+        ranks = [U.shape[1] for U in factors]
+        assert ranks == [U.shape[1] for U in want_factors]
+        assert ranks[1] < 36
+        assert [c.shape for c in core.cores] == [c.shape for c in want_cores]
+        for U, V in zip(factors, want_factors):
+            assert np.linalg.norm(U @ U.T - V @ V.T) <= 1e-12
+        # The truncating Gram route charges m eps lambda_1 of noise.
+        eps = np.finfo(np.float64).eps
+        for d, m in enumerate((r, 36, s)):
+            margin = m * eps * tt_norm(tt) ** 2
+            assert abs(discarded[d] - want_discarded[d]) <= margin
+
 
 class TestSthosvdDense:
     @settings(max_examples=30, deadline=None)
@@ -221,6 +259,17 @@ class TestSthosvdDense:
         assert got.dims == core.dims
         assert got.to_array().tobytes() == core.to_array().tobytes()
         assert discarded.tobytes() == np.array(ref_discarded).tobytes()
+
+    def test_returned_core_is_not_rescanned(self, monkeypatch):
+        # Every entry of the core is a projection of the checked input, and
+        # a call on an input of infinite norm refuses every mode: the core
+        # is taken over read-only without a finiteness scan.
+        t = tt_contract(decaying_train(3, (4, 3, 5)))
+        scanned = record_scans(monkeypatch)
+        _, core, _ = sthosvd_dense(t, 1e-1)
+        monkeypatch.undo()
+        assert scan_count(scanned, core.to_array()) == 0
+        assert not core.to_array().flags.writeable
 
     def test_desk_tensor_at_tight_tolerance(self, monkeypatch):
         # The 12-way desk tensor at 1e-7: every mode unfolds to 2 x 3,125,000
