@@ -267,20 +267,36 @@ def _svd_trunc(X: np.ndarray, delta: float) -> TruncatedSvd:
     return TruncatedSvd(U=U, sigma=s[:r].copy(), rest=rest, discarded_energy=energy)
 
 
-def _full_row_rank(M: np.ndarray, delta: float) -> bool:
+def _full_row_rank(M: np.ndarray, delta: float, known: float = 0.0) -> bool:
     """Whether :func:`svd_trunc` at ``delta`` provably keeps every singular
     value of the finite ``m x n`` matrix ``M``, ``m <= n``.
 
-    A certificate, not a factorization: one inverse and one residual.  ``A``
-    is ``M`` if square, else the ``m x m`` factor ``R.T`` of a QR of
-    ``M.T``, which has the singular values of ``M``; :func:`_sigma_min_bound`
-    bounds its smallest one from below.  ``False`` means unproven (including
-    an exactly singular ``A``), not rank deficient.
+    A certificate, not a factorization, on a ladder of two rungs.  A lower
+    bound ``known`` on the smallest singular value of ``M`` that the caller
+    proved from the factors of ``M`` decides at once when it exceeds the
+    floor of :func:`_rank_floor`; that bound must already be charged the
+    rounding of forming ``M``, so that it holds for ``M`` as stored.
+    ``mera._gate_bound`` proves one for a gated MERA bond from three small
+    factors, charged twice the worst-case rounding of the two products
+    that form the bond.  Otherwise :func:`_row_rank_bound` takes one
+    inverse and one residual of an ``m x m`` matrix.  ``False`` means
+    unproven (including an exactly singular ``M``), not rank deficient.
+    """
+    floor = _rank_floor(M.shape, delta, np.linalg.norm(M))
+    return bool(known > floor or _row_rank_bound(M) > floor)
+
+
+def _row_rank_bound(M: np.ndarray) -> float:
+    """Lower bound on the smallest singular value of the ``m x n`` matrix
+    ``M``, ``m <= n``; ``0.0`` when unproven.
+
+    :func:`_sigma_min_bound` of ``A``: ``M`` if square, else the ``m x m``
+    factor ``R.T`` of a QR of ``M.T``, which has the singular values of
+    ``M``.
     """
     m, n = M.shape
     A = M if m == n else np.linalg.qr(M.T, mode="r").T
-    floor = _rank_floor(M.shape, delta, np.linalg.norm(M))
-    return bool(_sigma_min_bound(A) > floor)
+    return _sigma_min_bound(A)
 
 
 def _certified_qr(

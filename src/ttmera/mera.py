@@ -25,7 +25,14 @@ import numpy as np
 
 from .dense import DenseTensor, _fold, _unfold
 from .errors import NumericError
-from .kernels import _certified_qr, _full_row_rank, _procrustes, svd_full, svd_trunc
+from .kernels import (
+    _certified_qr,
+    _full_row_rank,
+    _procrustes,
+    _row_rank_bound,
+    svd_full,
+    svd_trunc,
+)
 from .train import (
     TensorTrain,
     _chain,
@@ -573,15 +580,23 @@ def mera_to_tt(m: Mera, round_eps: float = 1e-14) -> TensorTrain:
 
     Every bond unfolding ``M`` is first tested for full rank, picked by
     shape alone.  One with no more rows than columns is tested for full row
-    rank with one inverse and one residual (``kernels._full_row_rank``); a
-    tall one is split ``M = Q R`` by CholeskyQR2 and tested for full column
-    rank on that split (``kernels._certified_qr``).  A certified bond is one
-    the SVD's rank rule would keep whole.  It discards nothing: a wide bond's
-    core is the identity and the centre moves on as ``M`` unchanged; a tall
-    bond's core is ``Q``, whose signs the positive diagonal of ``R`` fixes,
-    and the centre moves on as ``R``.  The test only makes the kept rank
-    the one the SVD would keep.  A bond neither test certifies takes the
-    SVD.
+    rank (``kernels._full_row_rank``) on two rungs.  At a gated group end
+    ``M`` is, up to permutations, a product of the centre's unfolding, the
+    gate's operator-Schmidt realignment and the absorbed core's unfolding;
+    when each of the three has no more rows than columns, the product of
+    their smallest singular values, less a charge for the rounding of the
+    chain and the gate (``_gate_bound``), bounds ``M``'s from below.  It
+    costs three inverses of the factors' sizes: at most 250 x 250 where the
+    full-size plant's bond is 2,500 x 2,500.  Where that bound does not
+    clear the rank floor, one inverse and one residual of an ``m x m``
+    matrix decide.  A tall bond is split ``M = Q R`` by CholeskyQR2 and
+    tested for full column rank on that split (``kernels._certified_qr``).
+    A certified bond is one the SVD's rank rule would keep whole.  It
+    discards nothing: a wide bond's core is the identity and the centre
+    moves on as ``M`` unchanged; a tall bond's core is ``Q``, whose signs
+    the positive diagonal of ``R`` fixes, and the centre moves on as ``R``.
+    The test only makes the kept rank the one the SVD would keep.  A bond
+    no test certifies takes the SVD.  A MERA with a zero top is refused.
     """
     if not round_eps >= 0:
         raise ValueError(f"round_eps must be non-negative, got {round_eps}")
@@ -600,15 +615,20 @@ def mera_to_tt(m: Mera, round_eps: float = 1e-14) -> TensorTrain:
         cores: list[np.ndarray] = []
         centre = next(expanded)
         for p in range(1, len(dims)):
+            known = 0.0
             if p in group_ends:
                 # Absorb the next group (fused free index first-index-fastest)
                 # and mix the pair (p, p+1) if a disentangler sits there.
-                r = centre.shape[0]
-                centre = _chain([centre, next(expanded)])
+                prev, nxt = centre, next(expanded)
+                centre = _chain([prev, nxt])
                 if p in gates:
+                    gate = gates[p].data
+                    known = _gate_bound(prev, nxt, gate, centre)
                     shape = centre.shape
-                    centre = np.reshape(centre, (r, dims[p - 1] * dims[p], -1), order="F")
-                    centre = np.reshape(gates[p].data.T @ centre, shape, order="F")
+                    centre = np.reshape(
+                        centre, (prev.shape[0], gate.shape[0], -1), order="F"
+                    )
+                    centre = np.reshape(gate.T @ centre, shape, order="F")
             r, n, s = centre.shape
             d = dims[p - 1]
             M = np.reshape(centre, (r * d, n // d * s), order="F")
@@ -617,7 +637,7 @@ def mera_to_tt(m: Mera, round_eps: float = 1e-14) -> TensorTrain:
             # Q and R for a tall one.
             if r * d > M.shape[1]:
                 split = _certified_qr(M, delta)
-            elif _full_row_rank(M, delta):
+            elif _full_row_rank(M, delta, known):
                 split = np.eye(r * d, order="F"), M
             else:
                 split = None
@@ -632,6 +652,53 @@ def mera_to_tt(m: Mera, round_eps: float = 1e-14) -> TensorTrain:
         cores.append(centre)
         current = TensorTrain(cores, canonical_site=len(cores))
     return current
+
+
+def _gate_bound(
+    prev: np.ndarray, nxt: np.ndarray, gate: np.ndarray, chained: np.ndarray
+) -> float:
+    """Lower bound on the smallest singular value of the bond unfolding that
+    :func:`mera_to_tt` builds at a gated group end, from its three factors;
+    ``0.0`` when they do not nest.
+
+    ``prev`` is the centre ``(r, d, s)``, ``nxt`` the expanded core ``(s,
+    e ..., t)`` it absorbs, ``chained`` their computed chain ``Y`` and
+    ``gate`` a disentangler's ``d e x d e`` matrix, orthogonal to
+    ``ORTHO_TOL``, applied by its transpose ``V``.  Up to permutations of
+    rows and columns, the ``r d x e c`` unfolding of ``V Y`` (``c`` the
+    columns of ``F``) is the product ``(I_d kron C) (I_s kron G) (I_e kron
+    F)`` of ``C``, the ``r x d s`` unfolding of ``prev``; ``G``, the ``d^2
+    x e^2`` operator-Schmidt realignment ``G[(i, j), (i', j')] = V[(i, i'),
+    (j, j')]``; and ``F``, the ``s e x c`` unfolding of ``nxt``.  When
+    each factor has no more rows than columns, which makes the bond wide or
+    square, the smallest singular value of the product is at least the
+    product of theirs, each bounded by :func:`kernels._row_rank_bound`.
+
+    The bond as stored is two rounded products away from the exact one
+    (Higham, Thm. 3.5).  The chain, a sum of ``s`` terms, is within
+    ``gamma_s |C|_F |F|_F`` of ``C`` times ``F``, and the gate, whose
+    2-norm is within about ``d e ORTHO_TOL`` of 1, passes that on; the
+    gate's product, a sum of ``d e`` terms, adds at most ``gamma_{d e}
+    |V|_F |Y|_F``.  Twice their sum is charged, which covers the gate's
+    2-norm and the rounding of the charge itself, and Weyl's inequality
+    moves the bound to the bond as stored.
+    """
+    r, d, s = prev.shape
+    e = gate.shape[0] // d
+    c = nxt.size // (s * e)
+    if not (r <= d * s and d <= e and s * e <= c):
+        return 0.0
+    C = np.reshape(prev, (r, d * s), order="F")
+    V = np.reshape(gate.T, (d, e, d, e), order="F")
+    G = np.reshape(V.transpose(0, 2, 1, 3), (d * d, e * e), order="F")
+    F = np.reshape(nxt, (s * e, c), order="F")
+    u = np.finfo(np.float64).eps / 2.0
+    gamma_s, gamma_g = (k * u / (1.0 - k * u) for k in (s, d * e))
+    charge = 2.0 * (
+        gamma_s * np.linalg.norm(C) * np.linalg.norm(F)
+        + gamma_g * np.linalg.norm(gate) * np.linalg.norm(chained)
+    )
+    return _row_rank_bound(C) * _row_rank_bound(G) * _row_rank_bound(F) - charge
 
 
 # ---------------------------------------------------------------------------

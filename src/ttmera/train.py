@@ -154,7 +154,8 @@ def tt_svd(t: DenseTensor, epsilon: float) -> TensorTrain:
     ``epsilon * |t|_F / sqrt(D-1)`` of the error budget, so the result
     satisfies ``|t - reconstruction|_F <= epsilon * |t|_F``.  The returned
     train is site-``D``-mixed-canonical; ``epsilon=0`` truncates only
-    numerically zero singular values.
+    numerically zero singular values.  A tensor of zero norm has no train
+    and is refused.
     """
     return _tt_svd_sweep(t, epsilon)[0]
 
@@ -170,7 +171,10 @@ def _tt_svd_sweep(t: DenseTensor, epsilon: float) -> tuple[TensorTrain, float]:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
     D = t.order
     dims = t.dims
-    delta = epsilon * t.norm() / math.sqrt(max(1, D - 1))
+    norm = t.norm()
+    if norm == 0.0:
+        raise ValueError("tensor has zero norm")
+    delta = epsilon * norm / math.sqrt(max(1, D - 1))
     cores = []
     discarded = 0.0
     C = t.data.reshape(dims[0], -1, order="F")

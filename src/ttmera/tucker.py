@@ -153,7 +153,7 @@ def sthosvd_dense(
     Processes modes in index order, shrinking the working core after each
     factor is split off; each truncation gets budget
     ``epsilon * |t|_F / sqrt(D)``.  Returns ``(factors, core,
-    mode_discarded)``.
+    mode_discarded)``.  A tensor of zero norm is refused.
 
     Mode ``d`` is truncated on the core viewed as an ``(a, I_d, b)``
     array, ``a`` and ``b`` the products of the dimensions before and after
@@ -168,7 +168,10 @@ def sthosvd_dense(
     if not epsilon >= 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
     D = t.order
-    delta = epsilon * t.norm() / math.sqrt(D)
+    norm = t.norm()
+    if norm == 0.0:
+        raise ValueError("tensor has zero norm")
+    delta = epsilon * norm / math.sqrt(D)
     core = t.to_array()
     factors: list[np.ndarray] = []
     discarded = np.zeros(D)

@@ -27,6 +27,7 @@ from ttmera.mera import (
     Isometry,
     Mera,
     MeraLayer,
+    _gate_bound,
     _hosvd_disentangler,
     _tt_diff_norm,
     disentangler_positions,
@@ -40,7 +41,14 @@ from ttmera.mera import (
     tt_to_mera,
 )
 from ttmera.rng import random_isometry, random_orthogonal, standard_normal, stream
-from ttmera.train import merge_cores, orthogonalize, tt_contract, tt_norm, tt_svd
+from ttmera.train import (
+    _chain,
+    merge_cores,
+    orthogonalize,
+    tt_contract,
+    tt_norm,
+    tt_svd,
+)
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -385,7 +393,10 @@ class TestCertifiedBonds:
 
     @staticmethod
     def _force_svd(monkeypatch):
-        monkeypatch.setattr(ttmera.mera, "_full_row_rank", lambda M, delta: False)
+        # Ignores a proven bound too, so both rungs of the wide test are off.
+        monkeypatch.setattr(
+            ttmera.mera, "_full_row_rank", lambda M, delta, known=0.0: False
+        )
         monkeypatch.setattr(ttmera.mera, "_certified_qr", lambda M, delta: None)
 
     @staticmethod
@@ -394,12 +405,38 @@ class TestCertifiedBonds:
         call."""
         fn = getattr(ttmera.mera, name)
 
-        def spy(M, delta):
-            result = fn(M, delta)
+        def spy(M, *args):
+            result = fn(M, *args)
             record(M, result)
             return result
 
         patch.setattr(ttmera.mera, name, spy)
+
+    @staticmethod
+    def _rungs(patch):
+        """Spy on ``_full_row_rank`` and ``kernels._sigma_min_bound``; the
+        returned list gets ``(M.shape, result, rung)`` per wide test, where
+        ``rung`` is ``"product"`` if the call bounded no matrix itself and
+        ``"inverse"`` if it bounded one ``m x m`` matrix."""
+        calls, bounds = [], []
+        sigma_min_bound = ttmera.kernels._sigma_min_bound
+        full_row_rank = ttmera.mera._full_row_rank
+
+        def bound(A):
+            bounds.append(A.shape)
+            return sigma_min_bound(A)
+
+        def spy(M, delta, known):
+            start = len(bounds)
+            result = full_row_rank(M, delta, known)
+            inner = bounds[start:]
+            assert inner in ([], [(M.shape[0],) * 2])
+            calls.append((M.shape, result, "inverse" if inner else "product"))
+            return result
+
+        patch.setattr(ttmera.kernels, "_sigma_min_bound", bound)
+        patch.setattr(ttmera.mera, "_full_row_rank", spy)
+        return calls
 
     def test_certified_bond_matches_the_svd_route(self, monkeypatch):
         plant = random_mera_plant(6, 3, seed=0)
@@ -428,16 +465,16 @@ class TestCertifiedBonds:
     @pytest.mark.parametrize("I, S", [(4, 2), (6, 3)])
     def test_desk_plants_certify_every_square_or_wide_bond(self, I, S, monkeypatch):
         plant = random_mera_plant(I, S, seed=0)
-        calls = []
         with monkeypatch.context() as patch:
-            self._spy(
-                patch, "_full_row_rank",
-                lambda M, ok: calls.append((M.shape[0] <= M.shape[1], ok)),
-            )
+            calls = self._rungs(patch)
             on = mera_to_tt(plant)
         self._force_svd(monkeypatch)
         off = mera_to_tt(plant)
-        assert calls == [(True, True)] * 6
+        assert [(m <= n, ok) for (m, n), ok, _ in calls] == [(True, True)] * 6
+        # The four gated bonds are proven from their three factors; the two
+        # ungated ones, the first bond of each layer, by the inverse.
+        rungs = [rung for _, _, rung in calls]
+        assert rungs == ["inverse", "product", "inverse"] + ["product"] * 3
         assert on.ranks == off.ranks
         assert _tt_diff_norm(on, off) <= 1e-13 * tt_norm(off)
 
@@ -474,6 +511,117 @@ class TestCertifiedBonds:
         certified = {shape for shape, f in tall if f is not None}
         assert {(25000, 250), (5000, 250), (2500, 500)} <= certified
 
+    @pytest.mark.paperscale
+    def test_full_size_bounds_are_at_most_500_square(self, monkeypatch):
+        # The gated 2,500-row bonds are proven from factors of at most 250
+        # rows; the largest matrix bounded is the R of the (2500, 500) tall
+        # bond.  Without the product rung every bit is the same.
+        plant = random_mera_plant(10, 5, seed=0)
+        shapes = []
+        sigma_min_bound = ttmera.kernels._sigma_min_bound
+
+        def bound(A):
+            shapes.append(A.shape)
+            return sigma_min_bound(A)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ttmera.kernels, "_sigma_min_bound", bound)
+            on = mera_to_tt(plant, round_eps=1e-12)
+        monkeypatch.setattr(ttmera.mera, "_gate_bound", lambda *args: 0.0)
+        off = mera_to_tt(plant, round_eps=1e-12)
+        assert max(max(shape) for shape in shapes) == 500
+        assert on.ranks == off.ranks
+        assert all(np.array_equal(a, b) for a, b in zip(on.cores, off.cores))
+
+    @staticmethod
+    def _gated_bond(prev, nxt, gate):
+        """The chain of ``prev`` and ``nxt`` and the bond unfolding
+        :func:`mera_to_tt` builds from it by ``gate``'s transpose."""
+        r, d, _ = prev.shape
+        chained = _chain([prev, nxt])
+        centre = np.reshape(chained, (r, gate.shape[0], -1), order="F")
+        centre = np.reshape(gate.T @ centre, chained.shape, order="F")
+        _, n, t = centre.shape
+        return chained, np.reshape(centre, (r * d, n // d * t), order="F")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        SEEDS,
+        st.sampled_from([2, 3]),
+        st.integers(0, 1),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.booleans(),
+        st.data(),
+    )
+    def test_gate_bound_never_exceeds_sigma_min(
+        self, seed, d, extra, s, x, exact, data
+    ):
+        # With each factor's exact smallest singular value in place of its
+        # bound, the product is as tight as the factorization allows, so a
+        # wrong realignment or factor shows.
+        e = min(d + extra, 3)
+        r = data.draw(st.integers(1, d * s))
+        t = data.draw(st.integers(-(-s * e // x), -(-s * e // x) + 2))
+        prev = standard_normal(stream(seed, 1), (r, d, s))
+        nxt = standard_normal(stream(seed, 2), (s, e * x, t))
+        gate = random_orthogonal(stream(seed, 3), d * e)
+        chained, M = self._gated_bond(prev, nxt, gate)
+        sigma = np.linalg.svd(M, compute_uv=False)
+        with pytest.MonkeyPatch.context() as patch:
+            if exact:
+                patch.setattr(
+                    ttmera.kernels, "_sigma_min_bound",
+                    lambda A: np.linalg.svd(A, compute_uv=False)[-1],
+                )
+            bound = _gate_bound(prev, nxt, gate, chained)
+        eps = np.finfo(np.float64).eps
+        assert bound <= sigma[-1] + 4 * max(M.shape) * eps * sigma[0]
+
+    def test_identity_gates_fall_to_the_inverse(self, monkeypatch):
+        # An identity gate's realignment has rank one, so its bound is at
+        # most zero; the inverse then decides each bond as if no gate sat
+        # there, and the train is the gate-free network's.
+        plant = random_mera_plant(4, 2, seed=0)
+        gated, free = [], []
+        for layer in plant.layers:
+            eye = tuple(
+                (p, Disentangler(dims=g.dims, data=np.eye(g.data.shape[0])))
+                for p, g in layer.disentanglers
+            )
+            gated.append(MeraLayer(layer.isometries, eye))
+            free.append(MeraLayer(layer.isometries, ()))
+        bounds = []
+        gate_bound = ttmera.mera._gate_bound
+
+        def recorded(*args):
+            bounds.append(gate_bound(*args))
+            return bounds[-1]
+
+        with monkeypatch.context() as patch:
+            calls = self._rungs(patch)
+            patch.setattr(ttmera.mera, "_gate_bound", recorded)
+            on = mera_to_tt(Mera(tuple(gated), plant.top))
+        off = mera_to_tt(Mera(tuple(free), plant.top))
+        assert len(bounds) == 7 and max(bounds) <= 0.0
+        assert calls and {rung for _, _, rung in calls} == {"inverse"}
+        assert all(np.array_equal(a, b) for a, b in zip(on.cores, off.cores))
+
+    @pytest.mark.parametrize(
+        "prev, nxt, dims",
+        [
+            ((5, 2, 2), (2, 4, 3), (2, 2)),  # C tall: r > d s
+            ((2, 3, 2), (2, 6, 3), (3, 2)),  # G tall: d > e
+            ((2, 2, 3), (3, 2, 2), (2, 2)),  # F tall: s e > c
+        ],
+        ids=["centre", "gate", "core"],
+    )
+    def test_gate_bound_without_nesting_is_zero(self, prev, nxt, dims):
+        prev = standard_normal(stream(1), prev)
+        nxt = standard_normal(stream(2), nxt)
+        gate = random_orthogonal(stream(3), dims[0] * dims[1])
+        assert _gate_bound(prev, nxt, gate, _chain([prev, nxt])) == 0.0
+
     def test_search_counts_match_the_svd_route(self, monkeypatch):
         def iterations():
             counts = []
@@ -493,6 +641,13 @@ class TestCertifiedBonds:
         self._force_svd(monkeypatch)
         assert len(on) == 7
         assert iterations() == on
+
+    @pytest.mark.parametrize("round_eps", [0.0, 1e-14])
+    def test_zero_top_refused_for_its_norm(self, round_eps):
+        plant = random_mera_plant(4, 2, seed=0)
+        zero = Mera(plant.layers, DenseTensor(np.zeros(plant.top.dims)))
+        with pytest.raises(ValueError, match="^tensor has zero norm$"):
+            mera_to_tt(zero, round_eps)
 
     @pytest.mark.parametrize("round_eps", [-1e-14, 10.0])
     def test_round_eps_out_of_range(self, round_eps):

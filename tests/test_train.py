@@ -132,6 +132,11 @@ class TestTtSvd:
         with pytest.raises(ValueError):
             tt_svd(DenseTensor([1.0, 2.0]), -0.1)
 
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-2])
+    def test_zero_tensor_refused_for_its_norm(self, epsilon):
+        with pytest.raises(ValueError, match="^tensor has zero norm$"):
+            tt_svd(DenseTensor(np.zeros((3, 4, 2))), epsilon)
+
     def test_order_one(self):
         t = DenseTensor([1.0, 2.0, 3.0])
         tt = tt_svd(t, 0.0)

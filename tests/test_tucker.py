@@ -397,6 +397,11 @@ class TestSthosvdDense:
         # the train route's exact per-mode spectra
         assert tuple(U.shape[1] for U in factors) <= tuck.multilinear_rank
 
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-2])
+    def test_zero_tensor_refused_for_its_norm(self, epsilon):
+        with pytest.raises(ValueError, match="^tensor has zero norm$"):
+            sthosvd_dense(DenseTensor(np.zeros((3, 4, 2))), epsilon)
+
 
 class TestReconstructAndRatio:
     def test_reconstruct_shapes(self):
