@@ -36,6 +36,7 @@ from .kernels import (
 from .train import (
     TensorTrain,
     _chain,
+    _r_norm,
     merge_cores,
     orthogonalize,
     split_core,
@@ -568,8 +569,10 @@ def mera_to_tt(m: Mera, round_eps: float = 1e-14) -> TensorTrain:
     train is put in site-1 form and each core is expanded by its isometry,
     whose orthonormal columns keep it right-orthogonal.  The centre then
     crosses the fine sites, absorbing the next expanded core at each group
-    boundary and mixing a disentangler's pair there by its transpose, and
-    splits off one site at a time by a truncated SVD at
+    boundary (one GEMM into a Fortran-ordered chain, ``train._chain``) and
+    mixing a disentangler's pair there by its transpose (one product per
+    slab of the trailing index, ``_mix_gate``), and splits off one site at
+    a time by a truncated SVD at
     ``round_eps * |t|_F / sqrt(D - 1)``: one truncation per bond.  Each
     truncation acts on an orthonormal environment and later gates act only
     right of its bond, so a layer's discards add up exactly, to at most
@@ -624,11 +627,7 @@ def mera_to_tt(m: Mera, round_eps: float = 1e-14) -> TensorTrain:
                 if p in gates:
                     gate = gates[p].data
                     known = _gate_bound(prev, nxt, gate, centre)
-                    shape = centre.shape
-                    centre = np.reshape(
-                        centre, (prev.shape[0], gate.shape[0], -1), order="F"
-                    )
-                    centre = np.reshape(gate.T @ centre, shape, order="F")
+                    centre = _mix_gate(centre, gate)
             r, n, s = centre.shape
             d = dims[p - 1]
             M = np.reshape(centre, (r * d, n // d * s), order="F")
@@ -654,6 +653,22 @@ def mera_to_tt(m: Mera, round_eps: float = 1e-14) -> TensorTrain:
     return current
 
 
+def _mix_gate(centre: np.ndarray, gate: np.ndarray) -> np.ndarray:
+    """``centre`` mixed by ``gate``'s transpose on the leading ``g`` (the
+    gate's size) entries of its free index: viewed as ``(r, g, k)``, slab
+    ``j`` of the Fortran-ordered result is ``centre[:, :, j] @ gate``, one
+    product per slab of the trailing index, each written straight into the
+    result."""
+    slabs = (centre.shape[0], gate.shape[0], -1)
+    out = np.empty(centre.shape, order="F")
+    np.matmul(
+        gate.T,
+        np.reshape(centre, slabs, order="F").T,
+        out=np.reshape(out, slabs, order="F").T,
+    )
+    return out
+
+
 def _gate_bound(
     prev: np.ndarray, nxt: np.ndarray, gate: np.ndarray, chained: np.ndarray
 ) -> float:
@@ -664,12 +679,13 @@ def _gate_bound(
     ``prev`` is the centre ``(r, d, s)``, ``nxt`` the expanded core ``(s,
     e ..., t)`` it absorbs, ``chained`` their computed chain ``Y`` and
     ``gate`` a disentangler's ``d e x d e`` matrix, orthogonal to
-    ``ORTHO_TOL``, applied by its transpose ``V``.  Up to permutations of
-    rows and columns, the ``r d x e c`` unfolding of ``V Y`` (``c`` the
-    columns of ``F``) is the product ``(I_d kron C) (I_s kron G) (I_e kron
-    F)`` of ``C``, the ``r x d s`` unfolding of ``prev``; ``G``, the ``d^2
-    x e^2`` operator-Schmidt realignment ``G[(i, j), (i', j')] = V[(i, i'),
-    (j, j')]``; and ``F``, the ``s e x c`` unfolding of ``nxt``.  When
+    ``ORTHO_TOL``, applied by its transpose ``V`` (:func:`_mix_gate`).  Up
+    to permutations of rows and columns, the ``r d x e c`` unfolding of ``V
+    Y`` (``c`` the columns of ``F``) is the product ``(I_d kron C) (I_s kron
+    G) (I_e kron F)`` of ``C``, the ``r x d s`` unfolding of ``prev``;
+    ``G``, the ``d^2 x e^2`` operator-Schmidt realignment ``G[(i, j), (i',
+    j')] = V[(i, i'), (j, j')]``; and ``F``, the ``s e x c`` unfolding of
+    ``nxt``.  When
     each factor has no more rows than columns, which makes the bond wide or
     square, the smallest singular value of the product is at least the
     product of theirs, each bounded by :func:`kernels._row_rank_bound`.
@@ -678,10 +694,11 @@ def _gate_bound(
     (Higham, Thm. 3.5).  The chain, a sum of ``s`` terms, is within
     ``gamma_s |C|_F |F|_F`` of ``C`` times ``F``, and the gate, whose
     2-norm is within about ``d e ORTHO_TOL`` of 1, passes that on; the
-    gate's product, a sum of ``d e`` terms, adds at most ``gamma_{d e}
-    |V|_F |Y|_F``.  Twice their sum is charged, which covers the gate's
-    2-norm and the rounding of the charge itself, and Weyl's inequality
-    moves the bound to the bond as stored.
+    gate's product is formed slab by slab, but each of its entries is still
+    a sum of ``d e`` products, so it adds at most ``gamma_{d e} |V|_F
+    |Y|_F``.  Twice their sum is charged, which covers the gate's 2-norm
+    and the rounding of the charge itself, and Weyl's inequality moves the
+    bound to the bond as stored.
     """
     r, d, s = prev.shape
     e = gate.shape[0] // d
@@ -720,8 +737,9 @@ def mera_relative_error(m: Mera, reference: TensorTrain) -> float:
     """``|reference - mera|_F / |reference|_F`` in train arithmetic.
 
     The MERA is evaluated as a train; the difference is formed by core-wise
-    block concatenation and its norm taken through orthogonalization, so
-    nothing is densified at any size.
+    block concatenation and its norm taken from the R factors of one
+    right-to-left QR sweep (``train._r_norm``), so nothing is densified at
+    any size and no orthonormal factor is formed.
     """
     rec = mera_to_tt(m)
     if rec.dims != reference.dims:
@@ -736,8 +754,9 @@ def mera_relative_error(m: Mera, reference: TensorTrain) -> float:
 
 
 def _tt_diff_norm(a: TensorTrain, b: TensorTrain) -> float:
-    """Frobenius norm of ``a - b`` for trains of equal dimensions, through
-    block-concatenated cores."""
+    """Frobenius norm of ``a - b`` for trains of equal dimensions: the
+    block-concatenated cores of the difference go straight to the R-only
+    sweep ``train._r_norm``, with no train built around them."""
     if a.order == 1:
         return float(np.linalg.norm(a.cores[0].ravel() - b.cores[0].ravel()))
     cores = []
@@ -756,4 +775,4 @@ def _tt_diff_norm(a: TensorTrain, b: TensorTrain) -> float:
             block[:ra, :, :sa] = ca
             block[ra:, :, sa:] = cb
             cores.append(block)
-    return tt_norm(TensorTrain(cores))
+    return _r_norm(cores)

@@ -218,12 +218,32 @@ def orthogonalize(tt: TensorTrain, d: int) -> TensorTrain:
 
 
 def tt_norm(tt: TensorTrain) -> float:
-    """Frobenius norm of the represented tensor, computed core-locally."""
+    """Frobenius norm of the represented tensor: the norm of the centre
+    core of a tagged train, the R-only sweep :func:`_r_norm` of an untagged
+    one."""
     site = tt.canonical_site
     if site is None:
-        tt = orthogonalize(tt, 1)
-        site = 1
+        return _r_norm(tt.cores)
     return float(np.linalg.norm(tt.core(site).ravel()))
+
+
+def _r_norm(cores: Sequence[np.ndarray]) -> float:
+    """Frobenius norm of the train with these cores, from a right-to-left
+    QR sweep that carries only ``R``.
+
+    With ``R`` the triangular factor of everything right of core ``d``, the
+    transposed right unfolding of core ``d`` with ``R^T`` absorbed is split
+    ``Q R'``.  ``Q``'s columns are orthonormal, so the norm passes to
+    ``R'``; past the first core ``R'`` is ``1 x 1`` and holds the norm.
+    This is the sweep of ``orthogonalize(tt, 1)``, but no ``Q`` is formed
+    and no signs are fixed, since neither changes a norm.
+    """
+    R = np.ones((1, 1))
+    for c in reversed(cores):
+        r, n, s = c.shape
+        X = np.reshape(R @ np.reshape(c.T, (s, n * r)), (-1, r))
+        R = np.linalg.qr(X, mode="r")
+    return float(abs(R[0, 0]))
 
 
 def tt_contract(tt: TensorTrain) -> DenseTensor:
@@ -322,12 +342,26 @@ class InterfaceMatrices:
 
 def _chain(cores: Sequence[np.ndarray]) -> np.ndarray:
     """Contract a run of cores into ``(R_first, prod free dims, R_last)``,
-    free indices first-index-fastest; an empty run is the unit ``(1, 1, 1)``."""
+    free indices first-index-fastest; an empty run is the unit ``(1, 1, 1)``
+    and a one-core run is that core.
+
+    Each pairwise product is one GEMM: the ``(r n, m t)`` unfolding of the
+    result is ``A B`` (``A`` the ``(r n, s)`` unfolding of the run so far,
+    ``B`` the next core's ``(s, m t)``), written as ``B^T A^T`` straight
+    into the transpose of a Fortran-ordered result.  Fortran-ordered cores
+    enter as views.
+    """
     T = cores[0] if cores else np.ones((1, 1, 1))
     for c in cores[1:]:
-        T = np.tensordot(T, c, axes=([2], [0]))
-        r, n, m, s = T.shape
-        T = np.reshape(T, (r, n * m, s), order="F")
+        r, n, s = T.shape
+        m, t = c.shape[1:]
+        out = np.empty((r, n * m, t), order="F")
+        np.matmul(
+            _right_mat(c).T,
+            _left_mat(T).T,
+            out=np.reshape(out, (r * n, m * t), order="F").T,
+        )
+        T = out
     return T
 
 

@@ -29,6 +29,7 @@ from ttmera.mera import (
     MeraLayer,
     _gate_bound,
     _hosvd_disentangler,
+    _mix_gate,
     _tt_diff_norm,
     disentangler_positions,
     find_disentangler,
@@ -539,8 +540,7 @@ class TestCertifiedBonds:
         :func:`mera_to_tt` builds from it by ``gate``'s transpose."""
         r, d, _ = prev.shape
         chained = _chain([prev, nxt])
-        centre = np.reshape(chained, (r, gate.shape[0], -1), order="F")
-        centre = np.reshape(gate.T @ centre, chained.shape, order="F")
+        centre = _mix_gate(chained, gate)
         _, n, t = centre.shape
         return chained, np.reshape(centre, (r * d, n // d * t), order="F")
 
@@ -807,6 +807,20 @@ class TestMeraError:
         m = random_mera_plant(3, 2, arity=2, order=8, layers=2, seed=2)
         tt = mera_to_tt(m, round_eps=1e-14)
         assert mera_relative_error(m, tt) <= 1e-11
+
+    @pytest.mark.parametrize("I, S", [(4, 2), (6, 3)])
+    def test_difference_with_itself_is_below_epsilon(self, I, S):
+        # The R-only sweep cancels a train against itself to rounding, so
+        # the measurement's floor sits well below any relative budget.
+        tt = mera_to_tt(random_mera_plant(I, S, seed=0))
+        assert _tt_diff_norm(tt, tt) <= 1e-14 * tt_norm(tt)
+        untagged = decaying_train(I, (3, 2, 4, 3, 2))
+        assert _tt_diff_norm(untagged, untagged) <= 1e-14 * tt_norm(untagged)
+
+    def test_capped_hosvd_round_trip_error(self):
+        tt = mera_to_tt(random_mera_plant(6, 3, seed=0))
+        m, _ = tt_to_mera(tt, 2, 1e-6, layers=2, strategy="hosvd", max_output_dim=3)
+        assert abs(mera_relative_error(m, tt) - 0.9912585695123841) <= 1e-12
 
     def test_detects_top_perturbation(self):
         m = random_mera_plant(2, 2, arity=2, order=4, layers=1, seed=6)

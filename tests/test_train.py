@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from conftest import count_qr, decaying_train, random_dense
 from ttmera.dense import DenseTensor
 from ttmera.errors import CapacityError, NumericError
+from ttmera.rng import standard_normal, stream
 from ttmera.train import (
     TensorTrain,
+    _chain,
     _tt_svd_sweep,
     interface_matrices,
     merge_cores,
@@ -165,10 +167,29 @@ class TestCanonicalForms:
         )
 
     @settings(max_examples=30, deadline=None)
-    @given(SEEDS)
-    def test_norm_matches_dense(self, seed):
-        tt = decaying_train(seed, (3, 2, 4, 3))
-        assert tt_norm(tt) == pytest.approx(tt_contract(tt).norm(), rel=1e-12)
+    @given(SEEDS, st.sampled_from([(3, 2, 4, 3), (5,), (2, 3, 2, 3, 2)]))
+    def test_norm_matches_dense(self, seed, dims):
+        # An untagged train's norm is its R-only sweep, exact to rounding.
+        tt = decaying_train(seed, dims)
+        assert tt.canonical_site is None
+        ref = np.linalg.norm(tt_contract(tt).data)
+        assert abs(tt_norm(tt) - ref) <= 1e-14 * ref
+
+    def test_untagged_norm_forms_r_factors_only(self, monkeypatch):
+        # One R-only QR per core, no Q and no sign-fixed thin QR.
+        tt = decaying_train(5, (3, 4, 2, 3, 2))
+        modes = []
+        real = np.linalg.qr
+
+        def recorded(a, mode="reduced"):
+            modes.append(mode)
+            return real(a, mode=mode)
+
+        monkeypatch.setattr(np.linalg, "qr", recorded)
+        calls = count_qr(monkeypatch)
+        tt_norm(tt)
+        assert modes == ["r"] * tt.order
+        assert calls == []
 
     def test_moves_centre_from_tag(self, monkeypatch):
         # From every tagged site to every target, only the cores in between
@@ -312,6 +333,56 @@ class TestMergeSplit:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+
+def _tensordot_chain(cores):
+    """Reference chain: pairwise ``np.tensordot`` and a Fortran reshape."""
+    T = cores[0]
+    for c in cores[1:]:
+        T = np.tensordot(T, c, axes=([2], [0]))
+        r, n, m, s = T.shape
+        T = np.reshape(T, (r, n * m, s), order="F")
+    return T
+
+
+class TestChain:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        SEEDS,
+        st.lists(st.integers(1, 4), min_size=2, max_size=5),
+        st.sampled_from(["F", "C", "reversed C"]),
+        st.data(),
+    )
+    def test_matches_tensordot_in_fortran_order(self, seed, dims, layout, data):
+        ranks = data.draw(st.lists(st.integers(1, 5), min_size=len(dims) + 1,
+                                   max_size=len(dims) + 1))
+        cores = [
+            standard_normal(stream(seed, d), (ranks[d], n, ranks[d + 1]))
+            for d, n in enumerate(dims)
+        ]
+        if layout == "F":
+            cores = [np.asfortranarray(c) for c in cores]
+        else:
+            cores = [np.ascontiguousarray(c) for c in cores]
+        if layout == "reversed C":
+            # The views a C-ordered input's reversed train is read through.
+            cores = [c.transpose(2, 1, 0) for c in reversed(cores)]
+        out = _chain(cores)
+        ref = _tensordot_chain(cores)
+        assert out.flags.f_contiguous
+        assert out.shape == ref.shape
+        np.testing.assert_allclose(
+            out, ref, rtol=0, atol=1e-13 * max(1.0, np.abs(ref).max())
+        )
+
+    def test_one_core_comes_back_unchanged(self):
+        core = standard_normal(stream(1), (2, 3, 4))
+        assert _chain([core]) is core
+
+    def test_empty_run_is_unit(self):
+        unit = _chain([])
+        assert unit.shape == (1, 1, 1)
+        assert unit[0, 0, 0] == 1.0
 
 
 class TestInterfaces:
