@@ -14,9 +14,9 @@ Every route takes ``U`` from an orthogonal factorization, not from
 ``M V / sigma``, so it is orthonormal to rounding.
 ``procrustes_solve`` applies no convention: it returns the product
 ``P @ Q.T``, in which the sign of each singular-vector pair cancels exactly.
-The certified tall split ``_certified_qr`` follows the QR convention
-instead: ``R`` has a positive diagonal, which fixes the sign of each of
-``Q``'s columns.
+The CholeskyQR2 split ``_cholesky_qr2``, and the certified tall split
+``_certified_qr`` built on it, follow the QR convention instead: ``R`` has
+a positive diagonal, which fixes the sign of each of ``Q``'s columns.
 
 Squaring ``M`` into ``M M^T`` halves the usable precision, so a Gram route
 that truncates needs a loose tolerance.  A call that keeps every row has
@@ -267,23 +267,18 @@ def _svd_trunc(X: np.ndarray, delta: float) -> TruncatedSvd:
     return TruncatedSvd(U=U, sigma=s[:r].copy(), rest=rest, discarded_energy=energy)
 
 
-def _full_row_rank(M: np.ndarray, delta: float, known: float = 0.0) -> bool:
+def _full_row_rank(M: np.ndarray, delta: float) -> bool:
     """Whether :func:`svd_trunc` at ``delta`` provably keeps every singular
     value of the finite ``m x n`` matrix ``M``, ``m <= n``.
 
-    A certificate, not a factorization, on a ladder of two rungs.  A lower
-    bound ``known`` on the smallest singular value of ``M`` that the caller
-    proved from the factors of ``M`` decides at once when it exceeds the
-    floor of :func:`_rank_floor`; that bound must already be charged the
-    rounding of forming ``M``, so that it holds for ``M`` as stored.
-    ``mera._gate_bound`` proves one for a gated MERA bond from three small
-    factors, charged twice the worst-case rounding of the two products
-    that form the bond.  Otherwise :func:`_row_rank_bound` takes one
-    inverse and one residual of an ``m x m`` matrix.  ``False`` means
-    unproven (including an exactly singular ``M``), not rank deficient.
+    A certificate, not a factorization: :func:`_row_rank_bound` takes one
+    inverse and one residual of an ``m x m`` matrix, and its bound must
+    exceed the floor of :func:`_rank_floor`.  ``mera_to_tt`` asks this only
+    of a bond that the product rung of its three small factors
+    (``mera._gate_bound``) did not prove.  ``False`` means unproven
+    (including an exactly singular ``M``), not rank deficient.
     """
-    floor = _rank_floor(M.shape, delta, np.linalg.norm(M))
-    return bool(known > floor or _row_rank_bound(M) > floor)
+    return bool(_row_rank_bound(M) > _rank_floor(M.shape, delta, np.linalg.norm(M)))
 
 
 def _row_rank_bound(M: np.ndarray) -> float:
@@ -306,30 +301,48 @@ def _certified_qr(
     ``m > n``, if :func:`svd_trunc` at ``delta`` provably keeps all ``n``
     of its singular values, else ``None``.
 
+    The split is :func:`_cholesky_qr2`'s, whose analysis the certificate
+    does not trust.  With its measured ``omega >= |Q^T Q - I|_F`` and
+    ``rho >= |M - Q R|_F``, and ``ell`` the bound of
+    :func:`_sigma_min_bound` on ``R``, Weyl's inequality gives
+    ``sigma_min(M) >= sqrt(1 - omega) ell - rho``.  The split is returned
+    when ``omega < 1/2`` and that exceeds the floor of :func:`_rank_floor`,
+    above which the rank rule keeps every value.  ``mera_to_tt`` takes this
+    split for a tall bond it formed; the tall bond just inside a group it
+    splits from that bond's small factors instead (``mera._inner_split``).
+    """
+    split = _cholesky_qr2(M)
+    if split is None:
+        return None
+    Q, R, omega, rho = split
+    if not omega < 0.5:
+        return None
+    bound = np.sqrt(1.0 - omega) * _sigma_min_bound(R) - rho
+    return (Q, R) if bound > _rank_floor(M.shape, delta, np.linalg.norm(M)) else None
+
+
+def _cholesky_qr2(
+    M: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, float, float] | None:
+    """``(Q, R, omega, rho)`` with ``M = Q @ R`` for the finite ``m x n``
+    matrix ``M``, ``m >= n``, or ``None`` on a Cholesky breakdown.
+
     CholeskyQR2 (Fukaya, Nakatsukasa, Yanagisawa & Yamamoto, ScalA 2014):
     ``R1 = chol(M^T M)^T``, ``Q1 = M R1^-1``, ``R2 = chol(Q1^T Q1)^T``,
     ``Q = Q1 R2^-1`` and ``R = R2 R1``.  It is all Gram products and
     triangular inverses, and it gives ``Q`` orthonormal to rounding while
     the condition number stays below about 1e7 (Yamamoto et al., ETNA 44,
     2015).  ``R`` is upper triangular with a positive diagonal, which fixes
-    ``Q``'s signs.  A Cholesky breakdown returns ``None``.
-
-    The certificate does not trust that analysis.  With ``omega = |Q^T Q -
-    I|_F`` and ``rho = |M - Q R|_F``, each charged twice the first-order
-    bound of its rounding, and ``ell`` the bound of
-    :func:`_sigma_min_bound` on ``R``, Weyl's inequality gives
-    ``sigma_min(M) >= sqrt(1 - omega) ell - rho``.  The split is returned
-    when ``omega < 1/2`` and that exceeds the floor of :func:`_rank_floor`,
-    above which the rank rule keeps every value.  Every product is formed
-    transposed, so ``Q`` and ``R`` are stored first-index-fastest and their
-    reshapes are views.
+    ``Q``'s signs.  Nothing is assumed of that analysis: ``omega`` and
+    ``rho`` are the measured ``|Q^T Q - I|_F`` and ``|M - Q R|_F``, each
+    charged twice the first-order bound of its rounding, so they bound the
+    exact quantities.  Every product is formed transposed, so ``Q`` and
+    ``R`` are stored first-index-fastest and their reshapes are views.
     """
     m, n = M.shape
     eps = np.finfo(np.float64).eps
-    G = M.T @ M
-    norm = float(np.sqrt(np.trace(G)))
     try:
-        R1 = np.linalg.cholesky(G).T
+        R1 = np.linalg.cholesky(M.T @ M).T
         Q = (np.linalg.inv(R1).T @ M.T).T
         R2 = np.linalg.cholesky(Q.T @ Q).T
     except np.linalg.LinAlgError:
@@ -339,14 +352,11 @@ def _certified_qr(
     W = Q.T @ Q
     q2 = float(np.trace(W))
     W[np.diag_indices(n)] -= 1.0
-    omega = np.linalg.norm(W) + 2.0 * m * eps * q2
-    if not omega < 0.5:
-        return None
+    omega = float(np.linalg.norm(W)) + 2.0 * m * eps * q2
     E = (R.T @ Q.T).T
     E -= M
-    rho = np.linalg.norm(E) + 2.0 * n * eps * np.sqrt(q2) * np.linalg.norm(R)
-    bound = np.sqrt(1.0 - omega) * _sigma_min_bound(R) - rho
-    return (Q, R) if bound > _rank_floor(M.shape, delta, norm) else None
+    rho = float(np.linalg.norm(E)) + 2.0 * n * eps * np.sqrt(q2) * np.linalg.norm(R)
+    return Q, R, omega, rho
 
 
 def _sigma_min_bound(A: np.ndarray) -> float:

@@ -27,9 +27,12 @@ from .dense import DenseTensor, _fold, _unfold
 from .errors import NumericError
 from .kernels import (
     _certified_qr,
+    _cholesky_qr2,
     _full_row_rank,
     _procrustes,
+    _rank_floor,
     _row_rank_bound,
+    _sigma_min_bound,
     svd_full,
     svd_trunc,
 )
@@ -583,23 +586,35 @@ def mera_to_tt(m: Mera, round_eps: float = 1e-14) -> TensorTrain:
 
     Every bond unfolding ``M`` is first tested for full rank, picked by
     shape alone.  One with no more rows than columns is tested for full row
-    rank (``kernels._full_row_rank``) on two rungs.  At a gated group end
-    ``M`` is, up to permutations, a product of the centre's unfolding, the
-    gate's operator-Schmidt realignment and the absorbed core's unfolding;
-    when each of the three has no more rows than columns, the product of
-    their smallest singular values, less a charge for the rounding of the
-    chain and the gate (``_gate_bound``), bounds ``M``'s from below.  It
-    costs three inverses of the factors' sizes: at most 250 x 250 where the
-    full-size plant's bond is 2,500 x 2,500.  Where that bound does not
-    clear the rank floor, one inverse and one residual of an ``m x m``
-    matrix decide.  A tall bond is split ``M = Q R`` by CholeskyQR2 and
-    tested for full column rank on that split (``kernels._certified_qr``).
-    A certified bond is one the SVD's rank rule would keep whole.  It
-    discards nothing: a wide bond's core is the identity and the centre
-    moves on as ``M`` unchanged; a tall bond's core is ``Q``, whose signs
-    the positive diagonal of ``R`` fixes, and the centre moves on as ``R``.
-    The test only makes the kept rank the one the SVD would keep.  A bond
-    no test certifies takes the SVD.  A MERA with a zero top is refused.
+    rank on two rungs.  At a gated group end ``M`` is, up to permutations,
+    a product of the centre's unfolding, the gate's operator-Schmidt
+    realignment and the absorbed core's unfolding; when each of the three
+    has no more rows than columns, the product of their smallest singular
+    values, less a charge for the rounding of the chain and the gate
+    (``_gate_bound``), bounds ``M``'s from below.  It costs three inverses
+    of the factors' sizes: at most 250 x 250 where the full-size plant's
+    bond is 2,500 x 2,500, and ``M`` need not be formed for it.  Where that
+    bound does not clear the rank floor, one inverse and one residual of an
+    ``m x m`` matrix decide (``kernels._full_row_rank``).  A tall bond is
+    split ``M = Q R`` by CholeskyQR2 and tested for full column rank on
+    that split (``kernels._certified_qr``).  A certified bond is one the
+    SVD's rank rule would keep whole.  It discards nothing: a wide bond's
+    core is the identity and the centre moves on as ``M`` unchanged; a tall
+    bond's core is ``Q``, whose signs the positive diagonal of ``R`` fixes,
+    and the centre moves on as ``R``.  The test only makes the kept rank
+    the one the SVD would keep.  A bond no test certifies takes the SVD.  A
+    MERA with a zero top is refused.
+
+    At a gated group end whose bond is kept whole, the tall bond just
+    inside the next group, if that group has more than one site, is split
+    from the small factors instead (``_inner_split``): two QRs no larger
+    than the centre's and the absorbed core's unfoldings, certified on the
+    same rank rule, so the full-size plant's 25,000 x 250 and 5,000 x 250
+    bonds are never formed.  Both bonds' cores are emitted together.
+    When the product rung keeps the group end, its bond is not formed
+    either; when only the inverse rung does, it is formed to be tested,
+    and the factored split still serves the next bond, so the rungs decide
+    and never change a bit.
     """
     if not round_eps >= 0:
         raise ValueError(f"round_eps must be non-negative, got {round_eps}")
@@ -617,29 +632,56 @@ def mera_to_tt(m: Mera, round_eps: float = 1e-14) -> TensorTrain:
         gates = dict(layer.disentanglers)
         cores: list[np.ndarray] = []
         centre = next(expanded)
-        for p in range(1, len(dims)):
-            known = 0.0
+        bonds = iter(range(1, len(dims)))
+        for p in bonds:
+            d = dims[p - 1]
+            kept = None
             if p in group_ends:
                 # Absorb the next group (fused free index first-index-fastest)
                 # and mix the pair (p, p+1) if a disentangler sits there.
                 prev, nxt = centre, next(expanded)
-                centre = _chain([prev, nxt])
-                if p in gates:
-                    gate = gates[p].data
-                    known = _gate_bound(prev, nxt, gate, centre)
-                    centre = _mix_gate(centre, gate)
+                gate = gates[p].data if p in gates else None
+                centre = None
+                if gate is not None:
+                    # The product rung tests bond p from its three factors;
+                    # the inverse rung, on the formed bond, only if it fails.
+                    r, _, s = prev.shape
+                    shape = (r * d, nxt.size // s)
+                    norm, charge = _stored_bond(prev, nxt, gate)
+                    bound = _gate_bound(prev, nxt, gate, charge)
+                    kept = bound > _rank_floor(shape, delta, norm)
+                    if not kept and shape[0] <= shape[1]:
+                        centre = _mix_gate(_chain([prev, nxt]), gate)
+                        M = np.reshape(centre, shape, order="F")
+                        kept = _full_row_rank(M, delta)
+                    # Bond p kept whole leaves bond p + 1, if inside the
+                    # group, to split from the same factors; then neither
+                    # bond is formed for the split.
+                    if kept and p + 1 not in group_ends:
+                        inner = _inner_split(
+                            prev, nxt, gate, dims[p], delta, norm, charge
+                        )
+                        if inner is not None:
+                            eye = np.eye(r * d, order="F")
+                            cores.append(np.reshape(eye, (r, d, r * d), order="F"))
+                            cores.append(inner[0])
+                            centre = inner[1]
+                            next(bonds)
+                            continue
+                if centre is None:
+                    centre = _chain([prev, nxt])
+                    if gate is not None:
+                        centre = _mix_gate(centre, gate)
             r, n, s = centre.shape
-            d = dims[p - 1]
             M = np.reshape(centre, (r * d, n // d * s), order="F")
             # Where the rank rule provably keeps every value, an exact split
             # discards nothing: the identity and M itself for a wide bond,
             # Q and R for a tall one.
+            split = None
             if r * d > M.shape[1]:
                 split = _certified_qr(M, delta)
-            elif _full_row_rank(M, delta, known):
+            elif kept if kept is not None else _full_row_rank(M, delta):
                 split = np.eye(r * d, order="F"), M
-            else:
-                split = None
             if split is None:
                 f = svd_trunc(M, delta)
                 if f.rank == 0:
@@ -670,35 +712,27 @@ def _mix_gate(centre: np.ndarray, gate: np.ndarray) -> np.ndarray:
 
 
 def _gate_bound(
-    prev: np.ndarray, nxt: np.ndarray, gate: np.ndarray, chained: np.ndarray
+    prev: np.ndarray, nxt: np.ndarray, gate: np.ndarray, charge: float
 ) -> float:
     """Lower bound on the smallest singular value of the bond unfolding that
     :func:`mera_to_tt` builds at a gated group end, from its three factors;
     ``0.0`` when they do not nest.
 
     ``prev`` is the centre ``(r, d, s)``, ``nxt`` the expanded core ``(s,
-    e ..., t)`` it absorbs, ``chained`` their computed chain ``Y`` and
-    ``gate`` a disentangler's ``d e x d e`` matrix, orthogonal to
-    ``ORTHO_TOL``, applied by its transpose ``V`` (:func:`_mix_gate`).  Up
-    to permutations of rows and columns, the ``r d x e c`` unfolding of ``V
+    e ..., t)`` it absorbs, and ``gate`` a disentangler's ``d e x d e``
+    matrix, orthogonal to ``ORTHO_TOL``, applied by its transpose ``V``
+    (:func:`_mix_gate`) to the chain ``Y`` of ``prev`` and ``nxt``.  Up to
+    permutations of rows and columns, the ``r d x e c`` unfolding of ``V
     Y`` (``c`` the columns of ``F``) is the product ``(I_d kron C) (I_s kron
     G) (I_e kron F)`` of ``C``, the ``r x d s`` unfolding of ``prev``;
     ``G``, the ``d^2 x e^2`` operator-Schmidt realignment ``G[(i, j), (i',
     j')] = V[(i, i'), (j, j')]``; and ``F``, the ``s e x c`` unfolding of
-    ``nxt``.  When
-    each factor has no more rows than columns, which makes the bond wide or
-    square, the smallest singular value of the product is at least the
-    product of theirs, each bounded by :func:`kernels._row_rank_bound`.
-
-    The bond as stored is two rounded products away from the exact one
-    (Higham, Thm. 3.5).  The chain, a sum of ``s`` terms, is within
-    ``gamma_s |C|_F |F|_F`` of ``C`` times ``F``, and the gate, whose
-    2-norm is within about ``d e ORTHO_TOL`` of 1, passes that on; the
-    gate's product is formed slab by slab, but each of its entries is still
-    a sum of ``d e`` products, so it adds at most ``gamma_{d e} |V|_F
-    |Y|_F``.  Twice their sum is charged, which covers the gate's 2-norm
-    and the rounding of the charge itself, and Weyl's inequality moves the
-    bound to the bond as stored.
+    ``nxt``.  When each factor has no more rows than columns, which makes
+    the bond wide or square, the smallest singular value of the product is
+    at least the product of theirs, each bounded by
+    :func:`kernels._row_rank_bound`.  Weyl's inequality moves the bound to
+    the bond as stored, less ``charge``, the bound of :func:`_stored_bond`
+    on its rounding, which needs no formed chain.
     """
     r, d, s = prev.shape
     e = gate.shape[0] // d
@@ -709,13 +743,126 @@ def _gate_bound(
     V = np.reshape(gate.T, (d, e, d, e), order="F")
     G = np.reshape(V.transpose(0, 2, 1, 3), (d * d, e * e), order="F")
     F = np.reshape(nxt, (s * e, c), order="F")
-    u = np.finfo(np.float64).eps / 2.0
-    gamma_s, gamma_g = (k * u / (1.0 - k * u) for k in (s, d * e))
-    charge = 2.0 * (
-        gamma_s * np.linalg.norm(C) * np.linalg.norm(F)
-        + gamma_g * np.linalg.norm(gate) * np.linalg.norm(chained)
-    )
     return _row_rank_bound(C) * _row_rank_bound(G) * _row_rank_bound(F) - charge
+
+
+def _stored_bond(
+    prev: np.ndarray, nxt: np.ndarray, gate: np.ndarray
+) -> tuple[float, float]:
+    """Upper bounds ``(norm, charge)`` on ``|M|_F`` and on ``|M - M*|_F``,
+    where ``M`` is the bond that :func:`mera_to_tt` forms at a gated group
+    end and ``M*`` the same product of the same factors in exact
+    arithmetic.
+
+    ``M`` is the chain ``Y`` of the centre ``prev`` ``(r, d, s)`` and the
+    expanded core ``nxt`` it absorbs, mixed by ``gate``'s transpose ``V``.
+    The chain is ``C F``, ``C`` the ``r d x s`` unfolding of ``prev`` and
+    ``F`` the ``s x ...`` one of ``nxt``; each of its entries is a sum of
+    ``s`` products, so as stored it is within ``gamma_s |C|_F |F|_F`` of
+    ``C F`` (Higham, Thm. 3.5).  Its norm is taken without forming it, from
+    ``|C F|_F^2 = <C^T C, F F^T>``, charged the rounding of the two ``s x
+    s`` Gram matrices and of their inner product.  The gate's product is
+    formed slab by slab, but each of its entries is still a sum of ``d e``
+    products, so it adds at most ``gamma_{d e} |V|_F |Y|_F``, and ``V``'s
+    2-norm is within ``d e ORTHO_TOL`` of 1.  Each charge is doubled, which
+    covers the gate's 2-norm and the rounding of the charge itself.
+    """
+    r, d, s = prev.shape
+    g = gate.shape[0]
+    C = np.reshape(prev, (r * d, s), order="F")
+    F = np.reshape(nxt, (s, -1), order="F")
+    u = np.finfo(np.float64).eps / 2.0
+    gamma_s, gamma_y, gamma_g = (
+        k * u / (1.0 - k * u) for k in (s, r * d + F.shape[1] + s * s, g)
+    )
+    cf = float(np.linalg.norm(C) * np.linalg.norm(F))
+    y = math.sqrt(np.vdot(C.T @ C, F @ F.T) + 2.0 * gamma_y * cf * cf)
+    y += 2.0 * gamma_s * cf
+    charge = 2.0 * (gamma_s * cf + gamma_g * np.linalg.norm(gate) * y)
+    return (1.0 + 2.0 * g * ORTHO_TOL) * y + charge, charge
+
+
+def _inner_split(
+    prev: np.ndarray,
+    nxt: np.ndarray,
+    gate: np.ndarray,
+    e: int,
+    delta: float,
+    norm: float,
+    charge: float,
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The split of the tall bond just inside the group that ``nxt`` opens,
+    from the small factors of the gated group end before it, as ``(core,
+    centre)``; ``None`` unless the rank rule of :func:`svd_trunc` at
+    ``delta`` provably keeps every column.
+
+    ``prev`` is the centre ``(r, d, s)`` at a group end whose ``r d x e c``
+    bond is wide or square, ``nxt`` the expanded core ``(s, e x, t)`` it
+    absorbs, ``c = x t``, and ``gate`` the disentangler there.  The group
+    must have a site after ``e``'s, so that the next bond lies inside it;
+    the caller checks that.  If the group end's bond is kept whole (an
+    identity core), the next bond's ``r d e x c`` unfolding is ``M = V~
+    (I_e kron P) N``: ``P`` the ``r d x s`` unfolding of ``prev``, ``N``
+    the ``s e x c`` one of ``nxt`` and ``V~`` the gate's transpose on the
+    row pair.  With ``P = Q_P R_P`` and ``K = (I_e kron
+    R_P) N = Q_K R_K``, both by :func:`kernels._cholesky_qr2`, ``M = Z
+    R_K`` for ``Z = V~ (I_e kron Q_P) Q_K``.  ``core`` is ``Z``, the
+    :func:`_mix_gate` of the chain of ``Q_P`` and ``Q_K``, as ``(r d, e,
+    c)``, and ``centre`` is ``R_K`` as ``(c, x, t)``; ``M`` is never formed
+    and no QR is larger than ``max(r d, s e) x max(s, c)``.  Only a tall
+    ``P`` and a tall or square ``K`` are split.  (Without a gate ``P``
+    tall would cap the group end's bond at rank ``s < r d``, so it is
+    never kept whole.)
+
+    The certificate charges every rounding.  With the two QRs' measured
+    ``omega_P``, ``omega_K``, ``rho_P`` and ``rho_K``, and ``omega_V = 2 d
+    e ORTHO_TOL`` for the gate, ``|Z^T Z - I|_2 <= omega = omega_K + (1 +
+    omega_K)(omega_P + (1 + omega_P) omega_V)``, and ``M*``, the exact
+    product of the stored factors, is within ``rho = sqrt(1 + omega_V)
+    (sqrt(1 + omega_P) (rho_K + 2 gamma_s |R_P|_F |N|_F) + rho_P |N|_F)``
+    of ``Z R_K``, the middle term the rounding of forming ``K``.  So
+    Weyl's inequality puts the smallest singular value of the bond that
+    the SVD route would form at no less than ``sqrt(1 - omega) ell - rho -
+    charge``: ``ell`` is the :func:`kernels._sigma_min_bound` of ``R_K``
+    and ``charge`` the bound of :func:`_stored_bond` on the rounding of
+    the group end's bond, whose bound ``norm`` sets the floor of
+    :func:`kernels._rank_floor`.
+    """
+    r, d, s = prev.shape
+    c = nxt.size // (s * e)
+    if not (r * d <= e * c and s < r * d and c <= s * e):
+        return None
+    P = _cholesky_qr2(np.reshape(prev, (r * d, s), order="F"))
+    if P is None:
+        return None
+    QP, RP, omega_p, rho_p = P
+    # R_P on nxt's leading index, stored first-index-fastest so that its
+    # s e x c unfolding is a view.
+    K = (np.reshape(nxt, (s, -1), order="F").T @ RP.T).T
+    K = _cholesky_qr2(np.reshape(K, (s * e, c), order="F"))
+    if K is None:
+        return None
+    QK, RK, omega_k, rho_k = K
+    omega_v = 2.0 * gate.shape[0] * ORTHO_TOL
+    omega = omega_k + (1.0 + omega_k) * (omega_p + (1.0 + omega_p) * omega_v)
+    if not omega < 0.5:
+        return None
+    u = np.finfo(np.float64).eps / 2.0
+    gamma_s = s * u / (1.0 - s * u)
+    nn = np.linalg.norm(nxt)
+    rho = math.sqrt(1.0 + omega_v) * (
+        math.sqrt(1.0 + omega_p) * (rho_k + 2.0 * gamma_s * np.linalg.norm(RP) * nn)
+        + rho_p * nn
+    )
+    bound = math.sqrt(1.0 - omega) * _sigma_min_bound(RK) - rho - charge
+    if not bound > _rank_floor((r * d * e, c), delta, norm):
+        return None
+    Z = _chain([
+        np.reshape(QP, (r, d, s), order="F"),
+        np.reshape(QK, (s, e, c), order="F"),
+    ])
+    core = np.reshape(_mix_gate(Z, gate), (r * d, e, c), order="F")
+    return core, np.reshape(RK, (c, nxt.shape[1] // e, nxt.shape[2]), order="F")
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from ttmera.errors import NumericError
 from ttmera.heat import HeatConfig, solve_heat
 from ttmera.kernels import (
     _certified_qr,
+    _cholesky_qr2,
     _certified_sigma,
     _fix_signs,
     _full_row_rank,
@@ -671,6 +672,16 @@ class TestCertifiedQr:
         M = gaussian(8, 200, 30)
         M[:, 1] = M[:, 0]
         assert _certified_qr(M, 0.0) is None
+
+    @pytest.mark.parametrize("m, n", [(200, 30), (30, 30)])
+    def test_cholesky_qr2_bounds_what_it_measures(self, m, n):
+        # A square input splits too: mera_to_tt's factored route gives it
+        # the square K of a group end.
+        M = gaussian(3, m, n)
+        Q, R, omega, rho = _cholesky_qr2(M)
+        assert np.linalg.norm(Q.T @ Q - np.eye(n)) <= omega < 1e-11
+        assert np.linalg.norm(Q @ R - M) <= rho < 1e-13 * np.linalg.norm(M)
+        assert np.all(np.diag(R) > 0.0)
 
     def test_kappa_1e9_refused(self):
         # sigma_min = 1e-9 is far above the delta = 0 floor, but squaring

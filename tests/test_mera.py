@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ttmera.mera
@@ -21,7 +21,7 @@ from conftest import (
 from ttmera.dense import DenseTensor
 from ttmera.errors import NumericError
 from ttmera.experiments import planted_pair_tensor, random_mera_plant, run_mera12
-from ttmera.kernels import svd_full
+from ttmera.kernels import svd_full, svd_trunc
 from ttmera.mera import (
     Disentangler,
     Isometry,
@@ -29,7 +29,9 @@ from ttmera.mera import (
     MeraLayer,
     _gate_bound,
     _hosvd_disentangler,
+    _inner_split,
     _mix_gate,
+    _stored_bond,
     _tt_diff_norm,
     disentangler_positions,
     find_disentangler,
@@ -394,11 +396,12 @@ class TestCertifiedBonds:
 
     @staticmethod
     def _force_svd(monkeypatch):
-        # Ignores a proven bound too, so both rungs of the wide test are off.
-        monkeypatch.setattr(
-            ttmera.mera, "_full_row_rank", lambda M, delta, known=0.0: False
-        )
+        # Both rungs of the wide test, the tall split and the factored split
+        # are off.
+        monkeypatch.setattr(ttmera.mera, "_gate_bound", lambda *args: 0.0)
+        monkeypatch.setattr(ttmera.mera, "_full_row_rank", lambda M, delta: False)
         monkeypatch.setattr(ttmera.mera, "_certified_qr", lambda M, delta: None)
+        monkeypatch.setattr(ttmera.mera, "_inner_split", lambda *args: None)
 
     @staticmethod
     def _spy(patch, name, record):
@@ -413,30 +416,73 @@ class TestCertifiedBonds:
 
         patch.setattr(ttmera.mera, name, spy)
 
+    @classmethod
+    def _tall(cls, patch):
+        """Spy on both tall splits; the returned list gets ``(shape,
+        result, route)`` per tall bond, ``route`` ``"factored"`` for one
+        split from its group end's factors (``_inner_split``, recorded only
+        when it splits) and ``"cholesky"`` for one formed and given to
+        ``_certified_qr``."""
+        tall = []
+        inner_split = ttmera.mera._inner_split
+
+        def split(prev, nxt, gate, e, *rest):
+            result = inner_split(prev, nxt, gate, e, *rest)
+            if result is not None:
+                core = result[0]
+                shape = (core.shape[0] * e, core.shape[2])
+                tall.append((shape, result, "factored"))
+            return result
+
+        cls._spy(
+            patch, "_certified_qr",
+            lambda M, f: tall.append((M.shape, f, "cholesky")),
+        )
+        patch.setattr(ttmera.mera, "_inner_split", split)
+        return tall
+
     @staticmethod
     def _rungs(patch):
-        """Spy on ``_full_row_rank`` and ``kernels._sigma_min_bound``; the
-        returned list gets ``(M.shape, result, rung)`` per wide test, where
-        ``rung`` is ``"product"`` if the call bounded no matrix itself and
-        ``"inverse"`` if it bounded one ``m x m`` matrix."""
-        calls, bounds = [], []
+        """Spy on both rungs of the wide test; the returned list gets
+        ``(M.shape, result, rung)`` per wide bond, in order.  The product
+        rung decides a gated group end from its three factors, before the
+        bond is formed, and is recorded when it proves the bond; one it
+        does not prove goes on to ``_full_row_rank``, the ``"inverse"``
+        rung, which must bound one ``m x m`` matrix."""
+        calls, bounds, known = [], [], [0.0]
         sigma_min_bound = ttmera.kernels._sigma_min_bound
         full_row_rank = ttmera.mera._full_row_rank
+        gate_bound = ttmera.mera._gate_bound
+        rank_floor = ttmera.mera._rank_floor
 
         def bound(A):
             bounds.append(A.shape)
             return sigma_min_bound(A)
 
-        def spy(M, delta, known):
+        def inverse(M, delta):
             start = len(bounds)
-            result = full_row_rank(M, delta, known)
-            inner = bounds[start:]
-            assert inner in ([], [(M.shape[0],) * 2])
-            calls.append((M.shape, result, "inverse" if inner else "product"))
+            result = full_row_rank(M, delta)
+            assert bounds[start:] == [(M.shape[0],) * 2]
+            calls.append((M.shape, result, "inverse"))
+            return result
+
+        def product(*args):
+            known.append(gate_bound(*args))
+            return known[-1]
+
+        def floor(shape, delta, norm):
+            # The only floor mera_to_tt takes of a wide shape is the product
+            # rung's, taken right after its bound; the factored split's is of
+            # a tall one.
+            result = rank_floor(shape, delta, norm)
+            if shape[0] <= shape[1] and known[-1] > result:
+                calls.append((shape, True, "product"))
             return result
 
         patch.setattr(ttmera.kernels, "_sigma_min_bound", bound)
-        patch.setattr(ttmera.mera, "_full_row_rank", spy)
+        patch.setattr(ttmera.mera, "_full_row_rank", inverse)
+        patch.setattr(ttmera.mera, "_gate_bound", product)
+        patch.setattr(ttmera.mera, "_rank_floor", floor)
         return calls
 
     def test_certified_bond_matches_the_svd_route(self, monkeypatch):
@@ -479,21 +525,31 @@ class TestCertifiedBonds:
         assert on.ranks == off.ranks
         assert _tt_diff_norm(on, off) <= 1e-13 * tt_norm(off)
 
+    FACTORED = {
+        (4, 2): [(8, 4), (128, 16), (256, 16)],
+        (6, 3): [(27, 9), (648, 54), (1944, 54)],
+    }
+
     @pytest.mark.parametrize("I, S, refused", [(4, 2, (64, 16)), (6, 3, (216, 54))])
     def test_desk_plants_split_every_full_rank_tall_bond(
         self, I, S, refused, monkeypatch
     ):
-        # Ten tall bonds; the one the SVD truncates is the one refused.
+        # Ten tall bonds; the one the SVD truncates is the one refused.  The
+        # three just inside a group whose gated end was kept whole split from
+        # the factors; the refused one is of that kind too, but its K is
+        # wide, so rank deficient.
         plant = random_mera_plant(I, S, seed=0)
-        tall, svds = [], []
+        svds = []
         with monkeypatch.context() as patch:
-            self._spy(patch, "_certified_qr", lambda M, f: tall.append((M.shape, f)))
+            tall = self._tall(patch)
             self._spy(patch, "svd_trunc", lambda M, f: svds.append((M.shape, f.rank)))
             on = mera_to_tt(plant)
         self._force_svd(monkeypatch)
         off = mera_to_tt(plant)
         assert len(tall) == 10
-        assert [shape for shape, f in tall if f is None] == [refused]
+        assert [shape for shape, f, _ in tall if f is None] == [refused]
+        factored = [shape for shape, _, route in tall if route == "factored"]
+        assert factored == self.FACTORED[I, S]
         assert [shape for shape, rank in svds] == [refused]
         assert svds[0][1] < refused[1]
         assert on.ranks == off.ranks
@@ -505,12 +561,15 @@ class TestCertifiedBonds:
 
     @pytest.mark.paperscale
     def test_full_size_tall_bonds_certify(self, monkeypatch):
-        # The three tall bonds that took a full SVD keep every column.
-        tall = []
-        self._spy(monkeypatch, "_certified_qr", lambda M, f: tall.append((M.shape, f)))
+        # The three tall bonds that took a full SVD keep every column; the
+        # two just inside a group split from its end's factors, so the
+        # (25000, 250) bond is never formed.
+        tall = self._tall(monkeypatch)
         mera_to_tt(random_mera_plant(10, 5, seed=0), round_eps=1e-12)
-        certified = {shape for shape, f in tall if f is not None}
+        certified = {shape for shape, f, _ in tall if f is not None}
         assert {(25000, 250), (5000, 250), (2500, 500)} <= certified
+        factored = {shape for shape, _, route in tall if route == "factored"}
+        assert factored == {(25000, 250), (5000, 250), (125, 25)}
 
     @pytest.mark.paperscale
     def test_full_size_bounds_are_at_most_500_square(self, monkeypatch):
@@ -535,14 +594,12 @@ class TestCertifiedBonds:
         assert all(np.array_equal(a, b) for a, b in zip(on.cores, off.cores))
 
     @staticmethod
-    def _gated_bond(prev, nxt, gate):
-        """The chain of ``prev`` and ``nxt`` and the bond unfolding
-        :func:`mera_to_tt` builds from it by ``gate``'s transpose."""
-        r, d, _ = prev.shape
-        chained = _chain([prev, nxt])
-        centre = _mix_gate(chained, gate)
-        _, n, t = centre.shape
-        return chained, np.reshape(centre, (r * d, n // d * t), order="F")
+    def _gated_bond(prev, nxt, gate, rows):
+        """The unfolding with ``rows`` rows of the centre that
+        :func:`mera_to_tt` builds at a gated group end: the chain of
+        ``prev`` and ``nxt`` mixed by ``gate``'s transpose."""
+        centre = _mix_gate(_chain([prev, nxt]), gate)
+        return np.reshape(centre, (rows, -1), order="F")
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -566,7 +623,7 @@ class TestCertifiedBonds:
         prev = standard_normal(stream(seed, 1), (r, d, s))
         nxt = standard_normal(stream(seed, 2), (s, e * x, t))
         gate = random_orthogonal(stream(seed, 3), d * e)
-        chained, M = self._gated_bond(prev, nxt, gate)
+        M = self._gated_bond(prev, nxt, gate, r * d)
         sigma = np.linalg.svd(M, compute_uv=False)
         with pytest.MonkeyPatch.context() as patch:
             if exact:
@@ -574,7 +631,7 @@ class TestCertifiedBonds:
                     ttmera.kernels, "_sigma_min_bound",
                     lambda A: np.linalg.svd(A, compute_uv=False)[-1],
                 )
-            bound = _gate_bound(prev, nxt, gate, chained)
+            bound = _gate_bound(prev, nxt, gate, _stored_bond(prev, nxt, gate)[1])
         eps = np.finfo(np.float64).eps
         assert bound <= sigma[-1] + 4 * max(M.shape) * eps * sigma[0]
 
@@ -599,8 +656,8 @@ class TestCertifiedBonds:
             return bounds[-1]
 
         with monkeypatch.context() as patch:
-            calls = self._rungs(patch)
             patch.setattr(ttmera.mera, "_gate_bound", recorded)
+            calls = self._rungs(patch)
             on = mera_to_tt(Mera(tuple(gated), plant.top))
         off = mera_to_tt(Mera(tuple(free), plant.top))
         assert len(bounds) == 7 and max(bounds) <= 0.0
@@ -620,7 +677,146 @@ class TestCertifiedBonds:
         prev = standard_normal(stream(1), prev)
         nxt = standard_normal(stream(2), nxt)
         gate = random_orthogonal(stream(3), dims[0] * dims[1])
-        assert _gate_bound(prev, nxt, gate, _chain([prev, nxt])) == 0.0
+        assert _gate_bound(prev, nxt, gate, 0.0) == 0.0
+
+    @pytest.mark.parametrize("d, e, x", [(2, 3, 1), (3, 2, 4)])
+    def test_mix_gate_matches_the_dense_disentangler(self, d, e, x):
+        # The dense oracle applies the gate as dense_from_mera does, by a
+        # tensordot of its transpose with the pair's two indices.  An
+        # orthogonal gate and its transpose have realignments with the same
+        # singular values, so only an oracle like this one sees a gate
+        # applied the wrong way round.
+        prev = standard_normal(stream(4), (3, d, 2))
+        nxt = standard_normal(stream(5), (2, e * x, 4))
+        gate = random_orthogonal(stream(6), d * e)
+        chained = _chain([prev, nxt])
+        T = np.reshape(chained, (3, d, e, x, 4), order="F")
+        G = np.reshape(gate.T, (d, e, d, e), order="F")
+        ref = np.moveaxis(np.tensordot(G, T, axes=([2, 3], [1, 2])), (0, 1), (1, 2))
+        got = np.reshape(_mix_gate(chained, gate), T.shape, order="F")
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13)
+        swapped = np.reshape(_mix_gate(chained, gate.T), T.shape, order="F")
+        assert not np.allclose(swapped, ref, rtol=0, atol=1e-6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        SEEDS,
+        st.integers(1, 4),
+        st.sampled_from([2, 3]),
+        st.sampled_from([2, 3]),
+        st.booleans(),
+        st.booleans(),
+        st.data(),
+    )
+    def test_inner_split_of_random_group_ends(
+        self, seed, r, d, e, trailing, deficient, data
+    ):
+        # A group end whose bond is wide, its centre P tall and K tall or
+        # square.  The stored bond's bounds hold; a split must match the bond
+        # the SVD route forms: the rank it keeps, the product and
+        # orthonormal columns; a rank-deficient N, hence K, is never split.
+        assume(r * d > 1)
+        s = data.draw(st.integers(1, r * d - 1))
+        c = data.draw(st.integers(1, s * e))
+        assume(r * d <= e * c)
+        prev = standard_normal(stream(seed, 1), (r, d, s))
+        N = standard_normal(stream(seed, 2), (s * e, c))
+        if deficient:
+            k = min(s * e, c) - 1
+            assume(k >= 1)
+            N = N[:, :k] @ standard_normal(stream(seed, 3), (k, c))
+        x, t = (1, c) if trailing else (c, 1)
+        nxt = np.reshape(N, (s, e * x, t), order="F")
+        gate = random_orthogonal(stream(seed, 4), d * e)
+        M = self._gated_bond(prev, nxt, gate, r * d * e)
+        # The same chain and mix in extended precision stand in for the
+        # exact product that _stored_bond charges against.
+        Y = np.reshape(prev, (r * d, s), order="F").astype(np.longdouble) @ (
+            np.reshape(nxt, (s, -1), order="F").astype(np.longdouble)
+        )
+        Y = np.reshape(Y, (r, d * e, -1), order="F")
+        exact = np.einsum("ki,aij->akj", gate.T.astype(np.longdouble), Y)
+        norm, charge = _stored_bond(prev, nxt, gate)
+        assert norm >= np.linalg.norm(M)
+        assert charge >= np.linalg.norm(M - np.reshape(exact, M.shape, order="F"))
+        rank = svd_trunc(M, 0.0).rank
+        split = _inner_split(prev, nxt, gate, e, 0.0, norm, charge)
+        if deficient:
+            assert split is None and rank < c
+        if split is None:
+            return
+        core, centre = split
+        assert rank == c
+        Q = np.reshape(core, (r * d * e, c), order="F")
+        R = np.reshape(centre, (c, c), order="F")
+        np.testing.assert_allclose(Q.T @ Q, np.eye(c), rtol=0, atol=1e-13)
+        assert np.linalg.norm(Q @ R - M) <= 1e-13 * np.linalg.norm(M)
+
+    @pytest.mark.parametrize(
+        "arities, gated",
+        [((2, 1, 2), 2), ((2, 1, 2), 3), ((2, 1, 1, 2), 2), ((1, 2, 1), 1)],
+    )
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_site_groups_match_the_svd_route(self, arities, gated, seed):
+        # A one-site group right after a gated group end has no bond inside
+        # it, so the end's factors split nothing more, and every later group
+        # is still absorbed in turn.
+        gen = stream(seed, 7)
+        dims = [int(v) for v in gen.integers(2, 4, size=sum(arities))]
+        isometries, pos = [], 1
+        for k, a in enumerate(arities):
+            group = tuple(dims[pos - 1:pos - 1 + a])
+            rows = math.prod(group)
+            out = int(gen.integers(1, rows + 1))
+            data = random_isometry(stream(seed, 8, k), rows, out)
+            isometries.append((pos, Isometry(group, data)))
+            pos += a
+        n = dims[gated - 1] * dims[gated]
+        gate = Disentangler(
+            (dims[gated - 1], dims[gated]), random_orthogonal(stream(seed, 9), n)
+        )
+        top = standard_normal(
+            stream(seed, 10), tuple(iso.output_dim for _, iso in isometries)
+        )
+        m = Mera((MeraLayer(tuple(isometries), ((gated, gate),)),), DenseTensor(top))
+        ref = dense_from_mera(m)
+        on = mera_to_tt(m, 0.0)
+        with pytest.MonkeyPatch.context() as patch:
+            self._force_svd(patch)
+            off = mera_to_tt(m, 0.0)
+        assert on.ranks == off.ranks
+        assert _tt_diff_norm(on, off) <= 1e-13 * tt_norm(off)
+        got = tt_contract(on).to_array()
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        SEEDS,
+        st.sampled_from([(2, 2), (3, 2), (3, 3), (4, 2), (4, 3)]),
+        st.sampled_from([(4, 1), (8, 1), (8, 2)]),
+        st.sampled_from([0.0, 1e-14, 1e-12]),
+        st.booleans(),
+    )
+    def test_factored_split_matches_the_svd_route(
+        self, seed, sizes, layout, round_eps, gated
+    ):
+        # Random gated and gate-free networks: the factored split keeps the
+        # SVD route's ranks, its train to rounding, and orthonormal cores.
+        (I, S), (order, layers) = sizes, layout
+        plant = random_mera_plant(I, S, order=order, layers=layers, seed=seed)
+        if not gated:
+            free = tuple(MeraLayer(layer.isometries, ()) for layer in plant.layers)
+            plant = Mera(free, plant.top)
+        on = mera_to_tt(plant, round_eps)
+        with pytest.MonkeyPatch.context() as patch:
+            self._force_svd(patch)
+            off = mera_to_tt(plant, round_eps)
+        assert on.ranks == off.ranks
+        assert _tt_diff_norm(on, off) <= 1e-13 * tt_norm(off)
+        for core in on.cores[:-1]:
+            r, d, s = core.shape
+            U = np.reshape(core, (r * d, s), order="F")
+            np.testing.assert_allclose(U.T @ U, np.eye(s), rtol=0, atol=1e-13)
 
     def test_search_counts_match_the_svd_route(self, monkeypatch):
         def iterations():
