@@ -236,7 +236,9 @@ def _svd_trunc(X: np.ndarray, delta: float) -> TruncatedSvd:
     # A view of X when a = 1 or b = 1, else a copy.
     M = _unfold(X, 1)
     if wide:
-        U, s, _ = np.linalg.svd(np.linalg.qr(M.T, mode="r").T)
+        # LAPACK reads its input by columns: a Fortran-ordered copy of M.T
+        # is cheaper to hand over than the strided C-ordered view.
+        U, s, _ = np.linalg.svd(np.linalg.qr(np.asfortranarray(M.T), mode="r").T)
     else:
         U, s, Vt = np.linalg.svd(M, full_matrices=False)
     # Squared at the scale of s[0], so no square overflows and one that

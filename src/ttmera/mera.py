@@ -39,7 +39,7 @@ from .kernels import (
 from .train import (
     TensorTrain,
     _chain,
-    _r_norm,
+    _left_mat,
     merge_cores,
     orthogonalize,
     split_core,
@@ -524,7 +524,7 @@ def _build_layer(
         disentanglers.insert(0, (p, dis))
         cores = list(fused.cores)
         cores[p - 1] = mixed
-        tt = split_core(TensorTrain(cores, canonical_site=p), p, *pair)
+        tt = split_core(TensorTrain._wrap(cores, p), p, *pair)
 
     # Fuse the isometry groups, which carries the centre from the first
     # pair to site 1, and extract the truncated factors.
@@ -691,7 +691,7 @@ def mera_to_tt(m: Mera, round_eps: float = 1e-14) -> TensorTrain:
             cores.append(np.reshape(U, (r, d, U.shape[1]), order="F"))
             centre = np.reshape(rest, (rest.shape[0], n // d, s), order="F")
         cores.append(centre)
-        current = TensorTrain(cores, canonical_site=len(cores))
+        current = TensorTrain._wrap(cores, len(cores))
     return current
 
 
@@ -883,10 +883,10 @@ def mera_storage(m: Mera) -> int:
 def mera_relative_error(m: Mera, reference: TensorTrain) -> float:
     """``|reference - mera|_F / |reference|_F`` in train arithmetic.
 
-    The MERA is evaluated as a train; the difference is formed by core-wise
-    block concatenation and its norm taken from the R factors of one
-    right-to-left QR sweep (``train._r_norm``), so nothing is densified at
-    any size and no orthonormal factor is formed.
+    The MERA is evaluated as a train, site-``D``-mixed-canonical, and the
+    reference is swept against that train's orthonormal frame
+    (:func:`_tt_diff_norm`), so nothing is densified at any size and no
+    orthonormal factor is formed.
     """
     rec = mera_to_tt(m)
     if rec.dims != reference.dims:
@@ -901,25 +901,46 @@ def mera_relative_error(m: Mera, reference: TensorTrain) -> float:
 
 
 def _tt_diff_norm(a: TensorTrain, b: TensorTrain) -> float:
-    """Frobenius norm of ``a - b`` for trains of equal dimensions: the
-    block-concatenated cores of the difference go straight to the R-only
-    sweep ``train._r_norm``, with no train built around them."""
-    if a.order == 1:
-        return float(np.linalg.norm(a.cores[0].ravel() - b.cores[0].ravel()))
-    cores = []
-    D = a.order
-    for d in range(D):
-        ca = a.cores[d]
-        cb = -b.cores[d] if d == 0 else b.cores[d]
-        ra, n, sa = ca.shape
-        rb, _, sb = cb.shape
-        if d == 0:
-            cores.append(np.concatenate([ca, cb], axis=2))
-        elif d == D - 1:
-            cores.append(np.concatenate([ca, cb], axis=0))
-        else:
-            block = np.zeros((ra + rb, n, sa + sb))
-            block[:ra, :, :sa] = ca
-            block[ra:, :, sa:] = cb
-            cores.append(block)
-    return _r_norm(cores)
+    """Frobenius norm of ``a - b`` for trains of equal dimensions.
+
+    ``b`` is brought to site ``D`` (free for a ``tt_svd`` or ``mera_to_tt``
+    result), so its left interfaces ``L_d`` have orthonormal columns.  One
+    left-to-right sweep writes ``a``'s left interfaces as
+    ``L_d S + Q_d T`` with ``Q_d`` orthonormal and orthogonal to ``L_d``,
+    carrying only ``S`` and ``T``.  At core ``d``, with ``X = (S (x) I) A_d``
+    and ``X_t = (T (x) I) A_d``, ``S' = B_d^T X`` and ``Y = X - B_d S'``
+    (projected twice, CGS2); ``Y`` and ``X_t`` live in mutually orthogonal
+    frames orthogonal to ``L_{d+1}``, so the next ``T`` is the R factor of
+    ``[Y; X_t]``, and at core ``D``
+    ``|a - b|^2 = |X - B_D|^2 + |X_t|^2``.  A square ``B_d`` spans all
+    that ``L_d (x) I`` spans, so there ``Y`` is zero and not formed.  Each
+    QR has ``a``'s columns only, and no block core of the difference is
+    built.
+
+    The identity is exact for orthonormal ``L_d``.  In floating point the
+    result is, to first order, within
+    ``(sum_d |B_d^T B_d - I|_2 + c D u) (|a|_F + |b|_F)`` of ``|a - b|_F``,
+    ``u`` the unit roundoff and ``c`` a small constant, ``B_d`` the left
+    unfoldings of ``b``'s cores ``1..D-1``: the sweep trusts ``b``'s
+    frame, and rounding its products and QRs costs a few ``u`` per core.
+    """
+    b = orthogonalize(b, b.order)
+    S = np.ones((1, 1))
+    T = np.zeros((0, 1))
+    for A, B in zip(a.cores[:-1], b.cores[:-1]):
+        X = _left_mat(_chain([S[:, None, :], A]))
+        Xt = _left_mat(_chain([T[:, None, :], A]))
+        Bm = _left_mat(B)
+        S = Bm.T @ X
+        # A square B_d is orthogonal: it leaves no complement, and Y = 0.
+        if Bm.shape[0] > Bm.shape[1]:
+            X -= Bm @ S
+            S2 = Bm.T @ X
+            X -= Bm @ S2
+            S += S2
+            Xt = np.concatenate([X, Xt])
+        T = np.linalg.qr(Xt, mode="r")
+    A, B = a.cores[-1], b.cores[-1]
+    X = _chain([S[:, None, :], A]) - B
+    Xt = _chain([T[:, None, :], A])
+    return math.hypot(np.linalg.norm(X.ravel()), np.linalg.norm(Xt.ravel()))

@@ -57,6 +57,13 @@ class TensorTrain:
     is guaranteed (a sweep, or a merge or split that keeps the centre), and
     ``orthogonalize`` moves the centre from it.  Without a tag, no form is
     assumed.
+
+    The constructor checks what enters from outside (user arrays, file
+    loads): float64 3-way cores, no empty axis, finite entries, a matching
+    rank chain with unit boundaries.  A train the package builds from
+    checked cores is taken over by ``_wrap`` instead, with no scan and no
+    shape check: its caller guarantees those properties and the tag.
+    Either way the cores are marked read-only, not copied.
     """
 
     __slots__ = ("_cores", "_site")
@@ -92,6 +99,18 @@ class TensorTrain:
             c.setflags(write=False)
         self._cores = tuple(checked)
         self._site = canonical_site
+
+    @classmethod
+    def _wrap(cls, cores: Sequence[np.ndarray], site: int | None) -> TensorTrain:
+        """Take over float64 cores that already form a valid train with
+        finite entries, tagged ``site``: no scan and no copy, only marked
+        read-only."""
+        tt = object.__new__(cls)
+        for c in cores:
+            c.setflags(write=False)
+        tt._cores = tuple(cores)
+        tt._site = site
+        return tt
 
     @property
     def cores(self) -> tuple[np.ndarray, ...]:
@@ -190,7 +209,7 @@ def _tt_svd_sweep(t: DenseTensor, epsilon: float) -> tuple[TensorTrain, float]:
         if d < D - 2:
             C = np.reshape(C, (r * dims[d + 1], -1), order="F")
     cores.append(C.reshape(r, dims[D - 1], 1))
-    return TensorTrain(cores, canonical_site=D), discarded
+    return TensorTrain._wrap(cores, D), discarded
 
 
 def orthogonalize(tt: TensorTrain, d: int) -> TensorTrain:
@@ -214,7 +233,7 @@ def orthogonalize(tt: TensorTrain, d: int) -> TensorTrain:
         Q, R = qr_thin(_right_mat(cores[k]).T)
         cores[k] = _from_right(Q.T, cores[k].shape[1], cores[k].shape[2])
         cores[k - 1] = np.tensordot(cores[k - 1], R.T, axes=([2], [0]))
-    return TensorTrain(cores, canonical_site=d)
+    return TensorTrain._wrap(cores, d)
 
 
 def tt_norm(tt: TensorTrain) -> float:
@@ -273,7 +292,7 @@ def tt_round(tt: TensorTrain, epsilon: float) -> TensorTrain:
             raise ValueError(f"mode {d + 1} fully truncated; epsilon too large")
         cores[d] = _from_left(f.U, cores[d].shape[0], cores[d].shape[1])
         cores[d + 1] = np.tensordot(f.rest, cores[d + 1], axes=([1], [0]))
-    return TensorTrain(cores, canonical_site=tt.order)
+    return TensorTrain._wrap(cores, tt.order)
 
 
 def merge_cores(tt: TensorTrain, d: int) -> TensorTrain:
@@ -294,7 +313,7 @@ def merge_cores(tt: TensorTrain, d: int) -> TensorTrain:
     site = tt.canonical_site
     if site is not None and site > d:
         site -= 1
-    return TensorTrain(cores, site)
+    return TensorTrain._wrap(cores, site)
 
 
 def split_core(tt: TensorTrain, d: int, left_dim: int, right_dim: int) -> TensorTrain:
@@ -321,7 +340,7 @@ def split_core(tt: TensorTrain, d: int, left_dim: int, right_dim: int) -> Tensor
     left = _from_left(f.rest.T, r, left_dim)
     right = _from_right(f.U.T, right_dim, s)
     cores = list(tt.cores[: d - 1]) + [left, right] + list(tt.cores[d:])
-    return TensorTrain(cores, d if tt.canonical_site == d else None)
+    return TensorTrain._wrap(cores, d if tt.canonical_site == d else None)
 
 
 @dataclass(frozen=True)

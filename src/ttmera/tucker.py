@@ -131,7 +131,7 @@ def tucker_sweep(
             Q, R = qr_thin(np.reshape(T, (r * keep, s), order="F"))
             out.append(np.reshape(Q, (r, keep, Q.shape[1]), order="F"))
             cores[d + 1] = np.tensordot(R, cores[d + 1], axes=([1], [0]))
-    return factors, TensorTrain(out, canonical_site=D), discarded
+    return factors, TensorTrain._wrap(out, D), discarded
 
 
 def tucker_reconstruct_tt(t: TuckerTT) -> TensorTrain:

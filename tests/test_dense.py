@@ -208,3 +208,19 @@ class TestDenseTensor:
             tracemalloc.stop()
         assert peak < 0.01 * a.nbytes
         assert value == pytest.approx(math.sqrt(float(np.sum(a * a))), rel=1e-13)
+
+    @pytest.mark.parametrize("size", [1, 4095, 4096, 4097, 3 * 4096 + 17])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_norm_matches_the_per_block_loop(self, size, layout):
+        # One vecdot over the whole blocks takes the same dot per block as
+        # a loop of np.dot calls, so the norm keeps every bit.
+        rng = np.random.default_rng(size)
+        a = rng.standard_normal((size, 3)) * 10.0 ** rng.integers(-3, 4, (size, 3))
+        if layout == "F":
+            a = np.asfortranarray(a)
+        elif layout == "strided":
+            a = np.asfortranarray(a)[::-1, ::2]
+        flat = a.ravel(order="K")
+        blocks = (flat[i : i + 4096] for i in range(0, flat.size, 4096))
+        loop = math.sqrt(math.fsum(float(np.dot(b, b)) for b in blocks))
+        assert DenseTensor(a).norm() == loop

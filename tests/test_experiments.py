@@ -281,14 +281,15 @@ class TestRunPlanted:
         assert len(rows) == 1 + len(result["original_sigma"])
 
     def test_supercores_are_not_rescanned(self, monkeypatch):
-        # The supercore is a core of the merged train, which checked it; the
-        # transformed one is an orthogonal map of it.
+        # The supercore is a core of the merged train, which the package
+        # built from the checked tensor; the transformed one is an
+        # orthogonal map of it.  Neither is scanned.
         searched = record_searches(monkeypatch, ttmera.experiments)
         scanned = record_scans(monkeypatch)
         run_planted(I=4, rprime=2, seed=4, trace_stride=0)
         monkeypatch.undo()
         [(supercore, transformed)] = searched
-        assert scan_count(scanned, supercore) == 1
+        assert scan_count(scanned, supercore) == 0
         assert scan_count(scanned, transformed) == 0
 
     def test_budget_exhaustion_is_reported_not_raised(self):

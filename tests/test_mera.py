@@ -45,6 +45,7 @@ from ttmera.mera import (
 )
 from ttmera.rng import random_isometry, random_orthogonal, standard_normal, stream
 from ttmera.train import (
+    TensorTrain,
     _chain,
     merge_cores,
     orthogonalize,
@@ -931,9 +932,10 @@ class TestTrainToMera:
         assert mera_relative_error(m, tt) <= 1e-10
 
     def test_search_supercores_are_not_rescanned(self, monkeypatch):
-        # Each supercore is a core of the fused train, which checked it, and
-        # each transformed supercore an orthogonal map of it: a procrustes
-        # layer wraps both, so each is scanned once, by the train holding it.
+        # Each supercore is a core of a train the package built from
+        # checked cores, and each transformed supercore an orthogonal map of
+        # it: a procrustes layer wraps both, and so does every train holding
+        # them, so neither is ever scanned.
         plant = random_mera_plant(3, 2, arity=2, order=8, layers=1, seed=1)
         tt = mera_to_tt(plant)
         searched = record_searches(monkeypatch, ttmera.mera)
@@ -943,8 +945,8 @@ class TestTrainToMera:
         monkeypatch.undo()
         assert len(searched) == 3
         for supercore, transformed in searched:
-            assert scan_count(scanned, supercore) == 1
-            assert scan_count(scanned, transformed) == 1
+            assert scan_count(scanned, supercore) == 0
+            assert scan_count(scanned, transformed) == 0
 
     def test_two_layer_shapes(self):
         tt = decaying_train(5, (2,) * 8, max_rank=6)
@@ -1012,6 +1014,31 @@ class TestMeraError:
         assert _tt_diff_norm(tt, tt) <= 1e-14 * tt_norm(tt)
         untagged = decaying_train(I, (3, 2, 4, 3, 2))
         assert _tt_diff_norm(untagged, untagged) <= 1e-14 * tt_norm(untagged)
+
+    @settings(max_examples=80, deadline=None)
+    @given(SEEDS, st.integers(1, 3), st.sampled_from(["last", "inner", None]))
+    def test_difference_norm_matches_the_dense_difference(self, seed, order, tag):
+        # b's ranks are drawn apart from a's, b is scaled apart from a, and
+        # b comes tagged at D, tagged at another site, or untagged.
+        gen = stream(seed, 31)
+        dims = tuple(int(n) for n in gen.integers(1, 5, order))
+
+        def train(scale):
+            ranks = [1, *(int(r) for r in gen.integers(1, 6, order - 1)), 1]
+            return TensorTrain([
+                scale * standard_normal(gen, (ranks[d], n, ranks[d + 1]))
+                for d, n in enumerate(dims)
+            ])
+
+        a, b = train(1.0), train(10.0 ** gen.uniform(-2, 2))
+        if tag == "last":
+            b = orthogonalize(b, order)
+        elif tag == "inner":
+            b = orthogonalize(b, int(gen.integers(1, order)) if order > 1 else 1)
+        da, db = tt_contract(a).to_array(), tt_contract(b).to_array()
+        dense = np.linalg.norm((da - db).ravel())
+        scale = np.linalg.norm(da.ravel()) + np.linalg.norm(db.ravel())
+        assert abs(_tt_diff_norm(a, b) - dense) <= 1e-13 * scale
 
     def test_capped_hosvd_round_trip_error(self):
         tt = mera_to_tt(random_mera_plant(6, 3, seed=0))

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import count_qr, decaying_train, random_dense
+from conftest import count_qr, decaying_train, random_dense, record_scans, scan_count
 from ttmera.dense import DenseTensor
 from ttmera.errors import CapacityError, NumericError
+from ttmera.experiments import random_mera_plant
+from ttmera.mera import mera_to_tt
 from ttmera.rng import standard_normal, stream
 from ttmera.train import (
     TensorTrain,
@@ -25,6 +27,7 @@ from ttmera.train import (
     tt_storage,
     tt_svd,
 )
+from ttmera.tucker import tucker_sweep
 
 SEEDS = st.integers(0, 2**32 - 1)
 DIMS = st.lists(st.integers(2, 5), min_size=2, max_size=5)
@@ -82,6 +85,45 @@ class TestConstruction:
         tt = TensorTrain([np.ones((1, 2, 1))])
         with pytest.raises(ValueError):
             tt.core(1)[0, 0, 0] = 2.0
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_rejects_infinite(self, bad):
+        c = np.ones((1, 2, 2))
+        c[0, 1, 1] = bad
+        with pytest.raises(NumericError, match="core 1"):
+            TensorTrain([c, np.ones((2, 3, 1))])
+
+    def test_rejects_ragged_core(self):
+        with pytest.raises(ValueError):
+            TensorTrain([[[[1.0]], [[1.0, 2.0]]]])
+
+    def test_built_trains_are_wrapped_read_only_and_tagged(self, monkeypatch):
+        # Every train an operation builds from checked cores is taken over
+        # without a finiteness scan; its cores are read-only and its tag is
+        # the form the operation guarantees.
+        t = random_dense(3, (3, 4, 2, 3))
+        plant = random_mera_plant(2, 2, arity=2, order=4, layers=1, seed=3)
+        scanned = record_scans(monkeypatch)
+        tt = tt_svd(t, 0.0)
+        mid = orthogonalize(tt, 2)
+        merged = merge_cores(mid, 2)
+        built = {
+            "tt_svd": (tt, 4),
+            "orthogonalize": (mid, 2),
+            "tt_round": (tt_round(tt, 1e-2), 4),
+            "merge_cores": (merged, 2),
+            "split_core": (split_core(merged, 2, 4, 2), 2),
+            "tucker_sweep": (tucker_sweep(tt, 0.0)[1], 4),
+            "mera_to_tt": (mera_to_tt(plant), 4),
+        }
+        monkeypatch.undo()
+        for name, (out, site) in built.items():
+            assert out.canonical_site == site, name
+            for c in out.cores:
+                assert not c.flags.writeable, name
+                assert scan_count(scanned, c) == 0, name
+        assert_canonical(built["split_core"][0])
+        assert_canonical(built["tucker_sweep"][0])
 
     def test_rank_one_contract_by_hand(self):
         a = np.array([1.0, 2.0]).reshape(1, 2, 1)
