@@ -25,14 +25,13 @@ proofs, cheapest first, taking the wide R-SVD route when none holds:
 
 1. the smallest Gram eigenvalue at or below the squared ``delta = 0``
    floor marks a numerically rank-deficient input, refused at once;
-2. a Gershgorin bound on ``U.T @ G @ U`` for the Gram matrix ``G`` and
-   eigenvectors ``U`` in hand, charged the rounding of ``G``, proves
-   ``sigma_min`` when it exceeds about ``sqrt(n eps) |M|_F`` and reads
-   nothing of ``M``;
-3. below that, the rows of ``U.T @ M`` are nearly orthogonal, and a scaled
-   Gershgorin bound on their Gram matrix gives the smallest singular value
-   to relative accuracy (Demmel & Veselic, SIAM J. Matrix Anal. Appl.
-   13(4), 1992) at the price of one more pass.
+2. ``_sigma_min_bound`` of the Gram matrix in hand, charged its rounding,
+   proves ``sigma_min`` above about ``sqrt(n eps) |M|_F``, reading nothing
+   of ``M``;
+3. below that, the rows of ``U.T @ M`` are nearly orthogonal, and the same
+   bound on their Gram matrix scaled to a unit diagonal gives the smallest
+   singular value to relative accuracy (after Demmel & Veselic, SIAM J.
+   Matrix Anal. Appl. 13(4), 1992) at the price of one more pass.
 
 Dense ST-HOSVD truncates the mode-2 unfolding of its core viewed as an
 ``(a, n, b)`` array, through the private ``_svd_trunc``; a matrix is the
@@ -390,6 +389,15 @@ def _rank_floor(shape: tuple[int, int], delta: float, norm: float) -> float:
     return max(delta, max(shape) * np.finfo(np.float64).eps * norm)
 
 
+def _gamma(k: int) -> float:
+    """Higham's ``gamma_k = k u / (1 - k u)`` for the unit roundoff ``u =
+    eps / 2``, which bounds the relative rounding of a sum of ``k`` products
+    (Accuracy and Stability of Numerical Algorithms, Thm. 3.5); ``inf`` once
+    ``k u >= 1``, where no such bound holds."""
+    ku = k * np.finfo(np.float64).eps / 2.0
+    return ku / (1.0 - ku) if ku < 1.0 else np.inf
+
+
 def _gram(X: np.ndarray) -> np.ndarray:
     """``M M^T`` of the mode-2 unfolding ``M`` of the ``(a, n, b)`` array
     ``X``, from ``X`` in place.
@@ -467,7 +475,7 @@ def _svd_trunc_gram(
     margin in practice, not in the worst case.
 
     At a tighter ``delta`` ``M`` keeps every eigenvector if
-    :func:`_gram_certified` proves full row rank from ``G`` and ``U``, with
+    :func:`_gram_certified` proves full row rank from ``G`` alone, with
     the square roots of the eigenvalues as ``sigma``, or else if
     :func:`_certified_sigma` proves it from the Gram matrix of ``rest``,
     with that matrix's row norms as ``sigma``.
@@ -486,18 +494,15 @@ def _svd_trunc_gram(
     P = P[:, ::-1]
     if delta <= _GRAM_DELTA_FLOOR * norm:
         # An eigenvalue at or below the delta = 0 floor marks a numerically
-        # rank-deficient input, which both certificates would refuse; the
-        # check spares it the projection.
+        # rank-deficient input, which both certificates refuse; skip projecting.
         floor = _rank_floor((m, n), 0.0, norm)
         if lam[-1] <= floor * floor:
             return None
         U, rest = _project(P, X)
-        if _gram_certified(G, U, n, delta, trace):
+        if _gram_certified(G, n, delta, trace):
             sigma = np.sqrt(lam)
-        else:
-            sigma = _certified_sigma(_gram(rest), n, delta, norm)
-            if sigma is None:
-                return None
+        elif (sigma := _certified_sigma(_gram(rest), n, delta, norm)) is None:
+            return None
         return TruncatedSvd(U=U, sigma=sigma, rest=rest, discarded_energy=0.0)
     s = np.sqrt(lam)
     tails = np.concatenate([np.cumsum(lam[::-1])[::-1], [0.0]])
@@ -516,53 +521,22 @@ def _svd_trunc_gram(
     )
 
 
-def _gram_certified(
-    G: np.ndarray, U: np.ndarray, n: int, delta: float, trace: float
-) -> bool:
+def _gram_certified(G: np.ndarray, n: int, delta: float, trace: float) -> bool:
     """Whether the computed Gram matrix ``G = fl(M M^T)`` of the ``m x n``
-    matrix ``M``, with trace ``trace``, and the ``m x m`` matrix ``U`` of
-    its eigenvectors prove that every singular value of ``M`` exceeds the
-    rank floor.  It reads nothing of ``M``.
+    matrix ``M``, with trace ``trace``, proves that every singular value of
+    ``M`` exceeds the rank floor.  It reads nothing of ``M``.
 
-    Every entry of ``G`` is a sum of ``n`` products, so ``|G - M M^T|_2 <=
-    gamma_n |M|_F^2`` with ``gamma_n = n u / (1 - n u)`` and ``u = eps / 2``
-    (Higham, Accuracy and Stability of Numerical Algorithms, Thm. 3.5).  For
-    ``H = fl(U^T G U)``, Gershgorin's discs of its symmetric part give
-    ``lambda_min >= g = min_i (H_ii - sum_{j != i} (|H_ij| + |H_ji|) / 2)``,
-    which for a symmetric ``H`` is the row sum, less ``|Delta H|`` for the
-    rounding of the two products.  With ``omega = |U^T U - I|_F``,
-    Ostrowski's theorem moves that to the symmetric part of ``G``, no
-    farther from ``M M^T`` than ``G``, at a factor ``1 + omega``, so
-    ``sigma_min(M)^2 >= (g - |Delta H| - (1 + omega) gamma_n |M|_F^2) / (1 +
-    omega)``: a Gershgorin bound in the manner of Demmel & Veselic, unscaled,
-    with the eigenvectors' departure from orthogonality kept.  ``omega``
-    and ``|Delta H|`` are charged twice their first-order rounding bounds,
-    as in :func:`_certified_qr`, and the Gram term ``2 gamma_n trace``,
-    which covers ``gamma_n |M|_F^2`` and the rounding of the bound itself.
-    The bound must exceed the square of the floor of :func:`_rank_floor`.
-
-    ``gamma_n |M|_F^2`` caps what it can prove: an ``M`` with ``sigma_min /
-    |M|_F`` below about ``sqrt(2 n u)`` is refused, whatever its
-    eigenvectors, and :func:`_certified_sigma` decides it instead.
+    Each entry of ``G`` sums ``n`` products, so ``|G - M M^T|_2 <= gamma_n
+    |M|_F^2`` (:func:`_gamma`), and by Weyl's inequality ``sigma_min(M)^2
+    >= sigma_min(G) - gamma_n |M|_F^2``, with ``sigma_min(G)`` bounded by
+    :func:`_sigma_min_bound`.  The charge ``2 gamma_n trace`` covers
+    ``gamma_n |M|_F^2`` and the rounding of the bound; what is left must
+    exceed the squared floor of :func:`_rank_floor`.  So an ``M`` with
+    ``sigma_min / |M|_F`` below about ``sqrt(2 n u)`` is refused, and
+    :func:`_certified_sigma` decides it instead.
     """
-    m = G.shape[0]
-    eps = np.finfo(np.float64).eps
-    nu = n * eps / 2.0
-    if not nu < 0.5:
-        return False
-    gamma = nu / (1.0 - nu)
-    W = U.T @ U
-    q2 = float(np.trace(W))
-    W[np.diag_indices(m)] -= 1.0
-    omega = np.linalg.norm(W) + 2.0 * m * eps * q2
-    H = U.T @ (G @ U)
-    dH = 2.0 * m * eps * q2 * np.linalg.norm(G)
-    A = np.abs(H)
-    radius = (A.sum(axis=0) + A.sum(axis=1)) / 2.0 - np.diag(A)
-    g = float(np.min(np.diag(H) - radius))
-    bound = (g - dH) / (1.0 + omega) - 2.0 * gamma * trace
-    floor = _rank_floor((m, n), delta, np.sqrt(trace))
-    return bool(bound > floor * floor)
+    bound = _sigma_min_bound(G) - 2.0 * _gamma(n) * trace
+    return bool(bound > _rank_floor((G.shape[0], n), delta, np.sqrt(trace)) ** 2)
 
 
 def _certified_sigma(
@@ -573,21 +547,20 @@ def _certified_sigma(
 
     ``U`` is the square orthogonal ``m x m`` matrix of ``M``'s Gram
     eigenvectors, ``H = rest rest^T`` is the Gram matrix of ``rest``,
-    ``rest`` has ``n`` columns, and ``norm`` is ``|M|_F``.
-    With ``d_i`` the row norms and ``H = D A D``, the unit
-    diagonal ``A`` has ``lambda_min(A) >= 1 - rho``, where ``rho`` is
-    Gershgorin's largest off-diagonal row sum of ``|A|`` plus ``m n eps``
-    for the rounding of ``H``.  So ``sigma_min(rest)^2 >= (1 - rho) (1 - n
-    eps) min d_i^2``, a bound relative to each row rather than to ``|M|``:
-    eigenvector noise of size ``eps |M|^2`` in ``H_ij`` costs row ``i``
-    only ``eps |M|^2 / (d_i d_j)``.  The projection's rounding and
+    ``rest`` has ``n`` columns, and ``norm`` is ``|M|_F``.  With ``d_i``
+    the row norms and ``H = D A D``, the unit-diagonal ``A`` has
+    ``sigma_min(A) >= ell - m n eps``: ``ell`` is the bound of
+    :func:`_sigma_min_bound` on the computed ``A``, and ``m n eps`` charges
+    the rounding of ``H``.  So ``sigma_min(rest)^2 >= (ell - m n eps) (1 -
+    n eps) min d_i^2``, a bound relative to each row rather than to
+    ``|M|``: eigenvector noise of size ``eps |M|^2`` in ``H_ij`` costs
+    ``A`` only ``eps |M|^2 / (d_i d_j)``.  The projection's rounding and
     ``U``'s departure from orthogonality are charged ``m (sqrt(m) + 2) eps
-    |M|_F``, twice their first-order bound.  What is left must exceed
-    the floor of :func:`_rank_floor`, above which the rank rule keeps every
-    value.
-    Sorted, the row norms match the singular values of ``rest`` to a
-    relative ``rho`` (Ostrowski's theorem); they come in the descending
-    order of the Gram eigenvalues, which a tie may swap within rounding.
+    |M|_F``, twice their first-order bound.  What is left must exceed the
+    floor of :func:`_rank_floor`.  Sorted, the row norms match the
+    singular values of ``rest`` to a relative ``|A - I|_2``; they come in
+    the descending order of the Gram eigenvalues, which a tie may swap
+    within rounding.
     """
     m = H.shape[0]
     eps = np.finfo(np.float64).eps
@@ -598,11 +571,8 @@ def _certified_sigma(
     # scaling below.
     if d_min <= floor:
         return None
-    A = np.abs(H) / np.outer(d, d)
-    np.fill_diagonal(A, 0.0)
-    rho = float(A.sum(axis=1).max()) + m * n * eps
-    ell = (1.0 - rho) * (1.0 - n * eps) * d_min * d_min
-    bound = np.sqrt(max(ell, 0.0)) - m * (np.sqrt(m) + 2.0) * eps * norm
+    ell = (_sigma_min_bound(H / np.outer(d, d)) - m * n * eps) * (1.0 - n * eps)
+    bound = np.sqrt(max(ell, 0.0)) * d_min - m * (np.sqrt(m) + 2.0) * eps * norm
     return d if bound > floor else None
 
 

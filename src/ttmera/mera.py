@@ -29,6 +29,7 @@ from .kernels import (
     _certified_qr,
     _cholesky_qr2,
     _full_row_rank,
+    _gamma,
     _procrustes,
     _rank_floor,
     _row_rank_bound,
@@ -56,7 +57,6 @@ __all__ = [
     "Mera",
     "DisentanglerReport",
     "shuf",
-    "shuf_inv",
     "find_disentangler",
     "disentangler_positions",
     "isometry_positions",
@@ -159,7 +159,7 @@ class MeraLayer:
                 )
             expect = hi + 1
         boundaries = {hi for _, hi in covered[:-1]}
-        dims = [d for _, iso in sorted(self.isometries) for d in iso.input_dims]
+        dims = self.input_dims
         seen: set[int] = set()
         for pos, dis in self.disentanglers:
             if pos not in boundaries:
@@ -172,6 +172,14 @@ class MeraLayer:
             if pos in seen or pos + 1 in seen:
                 raise ValueError(f"disentanglers overlap at position {pos}")
             seen.update((pos, pos + 1))
+
+    @property
+    def input_dims(self) -> tuple[int, ...]:
+        return tuple(d for _, iso in sorted(self.isometries) for d in iso.input_dims)
+
+    @property
+    def output_dims(self) -> tuple[int, ...]:
+        return tuple(iso.output_dim for _, iso in sorted(self.isometries))
 
     @property
     def input_arity(self) -> int:
@@ -192,24 +200,22 @@ class Mera:
     def __post_init__(self):
         if not self.layers:
             raise ValueError("a MERA needs at least one layer")
-        for a, b in zip(self.layers, self.layers[1:]):
-            if b.input_arity != a.output_arity:
+        for k, (a, b) in enumerate(zip(self.layers, self.layers[1:]), start=1):
+            if b.input_dims != a.output_dims:
                 raise ValueError(
-                    f"layer arity mismatch: {a.output_arity} outputs feed "
-                    f"{b.input_arity} inputs"
+                    f"layer {k + 1} takes dims {b.input_dims}, but layer {k} "
+                    f"puts out {a.output_dims}"
                 )
-        if self.top.order != self.layers[-1].output_arity:
+        out = self.layers[-1].output_dims
+        if self.top.dims != out:
             raise ValueError(
-                f"top tensor order {self.top.order} does not match "
-                f"{self.layers[-1].output_arity} outgoing indices"
+                f"top tensor order {self.top.order}, dims {self.top.dims}, does "
+                f"not match layer {len(self.layers)}'s outgoing dims {out}"
             )
 
     @property
     def input_dims(self) -> tuple[int, ...]:
-        dims: list[int] = []
-        for _, iso in sorted(self.layers[0].isometries):
-            dims.extend(iso.input_dims)
-        return tuple(dims)
+        return self.layers[0].input_dims
 
 
 @dataclass(frozen=True)
@@ -275,25 +281,6 @@ def shuf(supercore: DenseTensor, split: tuple[int, int]) -> np.ndarray:
     """
     _supercore_mat(supercore, split)
     return _unfold(supercore.to_array(), 1)
-
-
-def shuf_inv(
-    A: np.ndarray, dims: tuple[int, int, int, int]
-) -> tuple[DenseTensor, np.ndarray]:
-    """Undo :func:`shuf`.
-
-    ``dims`` is ``(R_l, I_l, I_r, R_r)``.  Returns the supercore tensor of
-    dimensions ``(R_l, I_l * I_r, R_r)`` together with its
-    ``(R_l I_l, I_r R_r)`` matricization.
-    """
-    rl, il, ir, rr = dims
-    A = np.asarray(A, dtype=np.float64)
-    if A.shape != (il * ir, rl * rr):
-        raise ValueError(
-            f"expected shape {(il * ir, rl * rr)} for dims {dims}, got {A.shape}"
-        )
-    T = DenseTensor(_fold(A, 1, (rl, il * ir, rr)).copy(order="F"))
-    return T, np.reshape(T.to_array(), (rl * il, ir * rr), order="F")
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +609,7 @@ def mera_to_tt(m: Mera, round_eps: float = 1e-14) -> TensorTrain:
     for layer in reversed(m.layers):
         isometries = sorted(layer.isometries)
         current = orthogonalize(current, 1)
-        dims = [d for _, iso in isometries for d in iso.input_dims]
+        dims = layer.input_dims
         delta = round_eps * tt_norm(current) / math.sqrt(max(1, len(dims) - 1))
         expanded = (
             np.einsum("rks,mk->rms", core, iso.data, optimize=True)
@@ -771,10 +758,7 @@ def _stored_bond(
     g = gate.shape[0]
     C = np.reshape(prev, (r * d, s), order="F")
     F = np.reshape(nxt, (s, -1), order="F")
-    u = np.finfo(np.float64).eps / 2.0
-    gamma_s, gamma_y, gamma_g = (
-        k * u / (1.0 - k * u) for k in (s, r * d + F.shape[1] + s * s, g)
-    )
+    gamma_s, gamma_y, gamma_g = map(_gamma, (s, r * d + F.shape[1] + s * s, g))
     cf = float(np.linalg.norm(C) * np.linalg.norm(F))
     y = math.sqrt(np.vdot(C.T @ C, F @ F.T) + 2.0 * gamma_y * cf * cf)
     y += 2.0 * gamma_s * cf
@@ -847,11 +831,9 @@ def _inner_split(
     omega = omega_k + (1.0 + omega_k) * (omega_p + (1.0 + omega_p) * omega_v)
     if not omega < 0.5:
         return None
-    u = np.finfo(np.float64).eps / 2.0
-    gamma_s = s * u / (1.0 - s * u)
     nn = np.linalg.norm(nxt)
     rho = math.sqrt(1.0 + omega_v) * (
-        math.sqrt(1.0 + omega_p) * (rho_k + 2.0 * gamma_s * np.linalg.norm(RP) * nn)
+        math.sqrt(1.0 + omega_p) * (rho_k + 2.0 * _gamma(s) * np.linalg.norm(RP) * nn)
         + rho_p * nn
     )
     bound = math.sqrt(1.0 - omega) * _sigma_min_bound(RK) - rho - charge

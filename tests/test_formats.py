@@ -3,6 +3,7 @@
 import csv
 import struct
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -189,6 +190,15 @@ class TestMeraFile:
         raw[at : at + 8] = struct.pack("<d", np.nan)
         p.write_bytes(bytes(raw))
         with pytest.raises(NumericError, match="non-finite"):
+            load_mera(p)
+
+    def test_top_of_the_wrong_dims_rejected(self, tmp_path):
+        # A file whose top does not fit the last layer's outputs, written
+        # from a stand-in that skips the network's checks.
+        m = random_mera_plant(4, 2)
+        p = tmp_path / "m.mrma"
+        save_mera(p, SimpleNamespace(layers=m.layers, top=DenseTensor(np.ones((3, 3, 3)))))
+        with pytest.raises(ValueError, match="outgoing dims"):
             load_mera(p)
 
     def test_truncated(self, tmp_path):

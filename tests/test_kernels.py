@@ -462,18 +462,48 @@ class TestGramCertified:
     def test_smallest_value_against_delta(self, ratio, certified):
         # sigma_min = 0.5: certified while delta stays below it.
         M = _spectrum_matrix(3, 4, 4096, [1.0, 1.0, 1.0, 0.5])
-        G, trace, U = self._parts(M)
-        assert _gram_certified(G, U, M.shape[1], ratio * 0.5, trace) is certified
+        G, trace, _ = self._parts(M)
+        assert _gram_certified(G, M.shape[1], ratio * 0.5, trace) is certified
 
-    def test_eigenvectors_carry_the_proof(self):
+    def test_gram_matrix_alone_carries_the_proof(self):
         # Rows of norms 1 and 2 at 0.5 rad: sigma_min^2 = 0.19 |M|^2 / 5,
-        # but the Gershgorin disc of G itself reaches below zero.
+        # though the Gershgorin disc of G reaches below zero.  The inverse
+        # bound proves it from G alone, with no eigenvectors.
         M = np.zeros((2, 64))
         M[0, 0] = 1.0
         M[1, :2] = 2.0 * np.cos(0.5), 2.0 * np.sin(0.5)
+        G, trace, _ = self._parts(M)
+        assert _gram_certified(G, 64, 0.0, trace)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        SEEDS,
+        st.integers(2, 8),
+        st.integers(0, 60),
+        st.floats(-0.3, 1.0),
+        st.booleans(),
+    )
+    def test_a_proof_is_never_wrong_near_the_floor(self, seed, m, extra, lg, at_zero):
+        # sigma_min at 10^lg times the floor: delta, or at delta = 0 the
+        # threshold max(m, n) eps |M|_F.  Whichever certificate proves full
+        # row rank, LAPACK's sigma_min of the stored M lies above the floor.
+        n = 2 * m + extra
+        rng = np.random.default_rng(seed)
+        s = np.sort(rng.uniform(0.5, 1.0, m))[::-1]
+        if at_zero:
+            delta = 0.0
+            s[-1] = 10.0**lg * n * self.EPS * np.linalg.norm(s)
+        else:
+            delta = s[-1] / 10.0**lg
+        M = _spectrum_matrix(seed, m, n, s)
         G, trace, U = self._parts(M)
-        assert _gram_certified(G, U, 64, 0.0, trace)
-        assert not _gram_certified(G, np.eye(2), 64, 0.0, trace)
+        rest = (M.T @ U).T
+        proven = _gram_certified(G, n, delta, trace) or (
+            _certified_sigma(rest @ rest.T, n, delta, np.sqrt(trace)) is not None
+        )
+        floor = max(delta, n * self.EPS * np.linalg.norm(M))
+        if proven:
+            assert np.linalg.svd(M, compute_uv=False)[-1] > floor
 
 
 class TestMatrixCase:

@@ -18,7 +18,7 @@ from conftest import (
     scan_count,
     sign_fixed_procrustes,
 )
-from ttmera.dense import DenseTensor
+from ttmera.dense import DenseTensor, _fold
 from ttmera.errors import NumericError
 from ttmera.experiments import planted_pair_tensor, random_mera_plant, run_mera12
 from ttmera.kernels import svd_full, svd_trunc
@@ -40,7 +40,6 @@ from ttmera.mera import (
     mera_storage,
     mera_to_tt,
     shuf,
-    shuf_inv,
     tt_to_mera,
 )
 from ttmera.rng import random_isometry, random_orthogonal, standard_normal, stream
@@ -93,9 +92,8 @@ class TestShuf:
         sc = DenseTensor(standard_normal(stream(seed), (rl, il * ir, rr)))
         A = shuf(sc, (il, ir))
         assert A.shape == (il * ir, rl * rr)
-        back, M = shuf_inv(A, (rl, il, ir, rr))
-        np.testing.assert_array_equal(back.to_array(), sc.to_array())
-        assert M.shape == (rl * il, ir * rr)
+        back = _fold(A, 1, (rl, il * ir, rr))
+        np.testing.assert_array_equal(back, sc.to_array())
 
     def test_shuf_is_entry_reshuffle(self):
         sc = DenseTensor(standard_normal(stream(3), (2, 6, 2)))
@@ -108,10 +106,6 @@ class TestShuf:
             shuf(sc, (2, 2))
         with pytest.raises(ValueError, match="supercore must have 3 modes"):
             shuf(DenseTensor(np.ones((2, 4))), (2, 2))
-
-    def test_shuf_inv_shape_validated(self):
-        with pytest.raises(ValueError):
-            shuf_inv(np.zeros((4, 4)), (2, 2, 3, 2))
 
 
 class TestConstituents:
@@ -172,6 +166,22 @@ class TestConstituents:
         plant = random_mera_plant(2, 2, arity=2, order=8, layers=2, seed=0)
         with pytest.raises(ValueError, match="top tensor order"):
             Mera(layers=plant.layers, top=DenseTensor(np.zeros((2, 2, 2))))
+
+    def test_mera_layer_dims_chain_validated(self):
+        # Six outputs of size 2 cannot feed six inputs of size 3, though
+        # the arities match.
+        below = random_mera_plant(4, 2, seed=0)
+        above = random_mera_plant(3, 2, order=6, layers=1, seed=1)
+        match = r"layer 2 takes dims \(3(, 3){5}\), but layer 1 puts out \(2(, 2){5}\)"
+        with pytest.raises(ValueError, match=match):
+            Mera((below.layers[0], above.layers[0]), above.top)
+
+    def test_mera_top_dims_validated(self):
+        # Three indices of size 3 on a network that puts out three of size 2.
+        plant = random_mera_plant(4, 2)
+        match = r"dims \(3, 3, 3\), does not match layer 2's outgoing dims \(2, 2, 2\)"
+        with pytest.raises(ValueError, match=match):
+            Mera(plant.layers, DenseTensor(np.ones((3, 3, 3))))
 
     def test_input_dims(self):
         plant = random_mera_plant(3, 2, arity=2, order=8, layers=1, seed=0)

@@ -62,7 +62,7 @@ def test_package_exports_exactly_the_core_names():
     core = [name for module in _core_modules() for name in module.__all__]
     assert len(ttmera.__all__) == len(set(ttmera.__all__))
     assert set(ttmera.__all__) == {*core, "__version__"}
-    assert len(ttmera.__all__) == 45
+    assert len(ttmera.__all__) == 44
 
 
 def test_traced_functions_exist():
