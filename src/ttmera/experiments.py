@@ -701,15 +701,6 @@ def _recovery_targets(m: Mera) -> list[list[int]]:
     return targets
 
 
-def _isometry_outputs(m: Mera) -> tuple[int, ...]:
-    """Isometry output sizes, layer by layer, left to right within a layer."""
-    return tuple(
-        iso.output_dim
-        for layer in m.layers
-        for _, iso in sorted(layer.isometries, key=lambda t: t[0])
-    )
-
-
 def run_mera12(
     I: int = 4,
     S: int = 2,
@@ -757,7 +748,8 @@ def run_mera12(
         _report("tt", expand_seconds, 0.0, tt_storage(tt), total,
                 tt.ranks[1:-1]),
         _report("mera", 0.0, 0.0, mera_storage(plant), total,
-                _isometry_outputs(plant), {"strategy": "plant"}),
+                [d for layer in plant.layers for d in layer.output_dims],
+                {"strategy": "plant"}),
     ]
 
     targets = _recovery_targets(plant)
@@ -780,7 +772,8 @@ def run_mera12(
         recovered[strat] = m2
         reports.append(
             _report("mera", elapsed, mera_relative_error(m2, tt),
-                    mera_storage(m2), total, _isometry_outputs(m2),
+                    mera_storage(m2), total,
+                    [d for layer in m2.layers for d in layer.output_dims],
                     {"strategy": strat})
         )
 

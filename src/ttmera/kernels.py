@@ -18,27 +18,31 @@ The CholeskyQR2 split ``_cholesky_qr2``, and the certified tall split
 ``_certified_qr`` built on it, follow the QR convention instead: ``R`` has
 a positive diagonal, which fixes the sign of each of ``Q``'s columns.
 
-Squaring ``M`` into ``M M^T`` halves the usable precision, so a Gram route
-that truncates needs a loose tolerance.  A call that keeps every row has
-nothing to decide once full row rank is proven, and it climbs a ladder of
-proofs, cheapest first, taking the wide R-SVD route when none holds:
+Squaring ``M`` into ``M M^T`` halves the usable precision, so the Gram
+route charges every decision the rounding of ``M M^T`` and of its
+eigensolver, and takes the wide R-SVD route when the charge does not fit.
+A call that truncates keeps the eigenvalues' own rank only if the tail plus
+one charge per dropped direction fits ``delta^2``.  A call that keeps every
+row has nothing to decide once full row rank is proven, and it climbs a
+ladder of proofs, cheapest first, taking the wide R-SVD route when none
+holds:
 
-1. the smallest Gram eigenvalue at or below the squared ``delta = 0``
-   floor marks a numerically rank-deficient input, refused at once;
-2. ``_sigma_min_bound`` of the Gram matrix in hand, charged its rounding,
-   proves ``sigma_min`` above about ``sqrt(n eps) |M|_F``, reading nothing
-   of ``M``;
-3. below that, the rows of ``U.T @ M`` are nearly orthogonal, and the same
-   bound on their Gram matrix scaled to a unit diagonal gives the smallest
-   singular value to relative accuracy (after Demmel & Veselic, SIAM J.
-   Matrix Anal. Appl. 13(4), 1992) at the price of one more pass.
+1. the smallest Gram eigenvalue, less both charges, above the squared rank
+   floor proves ``sigma_min`` above it, reading nothing more of ``M``;
+2. failing that, an eigenvalue at or below the squared ``delta = 0`` floor
+   marks a numerically rank-deficient input, refused at once;
+3. otherwise the rows of ``U.T @ M`` are nearly orthogonal, and
+   ``_sigma_min_bound`` of their Gram matrix scaled to a unit diagonal
+   gives the smallest singular value to relative accuracy (after Demmel &
+   Veselic, SIAM J. Matrix Anal. Appl. 13(4), 1992) at the price of one
+   more pass.
 
 Dense ST-HOSVD truncates the mode-2 unfolding of its core viewed as an
 ``(a, n, b)`` array, through the private ``_svd_trunc``; a matrix is the
-case ``a = 1``.  The Gram routes read that array in place: its Gram
+case ``a = 1``.  The Gram route reads that array in place: its Gram
 matrices and projections are formed from one ``(a n, b)`` view of it, of
 which a matrix is the one-slab case, or from runs of its ``b`` slabs, so
-they copy no more than a run.  The wide R-SVD and direct SVD routes build
+it copies no more than a run.  The wide R-SVD and direct SVD routes build
 the 2-D unfolding with ``dense._unfold``, a view of the array only when
 ``a = 1`` or ``b = 1``, and fold back by ``_fold``.
 """
@@ -139,19 +143,15 @@ _GRAM_MIN_ENTRIES = 1 << 20
 # 44 x 62,500 and 195 x 12,500 unfoldings of the 12-way desk tensor at
 # 1e-7, which keep 39 and 71 rows, took 79 and 96 ms against 56 and 90 ms.
 # So from 2^20 entries a call forms M M^T only if a norm pass (0.5 ms on
-# 2.75e6 entries) shows its delta loose, and from 2^22 entries every call
-# does: the desk tensor's 6.25e6-entry keep-all modes take 24 to 55 ms on
-# the Gram route against 98 to 173 ms on the R-SVD.
+# 2.75e6 entries) shows delta^2 above 2 gamma_n |M|_F^2, the Gram route's
+# charge for one dropped direction, and from 2^22 entries every call does:
+# the desk tensor's 6.25e6-entry keep-all modes take 24 to 55 ms on the Gram
+# route against 98 to 173 ms on the R-SVD.
 _GRAM_KEEP_ALL_MIN_ENTRIES = 1 << 22
-# Squaring halves the usable precision, so a Gram call that truncates is
-# gated on the tolerance being far above the noise floor, and bails out
-# whenever a kept direction would be unreliable.  A call that keeps
-# every row needs no such floor: its certificate decides at any tolerance.
-_GRAM_DELTA_FLOOR = 1e-7
 # An m x n input with n >= _WIDE_RATIO * m is reduced to the m x m triangular
 # factor of a QR of its transpose before the SVD.
 _WIDE_RATIO = 2
-# The Gram routes read an (a, n, b) array as one (a n, b) view when a = 1 or
+# The Gram route reads an (a, n, b) array as one (a n, b) view when a = 1 or
 # up to this many rows, and in runs of whole slabs of at most _SLAB_STACK
 # entries beyond.  Timed on the modes of the 12-way desk tensor (2 cores,
 # OpenBLAS): the view beats the slab runs at a n = 50 and loses at
@@ -167,22 +167,21 @@ def svd_trunc(M: np.ndarray, delta: float) -> TruncatedSvd:
     ``delta=0`` keeps every numerically nonzero singular value, using the
     threshold ``max(m, n) * machine_eps * sigma_1``.
 
-    Four routes, chosen from the input, give the same contract:
+    Three routes, chosen from the input, give the same contract:
 
     - **Gram** (``n >= 2m``, at least ``_GRAM_MIN_ENTRIES`` = 2^20
-      entries, ``delta > 1e-7 |M|_F``): the eigenpairs of ``M M^T`` are the
-      left singular vectors and squared singular values.  Below
-      ``_GRAM_KEEP_ALL_MIN_ENTRIES`` one norm pass decides the gate, so a
-      call at a tighter ``delta`` never forms ``M M^T``.
-    - **Gram keep-all** (``n >= 2m``, at least
-      ``_GRAM_KEEP_ALL_MIN_ENTRIES`` = 2^22 entries, any tighter
-      ``delta``): the same eigenvectors, kept whole once a rigorous bound
-      proves that every singular value exceeds the rank floor, so the rank
-      is the one the SVD would keep.  The bound is taken from the Gram
-      matrix in hand when it suffices, else from the Gram matrix of ``rest``
-      (the module docstring's ladder).  The split ``M = U @ (U.T @ M)`` is
-      exact whatever the bound says, so the discard of ``0`` never depends
-      on it.  An input no bound certifies takes the wide route.
+      entries): the eigenpairs of ``M M^T`` stand in for the left singular
+      vectors and squared singular values.  Every decision is charged the
+      rounding of ``M M^T`` and of its eigensolver, so a truncation's
+      discard is proven at most ``delta^2``, and a call that keeps every
+      row does so once a rigorous bound proves each singular value above
+      the rank floor, so the rank is the one the SVD would keep (the module
+      docstring's ladder).  The split ``M = U @ (U.T @ M)`` is exact
+      whatever the bound says, so the discard of ``0`` never depends on
+      it.  A call whose charge does not fit takes the wide route.  Below
+      ``_GRAM_KEEP_ALL_MIN_ENTRIES`` = 2^22 entries one norm pass decides
+      whether ``delta^2`` affords one dropped direction's charge, and a
+      call whose ``delta`` does not never forms ``M M^T``.
     - **Wide** (``n >= 2m``): the R-SVD of T. F. Chan (ACM TOMS 8(1),
       1982).  ``M.T = Q R`` gives ``M = R.T Q.T``, so the ``m x m`` factor
       ``R.T`` has the singular values and left singular vectors of ``M``;
@@ -203,9 +202,9 @@ def _svd_trunc(X: np.ndarray, delta: float) -> TruncatedSvd:
     ``i + a k`` is ``X[i, :, k]``.  ``rest`` comes back as the ``(a, r,
     b)`` array whose unfolding is ``U.T @ M``.
 
-    The Gram routes read ``X`` in place, fast when it is stored
-    first-index-fastest, and store ``rest`` that way; a matrix, ``a = 1``,
-    is the one-slab case of their ``(a n, b)`` view.  The wide and direct
+    The Gram route reads ``X`` in place, fast when it is stored
+    first-index-fastest, and stores ``rest`` that way; a matrix, ``a = 1``,
+    is the one-slab case of its ``(a n, b)`` view.  The wide and direct
     routes build ``M`` by ``_unfold``, a copy unless ``a = 1`` or ``b = 1``,
     and return the ``_fold`` view of their 2-D ``rest``.
     """
@@ -215,11 +214,12 @@ def _svd_trunc(X: np.ndarray, delta: float) -> TruncatedSvd:
     n = a * b
     wide = n >= _WIDE_RATIO * m
     G = None
-    # Below the keep-all floor only a truncating call forms M M^T, and one
-    # norm pass tells it apart.
+    # Below the keep-all floor only a call whose delta^2 affords dropping
+    # one direction, 2 gamma_n |M|_F^2, forms M M^T; one norm pass tells it
+    # apart, compared unsquared so that nothing overflows.
     if wide and X.size >= _GRAM_MIN_ENTRIES and (
         X.size >= _GRAM_KEEP_ALL_MIN_ENTRIES
-        or delta > _GRAM_DELTA_FLOOR * np.linalg.norm(X)
+        or delta > np.sqrt(2.0 * _gamma(n)) * np.linalg.norm(X)
     ):
         with np.errstate(over="ignore", invalid="ignore"):
             G = _gram(X)
@@ -274,8 +274,9 @@ def _full_row_rank(M: np.ndarray, delta: float) -> bool:
 
     A certificate, not a factorization: :func:`_row_rank_bound` takes one
     inverse and one residual of an ``m x m`` matrix, and its bound must
-    exceed the floor of :func:`_rank_floor`.  ``mera_to_tt`` asks this only
-    of a bond that the product rung of its three small factors
+    exceed the floor of :func:`_rank_floor`.  ``mera_to_tt`` asks this of
+    every wide or square bond with no disentangler at its group end, and of
+    a gated one that the product rung of its three small factors
     (``mera._gate_bound``) did not prove.  ``False`` means unproven
     (including an exactly singular ``M``), not rank deficient.
     """
@@ -458,27 +459,41 @@ def _project(U: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _svd_trunc_gram(
     X: np.ndarray, G: np.ndarray, delta: float
 ) -> TruncatedSvd | None:
-    """Gram-matrix routes of :func:`svd_trunc` for the wide mode-2
-    unfolding ``M`` of ``X``, given the finite ``G = M M^T``; ``None``
-    means fall back.
+    """Gram route of :func:`svd_trunc` for the wide mode-2 unfolding ``M``
+    of ``X``, given the finite ``G = fl(M M^T)``; ``None`` sends the call
+    to the wide R-SVD route.
 
-    At a loose ``delta`` the eigenpairs of ``G`` are the left singular
-    vectors and squared singular values, and ``rest`` is one projection
-    ``U.T @ M``.  Rank selection shaves an eigenvalue-noise margin ``m eps
-    lambda_1`` off ``delta^2`` so the discarded tail never exceeds the
-    budget.  That margin charges the eigensolver's rounding, not the
-    rounding of ``G`` itself, whose worst case ``gamma_n |M|_F^2`` (see
-    :func:`_gram_certified`) can be far larger: on the 100 x 400,000 first
-    unfolding of the 100 x 100 x 4000 heat tensor at 1e-3 it is 4.4e-11
-    ``|M|_F^2`` against a margin of 2.2e-14, while the reported discard
-    lies 8.1e-16 ``|M|_F^2`` from the true one.  A discard is exact to the
-    margin in practice, not in the worst case.
+    The eigenpairs of ``G``, ``lambda_1 >= ... >= lambda_m``, stand in for
+    the squared singular values and left singular vectors of ``M``, and
+    ``rest`` is one projection ``U.T @ M``.  Every decision is charged two
+    roundings.  Each entry of ``G`` sums ``n`` products, so ``E = G - M
+    M^T`` has ``|E|_2 <= gamma_n |M|_F^2`` (:func:`_gamma`; Higham, Thm.
+    3.5), which ``c = 2 gamma_n tr(G)`` covers together with the rounding
+    of the trace.  The one analysis the route trusts is the backward-stable
+    symmetric eigensolver's (LAPACK Users' Guide, section 4.7): its
+    eigenvectors are orthonormal to rounding, and ``mu = m eps lambda_1``
+    bounds the error of ``lambda_m`` and of any tail ``tail(r) = lambda_{r+1}
+    + ... + lambda_m`` as the energy of ``G`` outside the first ``r``
+    eigenvectors.  The rank ``r`` is the smallest with ``tail(r) <= delta^2
+    - mu``, or ``m`` if ``delta^2 < mu``.
 
-    At a tighter ``delta`` ``M`` keeps every eigenvector if
-    :func:`_gram_certified` proves full row rank from ``G`` alone, with
-    the square roots of the eigenvalues as ``sigma``, or else if
-    :func:`_certified_sigma` proves it from the Gram matrix of ``rest``,
-    with that matrix's row norms as ``sigma``.
+    *Truncating*, ``r < m``.  With ``P`` the ``m - r`` dropped eigenvectors
+    and ``U`` the kept ones, the discard is ``|M - U U^T M|_F^2 = tr(P^T M
+    M^T P) = tr(P^T G P) - tr(P^T E P)``: at most ``tail(r) + mu`` plus
+    ``(m - r) |E|_2 <= (m - r) c``.  So ``U`` is kept only if ``tail(r) +
+    (m - r) c <= delta^2 - mu``, which proves the discard at most
+    ``delta^2``; the reported ``tail(r)`` lies within ``(m - r) c + mu`` of
+    it.  A call that cannot afford the charge is refused, never given a
+    higher rank.
+
+    *Keep-all*, ``r = m``.  By Weyl's inequality ``sigma_min(M)^2 =
+    lambda_min(M M^T) >= lambda_m - mu - c``; once that exceeds the squared
+    floor of :func:`_rank_floor`, above which the rank rule keeps every
+    value, ``U`` keeps every eigenvector with ``sigma = sqrt(lambda)``.
+    Otherwise ``lambda_m`` at or below the squared ``delta = 0`` floor
+    marks a numerically rank-deficient input, refused at once, and
+    :func:`_certified_sigma` decides the rest from the Gram matrix of
+    ``rest``, with that matrix's row norms as ``sigma``.
     """
     a, m, b = X.shape
     n = a * b
@@ -492,51 +507,27 @@ def _svd_trunc_gram(
     lam, P = np.linalg.eigh(G)
     lam = np.clip(lam[::-1], 0.0, None)
     P = P[:, ::-1]
-    if delta <= _GRAM_DELTA_FLOOR * norm:
-        # An eigenvalue at or below the delta = 0 floor marks a numerically
-        # rank-deficient input, which both certificates refuse; skip projecting.
-        floor = _rank_floor((m, n), 0.0, norm)
-        if lam[-1] <= floor * floor:
-            return None
-        U, rest = _project(P, X)
-        if _gram_certified(G, n, delta, trace):
-            sigma = np.sqrt(lam)
-        elif (sigma := _certified_sigma(_gram(rest), n, delta, norm)) is None:
-            return None
-        return TruncatedSvd(U=U, sigma=sigma, rest=rest, discarded_energy=0.0)
-    s = np.sqrt(lam)
+    margin = m * np.finfo(np.float64).eps * lam[0]
+    charge = 2.0 * _gamma(n) * trace
+    budget = delta * delta - margin
     tails = np.concatenate([np.cumsum(lam[::-1])[::-1], [0.0]])
-    noise = lam.size * np.finfo(np.float64).eps * lam[0]
-    budget = delta * delta - noise
-    if budget <= 0.0:
+    # tails[m] = 0, so a rank exists unless the budget is negative.
+    r = int(np.argmax(tails <= budget)) if budget >= 0.0 else m
+    if r < m:
+        if tails[r] + (m - r) * charge > budget:
+            return None
+        U, rest = _project(P[:, :r], X)
+        return TruncatedSvd(
+            U=U, sigma=np.sqrt(lam[:r]), rest=rest, discarded_energy=float(tails[r]),
+        )
+    proven = lam[-1] - margin - charge > _rank_floor((m, n), delta, norm) ** 2
+    if not proven and lam[-1] <= _rank_floor((m, n), 0.0, norm) ** 2:
         return None
-    r = int(np.argmax(tails <= budget))
-    if r > 0 and lam[r - 1] < np.sqrt(np.finfo(np.float64).eps) * lam[0]:
-        # The smallest kept direction is too close to the squared-precision
-        # noise floor to trust; use the exact path instead.
+    U, rest = _project(P, X)
+    sigma = np.sqrt(lam) if proven else _certified_sigma(_gram(rest), n, delta, norm)
+    if sigma is None:
         return None
-    U, rest = _project(P[:, :r], X)
-    return TruncatedSvd(
-        U=U, sigma=s[:r].copy(), rest=rest, discarded_energy=float(tails[r]),
-    )
-
-
-def _gram_certified(G: np.ndarray, n: int, delta: float, trace: float) -> bool:
-    """Whether the computed Gram matrix ``G = fl(M M^T)`` of the ``m x n``
-    matrix ``M``, with trace ``trace``, proves that every singular value of
-    ``M`` exceeds the rank floor.  It reads nothing of ``M``.
-
-    Each entry of ``G`` sums ``n`` products, so ``|G - M M^T|_2 <= gamma_n
-    |M|_F^2`` (:func:`_gamma`), and by Weyl's inequality ``sigma_min(M)^2
-    >= sigma_min(G) - gamma_n |M|_F^2``, with ``sigma_min(G)`` bounded by
-    :func:`_sigma_min_bound`.  The charge ``2 gamma_n trace`` covers
-    ``gamma_n |M|_F^2`` and the rounding of the bound; what is left must
-    exceed the squared floor of :func:`_rank_floor`.  So an ``M`` with
-    ``sigma_min / |M|_F`` below about ``sqrt(2 n u)`` is refused, and
-    :func:`_certified_sigma` decides it instead.
-    """
-    bound = _sigma_min_bound(G) - 2.0 * _gamma(n) * trace
-    return bool(bound > _rank_floor((G.shape[0], n), delta, np.sqrt(trace)) ** 2)
+    return TruncatedSvd(U=U, sigma=sigma, rest=rest, discarded_energy=0.0)
 
 
 def _certified_sigma(

@@ -138,9 +138,9 @@ class MeraLayer:
     """One coarse-graining level.
 
     Positions are 1-based indices of the leftmost incoming index each
-    constituent touches.  Isometry groups must tile ``1..input_arity`` in
-    consecutive runs; disentanglers must straddle group boundaries without
-    overlapping each other.
+    constituent touches.  Isometry groups must tile the layer's incoming
+    indices ``1..len(input_dims)`` in consecutive runs; disentanglers must
+    straddle group boundaries without overlapping each other.
     """
 
     isometries: tuple[tuple[int, Isometry], ...]
@@ -184,10 +184,6 @@ class MeraLayer:
     @property
     def input_arity(self) -> int:
         return sum(len(iso.input_dims) for _, iso in self.isometries)
-
-    @property
-    def output_arity(self) -> int:
-        return len(self.isometries)
 
 
 @dataclass(frozen=True)

@@ -157,8 +157,8 @@ def sthosvd_dense(
 
     Mode ``d`` is truncated on the core viewed as an ``(a, I_d, b)``
     array, ``a`` and ``b`` the products of the dimensions before and after
-    ``d``, by the private form of ``svd_trunc``.  Its Gram routes read the
-    core in place and store the projected core first-index-fastest; its
+    ``d``, by the private form of ``svd_trunc``.  Its Gram route reads the
+    core in place and stores the projected core first-index-fastest; its
     wide R-SVD and direct SVD routes copy a middle mode's unfolding, and
     the next view copies their projection.  An input not stored
     first-index-fastest is copied once.  The returned core is the last

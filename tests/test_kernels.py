@@ -23,9 +23,10 @@ from ttmera.kernels import (
     _certified_sigma,
     _fix_signs,
     _full_row_rank,
+    _gamma,
     _gram,
-    _gram_certified,
     _project,
+    _rank_floor,
     procrustes_solve,
     qr_thin,
     svd_full,
@@ -336,11 +337,12 @@ def _spy(monkeypatch, name: str) -> list:
 
 class TestGramFloors:
     """Between the two size floors a wide input takes the truncating Gram
-    route at a loose delta, with the R-SVD's rank, and never forms ``M
-    M^T`` at a tight one."""
+    route when ``delta^2`` affords one dropped direction's charge, ``2
+    gamma_n |M|_F^2``, with the R-SVD's rank, and never forms ``M M^T``
+    when it does not."""
 
-    # 16 x 2^17 = 2^21 entries; 0.3^15 = 1.4e-8 lies below 1e-7 |M|_F, so a
-    # tight delta can truncate too.
+    # 16 x 2^17 = 2^21 entries; sqrt(2 gamma_n) = 5.4e-6, and 0.3^15 =
+    # 1.4e-8 lies far below it, so a delta below the gate can truncate too.
     SHAPE = (16, 1 << 17)
     EPS = np.finfo(np.float64).eps
 
@@ -350,11 +352,15 @@ class TestGramFloors:
         s = np.linalg.svd(M, compute_uv=False)
         return M, np.concatenate([np.cumsum(s[::-1] ** 2)[::-1], [0.0]])
 
+    def _gate(self, M):
+        """The largest delta that forms no Gram matrix."""
+        return np.sqrt(2.0 * _gamma(M.shape[1])) * np.linalg.norm(M)
+
     def test_loose_delta_takes_the_gram_route(self, monkeypatch):
         M, tails = self._input()
         m, n = M.shape
         delta = float(np.sqrt((tails[3] + tails[4]) / 2))
-        assert delta > kernels._GRAM_DELTA_FLOOR * np.linalg.norm(M)
+        assert delta > self._gate(M)
         monkeypatch.setattr(kernels, "_GRAM_MIN_ENTRIES", M.size + 1)
         qrs = record_qr(monkeypatch)
         wide = svd_trunc(M, delta)
@@ -371,12 +377,14 @@ class TestGramFloors:
         margin = m * self.EPS * f.sigma[0] ** 2
         assert abs(f.discarded_energy - tails[4]) <= margin
 
-    @pytest.mark.parametrize("cut", [None, 14])
+    # cut 10 puts delta at 4.4e-6 |M|_F, just below the gate: a delta far
+    # above the rounding of M itself may still not afford the charge.
+    @pytest.mark.parametrize("cut", [None, 10, 14])
     def test_tight_delta_never_forms_the_gram_matrix(self, cut, monkeypatch):
         M, tails = self._input()
         m, n = M.shape
         delta = 0.0 if cut is None else float(np.sqrt((tails[cut] + tails[cut + 1]) / 2))
-        assert delta <= kernels._GRAM_DELTA_FLOOR * np.linalg.norm(M)
+        assert delta <= self._gate(M)
         grams = _spy(monkeypatch, "_gram")
         qrs = record_qr(monkeypatch)
         f = svd_trunc(M, delta)
@@ -387,10 +395,11 @@ class TestGramFloors:
 
     def test_heat_discard_within_the_eigensolver_margin(self):
         # The first unfolding of the 100 x 100 x 4000 heat tensor at tt_svd's
-        # budget for 1e-3.  The margin m eps lambda_1 charges the
-        # eigensolver, not the worst case of the Gram product's rounding,
-        # 2,000 times larger here; the reported discard must still lie
-        # within it of the residual, streamed over column blocks.
+        # budget for 1e-3.  The route's proof charges the eigensolver's
+        # margin m eps lambda_1 and the worst case of the Gram product's
+        # rounding, 2,000 times larger here, per dropped direction; the
+        # reported discard lies within the margin alone of the residual,
+        # streamed over column blocks.
         t = solve_heat(HeatConfig(ds=1e-2, t_end=0.1))
         M = t.data.reshape(100, -1, order="F")
         assert M.shape == (100, 400_000)
@@ -407,10 +416,11 @@ class TestGramFloors:
 
 
 class TestGramCertified:
-    """The keep-all certificate read off the Gram matrix in hand: it proves
-    full row rank of well-conditioned inputs without another pass, refuses
-    what lies below its rounding charge, and then the certificate of
-    ``rest`` decides with the bytes it always had."""
+    """The keep-all proofs of the Gram route, run through ``svd_trunc``:
+    the eigenvalues prove full row rank of well-conditioned inputs without
+    another pass, an input below their rounding charge is proven by the
+    certificate of ``rest`` with the bytes it always had, and the smallest
+    value decides against ``delta``."""
 
     EPS = np.finfo(np.float64).eps
 
@@ -422,16 +432,28 @@ class TestGramCertified:
         U, _ = _project(np.linalg.eigh(G)[1][:, ::-1], M[None])
         return G, float(np.trace(G)), U
 
+    @staticmethod
+    def _route(monkeypatch, M, delta):
+        """``svd_trunc(M, delta)`` with every size gate of the Gram route
+        open, and the ``_certified_sigma`` results and QR shapes it
+        recorded."""
+        monkeypatch.setattr(kernels, "_GRAM_MIN_ENTRIES", 0)
+        monkeypatch.setattr(kernels, "_GRAM_KEEP_ALL_MIN_ENTRIES", 0)
+        fallbacks = _spy(monkeypatch, "_certified_sigma")
+        qrs = record_qr(monkeypatch)
+        f = svd_trunc(M, delta)
+        monkeypatch.undo()
+        return f, fallbacks, qrs
+
     def test_well_conditioned_input_certified_from_its_gram_matrix(self, monkeypatch):
         m, n = 8, 1 << 19
         M = _spectrum_matrix(7, m, n, np.linspace(1.0, 0.5, m))
-        proofs = _spy(monkeypatch, "_gram_certified")
         grams = _spy(monkeypatch, "_gram")
         fallbacks = _spy(monkeypatch, "_certified_sigma")
         svds, qrs = record_svd(monkeypatch), record_qr(monkeypatch)
         f = svd_trunc(M, 0.0)
         monkeypatch.undo()
-        assert proofs == [True] and len(grams) == 1 and fallbacks == []
+        assert len(grams) == 1 and fallbacks == []
         assert (svds, qrs) == ([], [])
         TestSvdTruncRoutes._check(M, f, m)
         assert f.discarded_energy == 0.0
@@ -445,11 +467,11 @@ class TestGramCertified:
         m, n = 8, 1 << 19
         M = _spectrum_matrix(7, m, n, [1.0] * 7 + [1e-6])
         assert 1e-6 / np.linalg.norm(M) < np.sqrt(n * self.EPS / 2)
-        proofs = _spy(monkeypatch, "_gram_certified")
         fallbacks = _spy(monkeypatch, "_certified_sigma")
+        qrs = record_qr(monkeypatch)
         f = svd_trunc(M, 0.0)
         monkeypatch.undo()
-        assert proofs == [False] and fallbacks[0] is not None
+        assert len(fallbacks) == 1 and fallbacks[0] is not None and qrs == []
         G, trace, U = self._parts(M)
         rest = (M.T @ U).T
         sigma = _certified_sigma(rest @ rest.T, n, 0.0, np.sqrt(trace))
@@ -459,21 +481,25 @@ class TestGramCertified:
         TestSvdTruncRoutes._check(M, f, m)
 
     @pytest.mark.parametrize("ratio, certified", [(0.9, True), (1.1, False)])
-    def test_smallest_value_against_delta(self, ratio, certified):
-        # sigma_min = 0.5: certified while delta stays below it.
+    def test_smallest_value_against_delta(self, ratio, certified, monkeypatch):
+        # sigma_min = 0.5: every row is kept, proven by the eigenvalues,
+        # while delta stays below it; above it the route drops that one
+        # direction, as the SVD does.  Neither call needs the R-SVD.
         M = _spectrum_matrix(3, 4, 4096, [1.0, 1.0, 1.0, 0.5])
-        G, trace, _ = self._parts(M)
-        assert _gram_certified(G, M.shape[1], ratio * 0.5, trace) is certified
+        f, fallbacks, qrs = self._route(monkeypatch, M, ratio * 0.5)
+        assert (fallbacks, qrs) == ([], [])
+        TestSvdTruncRoutes._check(M, f, 4 if certified else 3)
 
-    def test_gram_matrix_alone_carries_the_proof(self):
+    def test_gram_matrix_alone_carries_the_proof(self, monkeypatch):
         # Rows of norms 1 and 2 at 0.5 rad: sigma_min^2 = 0.19 |M|^2 / 5,
-        # though the Gershgorin disc of G reaches below zero.  The inverse
-        # bound proves it from G alone, with no eigenvectors.
+        # though the Gershgorin disc of G reaches below zero.  The smallest
+        # eigenvalue proves it, with no pass over rest.
         M = np.zeros((2, 64))
         M[0, 0] = 1.0
         M[1, :2] = 2.0 * np.cos(0.5), 2.0 * np.sin(0.5)
-        G, trace, _ = self._parts(M)
-        assert _gram_certified(G, 64, 0.0, trace)
+        f, fallbacks, qrs = self._route(monkeypatch, M, 0.0)
+        assert (fallbacks, qrs) == ([], [])
+        TestSvdTruncRoutes._check(M, f, 2)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -485,8 +511,10 @@ class TestGramCertified:
     )
     def test_a_proof_is_never_wrong_near_the_floor(self, seed, m, extra, lg, at_zero):
         # sigma_min at 10^lg times the floor: delta, or at delta = 0 the
-        # threshold max(m, n) eps |M|_F.  Whichever certificate proves full
-        # row rank, LAPACK's sigma_min of the stored M lies above the floor.
+        # threshold max(m, n) eps |M|_F.  Whenever the certificate of rest
+        # proves full row rank, LAPACK's sigma_min of the stored M lies
+        # above the floor.  The eigenvalue proof is tested through the
+        # route, in TestGramRouteProof.
         n = 2 * m + extra
         rng = np.random.default_rng(seed)
         s = np.sort(rng.uniform(0.5, 1.0, m))[::-1]
@@ -498,12 +526,114 @@ class TestGramCertified:
         M = _spectrum_matrix(seed, m, n, s)
         G, trace, U = self._parts(M)
         rest = (M.T @ U).T
-        proven = _gram_certified(G, n, delta, trace) or (
-            _certified_sigma(rest @ rest.T, n, delta, np.sqrt(trace)) is not None
-        )
+        proven = _certified_sigma(rest @ rest.T, n, delta, np.sqrt(trace)) is not None
         floor = max(delta, n * self.EPS * np.linalg.norm(M))
         if proven:
             assert np.linalg.svd(M, compute_uv=False)[-1] > floor
+
+
+class TestGramRouteProof:
+    """Through ``svd_trunc``, with every size gate of the Gram route open:
+    each truncation the route answers discards at most ``delta^2``, and
+    reports that discard within its charge, ``(m - r) c`` for the Gram
+    product's rounding, ``c = 2 gamma_n tr(G)``, plus the eigensolver's
+    margin ``m eps lambda_1``; each call it answers with every row has
+    LAPACK's ``sigma_min`` above the rank floor."""
+
+    EPS = np.finfo(np.float64).eps
+
+    @staticmethod
+    def _check(M, delta):
+        answers = []
+        route = kernels._svd_trunc_gram
+
+        def spy(*args):
+            answers.append(route(*args))
+            return answers[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_GRAM_MIN_ENTRIES", 0)
+            mp.setattr(kernels, "_GRAM_KEEP_ALL_MIN_ENTRIES", 0)
+            mp.setattr(kernels, "_svd_trunc_gram", spy)
+            f = svd_trunc(M, delta)
+        assert len(answers) == 1
+        if answers[0] is None:
+            return None
+        m, n = M.shape
+        if f.rank == m:
+            floor = _rank_floor(M.shape, delta, np.linalg.norm(M))
+            assert np.linalg.svd(M, compute_uv=False)[-1] > floor
+            return "keep"
+        G = M @ M.T
+        charge = 2.0 * _gamma(n) * np.trace(G)
+        margin = m * TestGramRouteProof.EPS * np.linalg.eigvalsh(G)[-1]
+        residual = float(np.linalg.norm(M - f.U @ f.rest) ** 2)
+        assert residual <= delta * delta
+        assert abs(f.discarded_energy - residual) <= (m - f.rank) * charge + margin
+        return "truncate"
+
+    def test_slack_below_the_charge_takes_the_r_svd(self, monkeypatch):
+        # Dropping the 1e-5 direction leaves a slack of 1.25e-10 under
+        # delta^2, below the 8.1e-10 the route charges that direction for
+        # the Gram product's rounding: the call takes the R-SVD, which
+        # keeps the same 7 rows, not a higher rank.
+        m, n = 8, 1 << 19
+        M = _spectrum_matrix(7, m, n, [1.0] * 7 + [1e-5])
+        delta = 1.5e-5
+        charge = 2.0 * _gamma(n) * np.linalg.norm(M) ** 2
+        assert delta**2 - 1e-10 < charge
+        qrs = record_qr(monkeypatch)
+        f = svd_trunc(M, delta)
+        monkeypatch.undo()
+        assert qrs == [(n, m)]
+        TestSvdTruncRoutes._check(M, f, 7)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        SEEDS,
+        st.integers(2, 8),
+        st.integers(0, 200),
+        st.integers(1, 7),
+        st.floats(2.0, 9.0),
+        st.floats(-1.0, 2.0),
+    )
+    def test_tails_near_delta(self, seed, m, extra, kept, depth, x):
+        # The singular values past the first `kept` lie at 10^-depth or
+        # below, so the dropped tail is of the order of the charge, and
+        # delta^2 sits x charges per dropped direction beyond it.
+        kept = min(kept, m - 1)
+        n = 2 * m + extra
+        rng = np.random.default_rng(seed)
+        s = np.concatenate([
+            np.sort(rng.uniform(0.5, 1.0, kept))[::-1],
+            np.sort(10.0 ** -rng.uniform(depth, depth + 2.0, m - kept))[::-1],
+        ])
+        M = _spectrum_matrix(seed, m, n, s)
+        tail = float(np.sum(s[kept:] ** 2))
+        charge = 2.0 * _gamma(n) * float(np.sum(s**2))
+        delta = np.sqrt(max(tail + x * (m - kept) * charge, 0.0))
+        self._check(M, delta)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        SEEDS,
+        st.integers(2, 8),
+        st.integers(0, 60),
+        st.floats(-0.3, 1.0),
+        st.booleans(),
+    )
+    def test_smallest_value_near_the_floor(self, seed, m, extra, lg, at_zero):
+        # sigma_min at 10^lg times the floor: delta, or at delta = 0 the
+        # threshold max(m, n) eps |M|_F.
+        n = 2 * m + extra
+        rng = np.random.default_rng(seed)
+        s = np.sort(rng.uniform(0.5, 1.0, m))[::-1]
+        if at_zero:
+            delta = 0.0
+            s[-1] = 10.0**lg * n * self.EPS * np.linalg.norm(s)
+        else:
+            delta = s[-1] / 10.0**lg
+        self._check(_spectrum_matrix(seed, m, n, s), delta)
 
 
 class TestMatrixCase:

@@ -962,8 +962,8 @@ class TestTrainToMera:
         tt = decaying_train(5, (2,) * 8, max_rank=6)
         m, _ = tt_to_mera(tt, arity=2, epsilon=1e-2, layers=2)
         assert len(m.layers) == 2
-        assert m.layers[0].output_arity == 4
-        assert m.layers[1].output_arity == 2
+        assert len(m.layers[0].output_dims) == 4
+        assert len(m.layers[1].output_dims) == 2
         assert m.top.order == 2
         assert m.input_dims == (2,) * 8
 

@@ -34,24 +34,26 @@ def dense_error_sq(tuck, reference):
 
 
 def _spy_certificates(monkeypatch) -> list:
-    """Record, for each keep-all Gram call that reaches a certificate, which
-    one proved full row rank: ``"gram"`` (from the Gram matrix in hand),
-    ``"rest"`` (from the Gram matrix of the projection) or ``None``."""
+    """Record, for each Gram call that keeps every row or reaches the
+    certificate of ``rest``, which proof decided: ``"gram"`` (the Gram
+    eigenvalues in hand), ``"rest"`` (the Gram matrix of the projection) or
+    ``None`` (the certificate of ``rest`` refused)."""
     certified = []
-    gram_certified, certified_sigma = kernels._gram_certified, kernels._certified_sigma
+    route, certified_sigma = kernels._svd_trunc_gram, kernels._certified_sigma
 
-    def gram_spy(*args):
-        proven = gram_certified(*args)
-        certified.append("gram" if proven else None)
-        return proven
+    def route_spy(X, *args):
+        calls = len(certified)
+        f = route(X, *args)
+        if len(certified) == calls and f is not None and f.rank == X.shape[1]:
+            certified.append("gram")
+        return f
 
     def sigma_spy(*args):
         sigma = certified_sigma(*args)
-        if sigma is not None:
-            certified[-1] = "rest"
+        certified.append(None if sigma is None else "rest")
         return sigma
 
-    monkeypatch.setattr(kernels, "_gram_certified", gram_spy)
+    monkeypatch.setattr(kernels, "_svd_trunc_gram", route_spy)
     monkeypatch.setattr(kernels, "_certified_sigma", sigma_spy)
     return certified
 
@@ -274,7 +276,7 @@ class TestSthosvdDense:
     def test_desk_tensor_at_tight_tolerance(self, monkeypatch):
         # The 12-way desk tensor at 1e-7: every mode unfolds to 2 x 3,125,000
         # or 5 x 1,250,000, and all but the last keep full rank, which the
-        # Gram keep-all certificates prove without a QR.
+        # Gram route proves without a QR.
         t = reshape_to_factors(solve_heat(DESK_HEAT))
         certified = _spy_certificates(monkeypatch)
         tracemalloc.start()
@@ -284,10 +286,10 @@ class TestSthosvdDense:
         monkeypatch.undo()
         ranks = (2, 5, 5, 2, 5, 5, 2, 2, 5, 5, 5, 4)
         assert tuple(U.shape[1] for U in factors) == ranks
-        # The first eight modes are proven from their Gram matrices, the
+        # The first eight modes are proven from their Gram eigenvalues, the
         # next three only from the Gram matrices of their projections.  The
-        # last, which truncates, is refused before the certificates or, on
-        # some BLAS kernel sets, by both of them.
+        # last, which truncates, is refused before the certificate of rest
+        # or, on some BLAS kernel sets, by it.
         assert certified[:11] == ["gram"] * 8 + ["rest"] * 3
         assert certified[11:] in ([], [None])
         # Each mode reads the core in place: the old core and its
@@ -347,14 +349,16 @@ class TestSthosvdDense:
         certified = _spy_certificates(monkeypatch)
         factors, core, discarded = sthosvd_dense(t, epsilon)
         monkeypatch.undo()
-        # Every mode took a Gram route on a view of the core; at the tight
-        # tolerance each kept all of its rows by a certificate.  The Gram
-        # matrix of rest, formed only when the mode's own does not certify,
-        # has the shape of the mode's own.
+        # Every mode took the Gram route on a view of the core, and each
+        # that kept all of its rows was proven: all seven at the tight
+        # tolerance, the first six from their eigenvalues at the loose one.
+        # The Gram matrix of rest, formed only when the mode's eigenvalues
+        # do not prove it, has the shape of the mode's own.
         assert [n for _, n, _ in modes] == list(self.VIEW_DIMS)
-        assert [c is not None for c in certified] == (
-            [True] * t.order if epsilon < 1e-7 else []
-        )
+        if epsilon < 1e-7:
+            assert [c is not None for c in certified] == [True] * t.order
+        else:
+            assert certified == ["gram"] * (t.order - 1)
         expected = []
         for d, shape in enumerate(modes):
             expected.append(shape)
