@@ -20,22 +20,29 @@ a positive diagonal, which fixes the sign of each of ``Q``'s columns.
 
 Squaring ``M`` into ``M M^T`` halves the usable precision, so the Gram
 route charges every decision the rounding of ``M M^T`` and of its
-eigensolver, and takes the wide R-SVD route when the charge does not fit.
-A call that truncates keeps the eigenvalues' own rank only if the tail plus
-one charge per dropped direction fits ``delta^2``.  A call that keeps every
-row has nothing to decide once full row rank is proven, and it climbs a
-ladder of proofs, cheapest first, taking the wide R-SVD route when none
-holds:
+eigensolver.  A call that truncates keeps the eigenvalues' own rank if the
+tail plus one charge per dropped direction fits ``delta^2``.  When it does
+not, the directions that clear ``delta^2`` by the charge are kept and a
+second Gram pass decides the trailing eigenblock at its own scale, as
+CholeskyQR2 repeats its Gram step on what the first left (Yamamoto et al.,
+ETNA 44, 2015); the call takes the wide R-SVD route only when that charged
+tail does not fit either.  A call that keeps every row has nothing to
+decide once full row rank is proven, and it climbs a ladder of proofs,
+cheapest first:
 
 1. the smallest Gram eigenvalue, less both charges, above the squared rank
    floor proves ``sigma_min`` above it, reading nothing more of ``M``;
-2. failing that, an eigenvalue at or below the squared ``delta = 0`` floor
-   marks a numerically rank-deficient input, refused at once;
+2. failing that, at ``delta = 0`` an eigenvalue at or below the squared
+   rank floor marks a numerically rank-deficient input, refused at once;
 3. otherwise the rows of ``U.T @ M`` are nearly orthogonal, and
    ``_sigma_min_bound`` of their Gram matrix scaled to a unit diagonal
    gives the smallest singular value to relative accuracy (after Demmel &
    Veselic, SIAM J. Matrix Anal. Appl. 13(4), 1992) at the price of one
-   more pass.
+   more pass;
+4. failing that, at ``delta > 0`` the call takes the second pass, as a
+   truncation that cannot afford its charge does; at ``delta = 0``, or when
+   the second pass's charged tail does not fit, it takes the wide R-SVD
+   route.
 
 Dense ST-HOSVD truncates the mode-2 unfolding of its core viewed as an
 ``(a, n, b)`` array, through the private ``_svd_trunc``; a matrix is the
@@ -135,19 +142,14 @@ class TruncatedSvd:
 # decides the rank on squared values, within a margin of m eps sigma_1^2 of
 # the R-SVD's rule.  It serves inputs from 2^20 entries, where it saves at
 # least 9 ms a call (11 -> 2 ms at m = 8, 83 -> 25 ms at m = 500); the many
-# smaller truncations of train arithmetic keep the R-SVD.
+# smaller truncations of train arithmetic keep the R-SVD.  Every wide call
+# from 2^20 entries forms M M^T, whatever its delta: a tight delta that
+# cannot afford the first pass's charge is decided by the second pass over
+# the trailing eigenblock, which still beats the R-SVD: the 44 x 62,500 and
+# 195 x 12,500 unfoldings of the 12-way desk tensor at 1e-7, which keep 39
+# and 71 rows, took 47 and 83 ms against 92 and 115 ms (2 cores, OpenBLAS,
+# median of three runs).
 _GRAM_MIN_ENTRIES = 1 << 20
-# A call at a tight delta learns that it keeps every row only after forming
-# M M^T and its eigenvalues, and one that truncates then takes the R-SVD
-# anyway.  Below 2^22 entries that cost shows: with M M^T formed first, the
-# 44 x 62,500 and 195 x 12,500 unfoldings of the 12-way desk tensor at
-# 1e-7, which keep 39 and 71 rows, took 79 and 96 ms against 56 and 90 ms.
-# So from 2^20 entries a call forms M M^T only if a norm pass (0.5 ms on
-# 2.75e6 entries) shows delta^2 above 2 gamma_n |M|_F^2, the Gram route's
-# charge for one dropped direction, and from 2^22 entries every call does:
-# the desk tensor's 6.25e6-entry keep-all modes take 24 to 55 ms on the Gram
-# route against 98 to 173 ms on the R-SVD.
-_GRAM_KEEP_ALL_MIN_ENTRIES = 1 << 22
 # An m x n input with n >= _WIDE_RATIO * m is reduced to the m x m triangular
 # factor of a QR of its transpose before the SVD.
 _WIDE_RATIO = 2
@@ -174,14 +176,18 @@ def svd_trunc(M: np.ndarray, delta: float) -> TruncatedSvd:
       vectors and squared singular values.  Every decision is charged the
       rounding of ``M M^T`` and of its eigensolver, so a truncation's
       discard is proven at most ``delta^2``, and a call that keeps every
-      row does so once a rigorous bound proves each singular value above
-      the rank floor, so the rank is the one the SVD would keep (the module
-      docstring's ladder).  The split ``M = U @ (U.T @ M)`` is exact
-      whatever the bound says, so the discard of ``0`` never depends on
-      it.  A call whose charge does not fit takes the wide route.  Below
-      ``_GRAM_KEEP_ALL_MIN_ENTRIES`` = 2^22 entries one norm pass decides
-      whether ``delta^2`` affords one dropped direction's charge, and a
-      call whose ``delta`` does not never forms ``M M^T``.
+      row on the first pass does so once a rigorous bound proves each
+      singular value above the rank floor, so the rank is the one the SVD
+      would keep (the module docstring's ladder).  The split ``M = U @ (U.T
+      @ M)`` is exact whatever the bound says, so the discard of ``0``
+      never depends on it.  A truncation whose slack is below the charge,
+      and a keep-all call at ``delta > 0`` that no bound proves, keep the
+      directions that clear ``delta^2`` by the charge and decide the
+      trailing eigenblock by a second Gram pass at the tail's own scale,
+      by its eigenvalues' own rank, with the discard proven by
+      ``sqrt(discard) <= omega |M|_F + (1 + omega) sqrt(tail' + mu' + (k -
+      r') c') + rho`` (``_svd_trunc_tail``).  A call whose charged tail
+      does not fit there either takes the wide route.
     - **Wide** (``n >= 2m``): the R-SVD of T. F. Chan (ACM TOMS 8(1),
       1982).  ``M.T = Q R`` gives ``M = R.T Q.T``, so the ``m x m`` factor
       ``R.T`` has the singular values and left singular vectors of ``M``;
@@ -214,13 +220,7 @@ def _svd_trunc(X: np.ndarray, delta: float) -> TruncatedSvd:
     n = a * b
     wide = n >= _WIDE_RATIO * m
     G = None
-    # Below the keep-all floor only a call whose delta^2 affords dropping
-    # one direction, 2 gamma_n |M|_F^2, forms M M^T; one norm pass tells it
-    # apart, compared unsquared so that nothing overflows.
-    if wide and X.size >= _GRAM_MIN_ENTRIES and (
-        X.size >= _GRAM_KEEP_ALL_MIN_ENTRIES
-        or delta > np.sqrt(2.0 * _gamma(n)) * np.linalg.norm(X)
-    ):
+    if wide and X.size >= _GRAM_MIN_ENTRIES:
         with np.errstate(over="ignore", invalid="ignore"):
             G = _gram(X)
     # A non-finite entry of M reaches the diagonal of M M^T, so a finite
@@ -456,6 +456,26 @@ def _project(U: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return U, rest
 
 
+def _eigen_rank(
+    G: np.ndarray, delta: float
+) -> tuple[np.ndarray, np.ndarray, float, np.ndarray, int]:
+    """``(lam, P, mu, tails, r)`` for a Gram matrix ``G`` of order ``m``:
+    its eigenvalues in descending order, clipped at zero, and eigenvectors,
+    the eigensolver's margin ``mu = m eps lambda_1``, ``tails[r] =
+    lambda_{r+1} + ... + lambda_m``, and the eigenvalues' own rank ``r``,
+    the smallest with ``tails[r] <= delta^2 - mu``, or ``m`` if ``delta^2 <
+    mu``."""
+    lam, P = np.linalg.eigh(G)
+    lam = np.clip(lam[::-1], 0.0, None)
+    m = lam.size
+    margin = m * np.finfo(np.float64).eps * lam[0]
+    budget = delta * delta - margin
+    tails = np.concatenate([np.cumsum(lam[::-1])[::-1], [0.0]])
+    # tails[m] = 0, so a rank exists unless the budget is negative.
+    r = int(np.argmax(tails <= budget)) if budget >= 0.0 else m
+    return lam, P[:, ::-1], margin, tails, r
+
+
 def _svd_trunc_gram(
     X: np.ndarray, G: np.ndarray, delta: float
 ) -> TruncatedSvd | None:
@@ -480,20 +500,24 @@ def _svd_trunc_gram(
     *Truncating*, ``r < m``.  With ``P`` the ``m - r`` dropped eigenvectors
     and ``U`` the kept ones, the discard is ``|M - U U^T M|_F^2 = tr(P^T M
     M^T P) = tr(P^T G P) - tr(P^T E P)``: at most ``tail(r) + mu`` plus
-    ``(m - r) |E|_2 <= (m - r) c``.  So ``U`` is kept only if ``tail(r) +
-    (m - r) c <= delta^2 - mu``, which proves the discard at most
-    ``delta^2``; the reported ``tail(r)`` lies within ``(m - r) c + mu`` of
-    it.  A call that cannot afford the charge is refused, never given a
-    higher rank.
+    ``(m - r) |E|_2 <= (m - r) c``.  So ``U`` is kept if ``tail(r) + (m -
+    r) c <= delta^2 - mu``, which proves the discard at most ``delta^2``;
+    the reported ``tail(r)`` lies within ``(m - r) c + mu`` of it.  A call
+    that cannot afford the charge is never given a higher rank: its first
+    ``k0`` eigenvectors, those with ``lambda_i - mu - c > delta^2``, have
+    ``sigma_i > delta`` and are kept, and :func:`_svd_trunc_tail` decides
+    the rest by a second Gram pass, proving ``sqrt(discard) <= omega
+    |M|_F + (1 + omega) sqrt(tail' + mu' + (k - r') c') + rho <= delta``.
 
     *Keep-all*, ``r = m``.  By Weyl's inequality ``sigma_min(M)^2 =
     lambda_min(M M^T) >= lambda_m - mu - c``; once that exceeds the squared
     floor of :func:`_rank_floor`, above which the rank rule keeps every
     value, ``U`` keeps every eigenvector with ``sigma = sqrt(lambda)``.
-    Otherwise ``lambda_m`` at or below the squared ``delta = 0`` floor
+    Otherwise, at ``delta = 0``, ``lambda_m`` at or below the squared floor
     marks a numerically rank-deficient input, refused at once, and
     :func:`_certified_sigma` decides the rest from the Gram matrix of
-    ``rest``, with that matrix's row norms as ``sigma``.
+    ``rest``, with that matrix's row norms as ``sigma``.  A call it refuses
+    at ``delta > 0`` goes to :func:`_svd_trunc_tail` like a truncation.
     """
     a, m, b = X.shape
     n = a * b
@@ -504,30 +528,89 @@ def _svd_trunc_gram(
     if not trace > m * n * np.finfo(np.float64).tiny:
         return None
     norm = float(np.sqrt(trace))
-    lam, P = np.linalg.eigh(G)
-    lam = np.clip(lam[::-1], 0.0, None)
-    P = P[:, ::-1]
-    margin = m * np.finfo(np.float64).eps * lam[0]
+    lam, P, margin, tails, r = _eigen_rank(G, delta)
     charge = 2.0 * _gamma(n) * trace
-    budget = delta * delta - margin
-    tails = np.concatenate([np.cumsum(lam[::-1])[::-1], [0.0]])
-    # tails[m] = 0, so a rank exists unless the budget is negative.
-    r = int(np.argmax(tails <= budget)) if budget >= 0.0 else m
+    k0 = int(np.count_nonzero(lam - margin - charge > delta * delta))
     if r < m:
-        if tails[r] + (m - r) * charge > budget:
-            return None
-        U, rest = _project(P[:, :r], X)
-        return TruncatedSvd(
-            U=U, sigma=np.sqrt(lam[:r]), rest=rest, discarded_energy=float(tails[r]),
-        )
+        if tails[r] + (m - r) * charge <= delta * delta - margin:
+            U, rest = _project(P[:, :r], X)
+            return TruncatedSvd(
+                U=U, sigma=np.sqrt(lam[:r]), rest=rest, discarded_energy=float(tails[r]),
+            )
+        return _svd_trunc_tail(X, P, lam, k0, delta, norm)
     proven = lam[-1] - margin - charge > _rank_floor((m, n), delta, norm) ** 2
-    if not proven and lam[-1] <= _rank_floor((m, n), 0.0, norm) ** 2:
+    if not proven and delta == 0.0 and lam[-1] <= _rank_floor((m, n), 0.0, norm) ** 2:
         return None
     U, rest = _project(P, X)
     sigma = np.sqrt(lam) if proven else _certified_sigma(_gram(rest), n, delta, norm)
-    if sigma is None:
+    if sigma is not None:
+        return TruncatedSvd(U=U, sigma=sigma, rest=rest, discarded_energy=0.0)
+    # At delta = 0 no tail fits, and with k0 = m none is left to decide.
+    if delta == 0.0 or k0 == m:
         return None
-    return TruncatedSvd(U=U, sigma=sigma, rest=rest, discarded_energy=0.0)
+    # Freed first: the second pass holds X with Y, then with its own rest.
+    del U, rest
+    return _svd_trunc_tail(X, P, lam, k0, delta, norm)
+
+
+def _svd_trunc_tail(
+    X: np.ndarray, P: np.ndarray, lam: np.ndarray, k0: int, delta: float, norm: float
+) -> TruncatedSvd | None:
+    """Second Gram pass of :func:`_svd_trunc_gram`: keep the first ``k0``
+    columns ``P1`` of the eigenvectors ``P = [P1, B]`` of ``fl(M M^T)``,
+    of eigenvalues ``lam`` and trace ``norm^2``, and decide the trailing
+    ``k = m - k0`` directions ``B`` at their own scale; ``None`` sends the
+    call to the wide R-SVD route.
+
+    ``Y = fl(B^T M)`` has ``k`` rows, and the eigenvalues ``lambda'`` of
+    ``H = fl(Y Y^T)`` give the rank ``r'`` by :func:`_eigen_rank`, with
+    ``mu' = k eps lambda'_1``.  With ``W_keep`` their first ``r'``
+    eigenvectors, ``U = [P1, fl(B W_keep)]``, sign-fixed, and ``rest =
+    fl(U^T M)``, formed once ``Y`` is gone.  Up to the rounding of the
+    three products, ``M - U rest = (I - P P^T) M + B W_d W_d^T Y`` for the
+    dropped eigenvectors ``W_d``, so
+
+        sqrt(discard) <= omega |M|_F
+                         + (1 + omega) sqrt(tail' + mu' + (k - r') c') + rho
+
+    charges every rounding unsquared or at the block's own scale:
+    ``omega`` is the measured ``|P^T P - I|_F`` plus ``2 gamma_m tr(P^T
+    P)`` for its rounding; ``c' = 2 gamma_n tr(H)`` covers the rounding of
+    ``H`` as ``c`` does for ``G``; ``rho = 4 (m + sqrt(m)) gamma_m (1 +
+    omega)^2 |M|_F`` is twice the first-order bound of the products'
+    rounding; ``|M|_F`` is read as ``(1 + gamma_n) norm``.  ``U`` is kept
+    if the bound is at most ``delta``.  On the heat tensors' unfoldings at
+    ``epsilon = 1e-7``, ``omega |M|_F + rho`` came to 1e-6 of ``delta`` at
+    ``m = 5`` and 1e-2 at ``m = 1000``, growing as ``m^2``.  The reported
+    discard is ``tail'(r')``, and ``sigma`` is ``sqrt`` of ``lam[:k0]`` and
+    ``lambda'[:r']``.
+    """
+    a, m, b = X.shape
+    n = a * b
+    k = m - k0
+    B, Y = _project(P[:, k0:], X)
+    H = _gram(Y)
+    del Y
+    lam2, W, margin, tails, r = _eigen_rank(H, delta)
+    # Floored at k n times the smallest normal number, so that it covers
+    # the subnormal products of H as the first pass's guard does for G.
+    charge = 2.0 * _gamma(n) * max(float(np.trace(H)), k * n * np.finfo(np.float64).tiny)
+    F = P.T @ P
+    q2 = float(np.trace(F))
+    F[np.diag_indices(m)] -= 1.0
+    omega = float(np.linalg.norm(F)) + 2.0 * _gamma(m) * q2
+    big = (1.0 + _gamma(n)) * norm
+    rho = 4.0 * (m + np.sqrt(m)) * _gamma(m) * (1.0 + omega) ** 2 * big
+    tail = (1.0 + omega) * np.sqrt(tails[r] + margin + (k - r) * charge)
+    if not omega * big + tail + rho <= delta:
+        return None
+    U, rest = _project(np.concatenate((P[:, :k0], B @ W[:, :r]), axis=1), X)
+    return TruncatedSvd(
+        U=U,
+        sigma=np.sqrt(np.concatenate((lam[:k0], lam2[:r]))),
+        rest=rest,
+        discarded_energy=float(tails[r]),
+    )
 
 
 def _certified_sigma(

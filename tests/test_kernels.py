@@ -205,23 +205,23 @@ class TestSvdTruncRoutes:
         )
         assert f.rest.shape == (f.rank, M.shape[1])
 
-    # Wide 8 x 2^19 inputs above the Gram size gate, at a delta the
-    # truncating Gram route refuses (below 1e-7 |M|).
-    # name: (nonzero singular values, delta, minimal rank, certified)
+    # Wide 8 x 2^19 inputs above the Gram size gate, at a delta below the
+    # first pass's charge for one dropped direction (below 1e-7 |M|).
+    # name: (nonzero singular values, delta, minimal rank, route)
     LOG8 = np.logspace(0, -6, 8)
     KEEP_ALL = {
-        "gram-keep-all": (LOG8, 1e-9 * np.linalg.norm(LOG8), 8, True),
-        "gram-keep-all-zero-delta": (LOG8, 0.0, 8, True),
-        # sigma_min = delta / 2 passes the eigenvalue check for rank
-        # deficiency, so only the certificate keeps the last row out.
-        "gram-keep-all-refused": ([1.0] * 7 + [1.25e-7], 2.5e-7, 7, False),
-        "gram-keep-all-margin": ([1.0] * 7 + [1e-6], 2.5e-7, 8, True),
-        "gram-rank-deficient": (np.logspace(0, -6, 5), 0.0, 5, False),
+        "gram-keep-all": (LOG8, 1e-9 * np.linalg.norm(LOG8), 8, "proof"),
+        "gram-keep-all-zero-delta": (LOG8, 0.0, 8, "proof"),
+        # sigma_min = delta / 2: the certificate refuses to keep the last
+        # row, and the second pass over the trailing eigenblock drops it.
+        "gram-keep-all-refused": ([1.0] * 7 + [1.25e-7], 2.5e-7, 7, "tail"),
+        "gram-keep-all-margin": ([1.0] * 7 + [1e-6], 2.5e-7, 8, "proof"),
+        "gram-rank-deficient": (np.logspace(0, -6, 5), 0.0, 5, "r-svd"),
     }
 
     @pytest.mark.parametrize("name", list(KEEP_ALL))
     def test_keep_all(self, name, monkeypatch):
-        spectrum, delta, rank, certified = self.KEEP_ALL[name]
+        spectrum, delta, rank, route = self.KEEP_ALL[name]
         m, n = 8, 1 << 19
         M = _spectrum_matrix(7, m, n, spectrum)
         s_exact = np.linalg.svd(M, compute_uv=False)
@@ -236,17 +236,23 @@ class TestSvdTruncRoutes:
         assert minimal == rank
         svds = record_svd(monkeypatch)
         qrs = record_qr(monkeypatch)
+        tails = _spy(monkeypatch, "_svd_trunc_tail")
         f = svd_trunc(M, delta)
         monkeypatch.undo()
         self._check(M, f, minimal)
-        if certified:
-            assert (svds, qrs) == ([], []), (svds, qrs)
+        if route == "r-svd":
+            assert qrs == [(n, m)], qrs
+            return
+        assert (svds, qrs) == ([], []), (svds, qrs)
+        if route == "tail":
+            assert len(tails) == 1 and tails[0] is not None
+            assert float(np.linalg.norm(M - f.U @ f.rest) ** 2) <= delta * delta
+        else:
+            assert tails == []
             assert f.discarded_energy == 0.0
             # The row norms of rest carry the small values to relative
             # accuracy; square roots of Gram eigenvalues would not.
             np.testing.assert_allclose(f.sigma, s_exact, rtol=1e-9)
-        else:
-            assert qrs == [(n, m)], qrs
 
     @pytest.mark.parametrize("m, n", [(8, 1 << 19), (2048, 2048)])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -336,10 +342,10 @@ def _spy(monkeypatch, name: str) -> list:
 
 
 class TestGramFloors:
-    """Between the two size floors a wide input takes the truncating Gram
-    route when ``delta^2`` affords one dropped direction's charge, ``2
-    gamma_n |M|_F^2``, with the R-SVD's rank, and never forms ``M M^T``
-    when it does not."""
+    """From 2^20 entries every wide input forms ``M M^T``.  A ``delta``
+    whose square affords one dropped direction's first-pass charge, ``2
+    gamma_n |M|_F^2``, truncates on the first pass with the R-SVD's rank,
+    and a tighter one is decided on the Gram route too, with no QR."""
 
     # 16 x 2^17 = 2^21 entries; sqrt(2 gamma_n) = 5.4e-6, and 0.3^15 =
     # 1.4e-8 lies far below it, so a delta below the gate can truncate too.
@@ -348,12 +354,13 @@ class TestGramFloors:
 
     def _input(self):
         M = _spectrum_matrix(11, *self.SHAPE, 0.3 ** np.arange(self.SHAPE[0]))
-        assert kernels._GRAM_MIN_ENTRIES <= M.size < kernels._GRAM_KEEP_ALL_MIN_ENTRIES
+        assert M.size >= kernels._GRAM_MIN_ENTRIES
         s = np.linalg.svd(M, compute_uv=False)
         return M, np.concatenate([np.cumsum(s[::-1] ** 2)[::-1], [0.0]])
 
     def _gate(self, M):
-        """The largest delta that forms no Gram matrix."""
+        """The largest delta whose square cannot afford the first pass's
+        charge for one dropped direction."""
         return np.sqrt(2.0 * _gamma(M.shape[1])) * np.linalg.norm(M)
 
     def test_loose_delta_takes_the_gram_route(self, monkeypatch):
@@ -378,20 +385,25 @@ class TestGramFloors:
         assert abs(f.discarded_energy - tails[4]) <= margin
 
     # cut 10 puts delta at 4.4e-6 |M|_F, just below the gate: a delta far
-    # above the rounding of M itself may still not afford the charge.
+    # above the rounding of M itself may still not afford the charge.  It
+    # truncates on the second pass; cut 14 keeps all but the 1.4e-8
+    # direction, which the certificate of rest cannot keep and the second
+    # pass drops; delta = 0 keeps every row, proven by that certificate.
     @pytest.mark.parametrize("cut", [None, 10, 14])
-    def test_tight_delta_never_forms_the_gram_matrix(self, cut, monkeypatch):
+    def test_tight_delta_takes_the_gram_route(self, cut, monkeypatch):
         M, tails = self._input()
         m, n = M.shape
         delta = 0.0 if cut is None else float(np.sqrt((tails[cut] + tails[cut + 1]) / 2))
         assert delta <= self._gate(M)
-        grams = _spy(monkeypatch, "_gram")
-        qrs = record_qr(monkeypatch)
+        second = _spy(monkeypatch, "_svd_trunc_tail")
+        qrs, svds = record_qr(monkeypatch), record_svd(monkeypatch)
         f = svd_trunc(M, delta)
         monkeypatch.undo()
-        assert grams == []
-        assert qrs == [(n, m)]
+        assert (qrs, svds) == ([], [])
+        assert len(second) == (0 if cut is None else 1) and None not in second
         TestSvdTruncRoutes._check(M, f, m if cut is None else cut + 1)
+        if cut is not None:
+            assert float(np.linalg.norm(M - f.U @ f.rest) ** 2) <= delta * delta
 
     def test_heat_discard_within_the_eigensolver_margin(self):
         # The first unfolding of the 100 x 100 x 4000 heat tensor at tt_svd's
@@ -438,7 +450,6 @@ class TestGramCertified:
         open, and the ``_certified_sigma`` results and QR shapes it
         recorded."""
         monkeypatch.setattr(kernels, "_GRAM_MIN_ENTRIES", 0)
-        monkeypatch.setattr(kernels, "_GRAM_KEEP_ALL_MIN_ENTRIES", 0)
         fallbacks = _spy(monkeypatch, "_certified_sigma")
         qrs = record_qr(monkeypatch)
         f = svd_trunc(M, delta)
@@ -534,35 +545,48 @@ class TestGramCertified:
 
 class TestGramRouteProof:
     """Through ``svd_trunc``, with every size gate of the Gram route open:
-    each truncation the route answers discards at most ``delta^2``, and
-    reports that discard within its charge, ``(m - r) c`` for the Gram
-    product's rounding, ``c = 2 gamma_n tr(G)``, plus the eigensolver's
-    margin ``m eps lambda_1``; each call it answers with every row has
-    LAPACK's ``sigma_min`` above the rank floor."""
+    each truncation the route answers, on its first pass or its second,
+    discards at most ``delta^2``, keeps no fewer rows than LAPACK's rank
+    rule, and reports its discard within the first pass's charge, ``(m -
+    r) c`` for the Gram product's rounding, ``c = 2 gamma_n tr(G)``, plus
+    the eigensolver's margin ``m eps lambda_1``; each call it proves to
+    keep every row has LAPACK's ``sigma_min`` above the rank floor; and no
+    call it answers makes a QR."""
 
     EPS = np.finfo(np.float64).eps
 
     @staticmethod
     def _check(M, delta):
-        answers = []
-        route = kernels._svd_trunc_gram
+        """``"keep"`` for a proven keep-all, ``"truncate"`` for a first-pass
+        answer that drops a direction, ``"tail"`` for a second-pass answer,
+        ``None`` for a call the route refused; each answer checked."""
+        answers, tails = [], []
+        route, tail = kernels._svd_trunc_gram, kernels._svd_trunc_tail
 
         def spy(*args):
             answers.append(route(*args))
             return answers[-1]
 
+        def tail_spy(*args):
+            tails.append(tail(*args))
+            return tails[-1]
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernels, "_GRAM_MIN_ENTRIES", 0)
-            mp.setattr(kernels, "_GRAM_KEEP_ALL_MIN_ENTRIES", 0)
             mp.setattr(kernels, "_svd_trunc_gram", spy)
+            mp.setattr(kernels, "_svd_trunc_tail", tail_spy)
+            qrs = record_qr(mp)
             f = svd_trunc(M, delta)
-        assert len(answers) == 1
+        assert len(answers) == 1 and len(tails) <= 1
         if answers[0] is None:
             return None
+        assert qrs == []
         m, n = M.shape
-        if f.rank == m:
+        s = np.linalg.svd(M, compute_uv=False)
+        second = tails != []
+        if f.rank == m and not second:
             floor = _rank_floor(M.shape, delta, np.linalg.norm(M))
-            assert np.linalg.svd(M, compute_uv=False)[-1] > floor
+            assert s[-1] > floor
             return "keep"
         G = M @ M.T
         charge = 2.0 * _gamma(n) * np.trace(G)
@@ -570,23 +594,54 @@ class TestGramRouteProof:
         residual = float(np.linalg.norm(M - f.U @ f.rest) ** 2)
         assert residual <= delta * delta
         assert abs(f.discarded_energy - residual) <= (m - f.rank) * charge + margin
-        return "truncate"
+        exact = np.concatenate([np.cumsum(s[::-1] ** 2)[::-1], [0.0]])
+        assert f.rank >= int(np.argmax(exact <= delta * delta))
+        return "tail" if second else "truncate"
 
-    def test_slack_below_the_charge_takes_the_r_svd(self, monkeypatch):
+    def test_slack_below_the_charge_takes_the_second_pass(self, monkeypatch):
         # Dropping the 1e-5 direction leaves a slack of 1.25e-10 under
-        # delta^2, below the 8.1e-10 the route charges that direction for
-        # the Gram product's rounding: the call takes the R-SVD, which
-        # keeps the same 7 rows, not a higher rank.
+        # delta^2, below the 8.1e-10 the first pass charges that direction
+        # for the Gram product's rounding.  The second pass keeps the seven
+        # directions above it and decides the eighth from its own Gram
+        # matrix, at the tail's scale: it drops it, with no QR, and the
+        # residual is the SVD's own.
         m, n = 8, 1 << 19
         M = _spectrum_matrix(7, m, n, [1.0] * 7 + [1e-5])
         delta = 1.5e-5
         charge = 2.0 * _gamma(n) * np.linalg.norm(M) ** 2
         assert delta**2 - 1e-10 < charge
         qrs = record_qr(monkeypatch)
+        second = _spy(monkeypatch, "_svd_trunc_tail")
         f = svd_trunc(M, delta)
         monkeypatch.undo()
-        assert qrs == [(n, m)]
+        assert qrs == [] and len(second) == 1 and second[0] is not None
         TestSvdTruncRoutes._check(M, f, 7)
+        s = np.linalg.svd(M, compute_uv=False)
+        residual = float(np.linalg.norm(M - f.U @ f.rest) ** 2)
+        assert residual <= delta * delta
+        assert residual <= (1.0 + 1e-6) * s[7] ** 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        SEEDS,
+        st.integers(2, 8),
+        st.integers(0, 200),
+        st.integers(1, 7),
+        st.floats(-9.0, -5.0),
+        st.floats(0.5, 2.0),
+    )
+    def test_tight_delta_on_the_second_pass(self, seed, m, extra, kept, lg, x):
+        # delta = 10^lg times the norm of the first `kept` singular values,
+        # and the rest carry x delta^2 between them: a tail of the order of
+        # delta^2, far below the first pass's charge at the tightest delta.
+        kept = min(kept, m - 1)
+        n = 2 * m + extra
+        rng = np.random.default_rng(seed)
+        head = np.sort(rng.uniform(0.5, 1.0, kept))[::-1]
+        delta = 10.0**lg * float(np.linalg.norm(head))
+        w = np.sort(rng.uniform(0.1, 1.0, m - kept))[::-1]
+        s = np.concatenate([head, np.sqrt(w / w.sum() * x) * delta])
+        self._check(_spectrum_matrix(seed, m, n, s), delta)
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import decaying_train, record_scans, scan_count
+from conftest import decaying_train, record_qr, record_scans, scan_count
 from ttmera import kernels
 from ttmera.dense import DenseTensor, _fold, _unfold
 from ttmera.experiments import DESK_HEAT
@@ -34,12 +34,15 @@ def dense_error_sq(tuck, reference):
 
 
 def _spy_certificates(monkeypatch) -> list:
-    """Record, for each Gram call that keeps every row or reaches the
-    certificate of ``rest``, which proof decided: ``"gram"`` (the Gram
-    eigenvalues in hand), ``"rest"`` (the Gram matrix of the projection) or
-    ``None`` (the certificate of ``rest`` refused)."""
+    """Record, for each Gram call that keeps every row, reaches the
+    certificate of ``rest`` or takes the second pass, which decision it
+    made: ``"gram"`` (the Gram eigenvalues in hand proved full rank),
+    ``"rest"`` (the Gram matrix of the projection proved it), ``"tail"``
+    (the second pass over the trailing eigenblock decided it) or ``None``
+    (the certificate of ``rest``, or the second pass, refused)."""
     certified = []
     route, certified_sigma = kernels._svd_trunc_gram, kernels._certified_sigma
+    tail = kernels._svd_trunc_tail
 
     def route_spy(X, *args):
         calls = len(certified)
@@ -53,8 +56,14 @@ def _spy_certificates(monkeypatch) -> list:
         certified.append(None if sigma is None else "rest")
         return sigma
 
+    def tail_spy(*args):
+        f = tail(*args)
+        certified.append(None if f is None else "tail")
+        return f
+
     monkeypatch.setattr(kernels, "_svd_trunc_gram", route_spy)
     monkeypatch.setattr(kernels, "_certified_sigma", sigma_spy)
+    monkeypatch.setattr(kernels, "_svd_trunc_tail", tail_spy)
     return certified
 
 
@@ -275,23 +284,24 @@ class TestSthosvdDense:
 
     def test_desk_tensor_at_tight_tolerance(self, monkeypatch):
         # The 12-way desk tensor at 1e-7: every mode unfolds to 2 x 3,125,000
-        # or 5 x 1,250,000, and all but the last keep full rank, which the
-        # Gram route proves without a QR.
+        # or 5 x 1,250,000, and all but the last keep full rank.  The Gram
+        # route decides every mode, with no QR.
         t = reshape_to_factors(solve_heat(DESK_HEAT))
         certified = _spy_certificates(monkeypatch)
+        qrs = record_qr(monkeypatch)
         tracemalloc.start()
         factors, _, discarded = sthosvd_dense(t, 1e-7)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         monkeypatch.undo()
+        assert qrs == []
         ranks = (2, 5, 5, 2, 5, 5, 2, 2, 5, 5, 5, 4)
         assert tuple(U.shape[1] for U in factors) == ranks
         # The first eight modes are proven from their Gram eigenvalues, the
         # next three only from the Gram matrices of their projections.  The
-        # last, which truncates, is refused before the certificate of rest
-        # or, on some BLAS kernel sets, by it.
-        assert certified[:11] == ["gram"] * 8 + ["rest"] * 3
-        assert certified[11:] in ([], [None])
+        # last, which truncates, is refused by the certificate of rest and
+        # decided by the second pass over its trailing eigenblock.
+        assert certified == ["gram"] * 8 + ["rest"] * 3 + [None, "tail"]
         # Each mode reads the core in place: the old core and its
         # projection are all that is alive at once, never an unfolding copy.
         assert peak < 2.5 * t.size * 8
@@ -332,7 +342,7 @@ class TestSthosvdDense:
         self, epsilon, last_rank, monkeypatch
     ):
         t = self._view_tensor()
-        assert t.size >= kernels._GRAM_KEEP_ALL_MIN_ENTRIES
+        assert t.size >= kernels._GRAM_MIN_ENTRIES
         modes, shapes = [], []
         route, gram = kernels._svd_trunc_gram, kernels._gram
 
