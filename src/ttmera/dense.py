@@ -95,31 +95,48 @@ class DenseTensor:
     """An order-``D`` array of 64-bit reals with 1-based index semantics.
 
     The wrapped values are immutable; operations return new tensors.
-    Constructors reject non-finite entries; reshapes and permutations
-    re-wrap entries already checked, without a second scan.  A float64
-    array is taken over, not copied, and marked read-only; a caller that
-    still holds a writable alias of its memory must not write through it.
+    Constructors reject non-finite entries.  The check is the norm pass of
+    :meth:`norm`, whose result is kept: a finite norm proves every entry
+    finite.  An array not stored contiguously in some order of its modes,
+    and one whose norm overflows, gets an entry scan instead, which
+    accepts finite entries whose squares overflow, with no warning and no
+    norm kept.  Reshapes and permutations re-wrap entries already checked,
+    without a second pass.  A float64 array is taken over, not copied, and
+    marked read-only; a caller that still holds a writable alias of its
+    memory must not write through it.
+
+    Two facts that do not depend on a tolerance are computed once per
+    tensor and kept: the norm, which views of the same memory share, and
+    the Gram matrix ``M M^T`` of the mode-1 unfolding ``M``, which
+    ``tt_svd`` and ``sthosvd_dense`` truncate first.  The Gram matrix is
+    kept only when ``svd_trunc`` would form it, for a wide ``M`` with
+    ``N / I_1 >= 2 I_1``, so it holds at most ``N / 2`` entries for a
+    tensor of ``N``.
     """
 
-    __slots__ = ("_a",)
+    __slots__ = ("_a", "_norm", "_gram")
 
     def __init__(self, array: np.ndarray | Sequence):
         a = np.asarray(array, dtype=np.float64)
         if a.ndim == 0:
             a = a.reshape(1)
         _check_dims(a.shape)
-        if not np.all(np.isfinite(a)):
-            raise NumericError("tensor entries must be finite")
+        norm = _checked_norm(a)
         a.setflags(write=False)
         self._a = a
+        self._norm = norm
+        self._gram = None
 
     @classmethod
-    def _wrap(cls, a: np.ndarray) -> DenseTensor:
+    def _wrap(cls, a: np.ndarray, norm: float | None = None) -> DenseTensor:
         """Take over a float64 array of order one or more whose entries are
-        already known finite: no scan and no copy, only marked read-only."""
+        already known finite: no scan and no copy, only marked read-only.
+        ``norm``, if given, is the value :meth:`norm` returns for it."""
         t = object.__new__(cls)
         a.setflags(write=False)
         t._a = a
+        t._norm = norm
+        t._gram = None
         return t
 
     @classmethod
@@ -175,7 +192,12 @@ class DenseTensor:
                 f"cannot reshape {self.dims} ({self.size} entries) to "
                 f"{new_dims} ({math.prod(new_dims)} entries)"
             )
-        return DenseTensor._wrap(np.reshape(self._a, new_dims, order="F"))
+        a = np.reshape(self._a, new_dims, order="F")
+        # A view holds the same entries in the same memory order, so it has
+        # the same norm; a copy is stored first-index-fastest and sums anew.
+        return DenseTensor._wrap(
+            a, self._norm if np.may_share_memory(a, self._a) else None
+        )
 
     def permute(self, perm: Sequence[int]) -> DenseTensor:
         """Reorder modes; ``perm`` is a 1-based permutation of ``1..D``.
@@ -187,7 +209,8 @@ class DenseTensor:
             raise ValueError(
                 f"{perm} is not a permutation of 1..{self.order}"
             )
-        return DenseTensor._wrap(np.transpose(self._a, tuple(p - 1 for p in perm)))
+        a = np.transpose(self._a, tuple(p - 1 for p in perm))
+        return DenseTensor._wrap(a, self._norm)
 
     def unfold(self, d: int) -> np.ndarray:
         """Mode-``d`` matricization, shape ``(I_d, prod of the rest)``.
@@ -224,13 +247,63 @@ class DenseTensor:
         per 4096-entry block, the blocks added exactly by ``math.fsum``, so
         only the rounding within a block depends on the BLAS kernels.  The
         whole blocks go through one ``np.vecdot`` and the tail through one
-        ``np.dot``; both take the same BLAS dot for every block."""
-        flat = self._a.ravel(order="K")
-        whole = flat.size - flat.size % 4096
-        blocks = np.reshape(flat[:whole], (-1, 4096))
-        tail = flat[whole:]
-        sums = [*np.vecdot(blocks, blocks).tolist(), float(np.dot(tail, tail))]
-        return math.sqrt(math.fsum(sums))
+        ``np.dot``; both take the same BLAS dot for every block.
+
+        A finite norm is kept, so the pass runs once per tensor; the
+        constructor's entry check is that pass.  An overflowing sum warns
+        and returns ``inf``, or raises ``OverflowError`` from ``fsum``, on
+        every call."""
+        if self._norm is None:
+            norm = _block_norm(self._a.ravel(order="K"))
+            if math.isfinite(norm):
+                self._norm = norm
+            return norm
+        return self._norm
+
+    def _leading_gram(self, X: np.ndarray) -> np.ndarray | None:
+        """``kernels._gram_for(X)`` of the caller's ``(1, I_1, N / I_1)``
+        array ``X`` of the mode-1 unfolding, formed by the first call and
+        kept read-only.  It is formed from the array the caller already
+        holds, so an input not stored first-index-fastest is not copied
+        again.  Two threads that form it at once store the same bits."""
+        if self._gram is None:
+            from .kernels import _gram_for  # kernels imports this module
+
+            G = _gram_for(X)
+            if G is not None:
+                G.setflags(write=False)
+            self._gram = G
+        return self._gram
+
+
+def _block_norm(flat: np.ndarray) -> float:
+    """The Frobenius norm of the 1-D ``flat`` as :meth:`DenseTensor.norm`
+    sums it."""
+    whole = flat.size - flat.size % 4096
+    blocks = np.reshape(flat[:whole], (-1, 4096))
+    tail = flat[whole:]
+    sums = [*np.vecdot(blocks, blocks).tolist(), float(np.dot(tail, tail))]
+    return math.sqrt(math.fsum(sums))
+
+
+def _checked_norm(a: np.ndarray) -> float | None:
+    """The constructor's entry check: the norm of ``a``, or ``None`` where
+    an entry scan decided.  Squares of finite doubles are finite or
+    ``+inf``, and a NaN or an infinity carries through the dot products
+    and ``fsum``, so a finite norm proves every entry finite.  The norm
+    pass is taken only where the flat view of ``a`` costs no copy."""
+    flat = a.ravel(order="K")
+    if np.may_share_memory(flat, a):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                norm = _block_norm(flat)
+        except OverflowError:
+            norm = math.inf
+        if math.isfinite(norm):
+            return norm
+    if not np.all(np.isfinite(a)):
+        raise NumericError("tensor entries must be finite")
+    return None
 
 
 # Unchecked array versions of the unfolding and its inverse, with 0-based

@@ -225,7 +225,7 @@ def _relative_error(tt: TensorTrain, t: DenseTensor, norm: float) -> float:
 # and the method's detail; run_compress measures every error the same way.
 
 
-def _compress_sthosvd(t: DenseTensor, epsilon: float, norm: float):
+def _compress_sthosvd(t: DenseTensor, epsilon: float):
     start = time.perf_counter()
     factors, core, discarded = sthosvd_dense(t, epsilon)
     elapsed = time.perf_counter() - start
@@ -236,14 +236,14 @@ def _compress_sthosvd(t: DenseTensor, epsilon: float, norm: float):
     return tt, elapsed, storage, core.dims, None
 
 
-def _compress_tt(t: DenseTensor, epsilon: float, norm: float):
+def _compress_tt(t: DenseTensor, epsilon: float):
     start = time.perf_counter()
     tt = tt_svd(t, epsilon)
     elapsed = time.perf_counter() - start
     return tt, elapsed, tt_storage(tt), tt.ranks[1:-1], None
 
 
-def _compress_tt_tucker(t: DenseTensor, epsilon: float, norm: float):
+def _compress_tt_tucker(t: DenseTensor, epsilon: float):
     # The train gets epsilon / sqrt(2); its discards add up exactly to
     # |e_1|^2.  The conversion gets what is left, epsilon |t| - |e_1|, so by
     # the triangle inequality |t - tucker| <= |e_1| + |tt - tucker|
@@ -252,7 +252,7 @@ def _compress_tt_tucker(t: DenseTensor, epsilon: float, norm: float):
     tt, discarded = _tt_svd_sweep(t, epsilon / math.sqrt(2.0))
     t_build = time.perf_counter() - start
     start = time.perf_counter()
-    stage_eps = (epsilon * norm - math.sqrt(discarded)) / tt_norm(tt)
+    stage_eps = (epsilon * t.norm() - math.sqrt(discarded)) / tt_norm(tt)
     tuck = tt_to_hosvd(tt, stage_eps)
     t_convert = time.perf_counter() - start
     return (
@@ -306,7 +306,7 @@ def run_compress(
     }
     reports = []
     for m in methods:
-        tt, elapsed, storage, ranks, detail = builders[m](t, epsilon, norm)
+        tt, elapsed, storage, ranks, detail = builders[m](t, epsilon)
         error = _relative_error(tt, t, norm)
         reports.append(_report(m, elapsed, error, storage, t.size, ranks, detail))
     out = _out_dir(out_dir)

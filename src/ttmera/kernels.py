@@ -202,7 +202,9 @@ def svd_trunc(M: np.ndarray, delta: float) -> TruncatedSvd:
     return replace(f, rest=f.rest[0])
 
 
-def _svd_trunc(X: np.ndarray, delta: float) -> TruncatedSvd:
+def _svd_trunc(
+    X: np.ndarray, delta: float, G: np.ndarray | None = None
+) -> TruncatedSvd:
     """:func:`svd_trunc` of the mode-2 unfolding ``M`` of the non-empty
     float ``(a, m, b)`` array ``X``: the ``m x a b`` matrix whose column
     ``i + a k`` is ``X[i, :, k]``.  ``rest`` comes back as the ``(a, r,
@@ -212,17 +214,16 @@ def _svd_trunc(X: np.ndarray, delta: float) -> TruncatedSvd:
     first-index-fastest, and stores ``rest`` that way; a matrix, ``a = 1``,
     is the one-slab case of its ``(a n, b)`` view.  The wide and direct
     routes build ``M`` by ``_unfold``, a copy unless ``a = 1`` or ``b = 1``,
-    and return the ``_fold`` view of their 2-D ``rest``.
+    and return the ``_fold`` view of their 2-D ``rest``.  ``G``, if given,
+    is ``_gram_for(X)`` already formed, which the call does not form again.
     """
     if not delta >= 0:
         raise ValueError(f"delta must be non-negative, got {delta}")
     a, m, b = X.shape
     n = a * b
     wide = n >= _WIDE_RATIO * m
-    G = None
-    if wide and X.size >= _GRAM_MIN_ENTRIES:
-        with np.errstate(over="ignore", invalid="ignore"):
-            G = _gram(X)
+    if G is None:
+        G = _gram_for(X)
     # A non-finite entry of M reaches the diagonal of M M^T, so a finite
     # Gram matrix proves M finite.  A finite M whose Gram matrix overflowed
     # passes the scan and takes the routes below.
@@ -397,6 +398,18 @@ def _gamma(k: int) -> float:
     ``k u >= 1``, where no such bound holds."""
     ku = k * np.finfo(np.float64).eps / 2.0
     return ku / (1.0 - ku) if ku < 1.0 else np.inf
+
+
+def _gram_for(X: np.ndarray) -> np.ndarray | None:
+    """:func:`_gram` of the ``(a, m, b)`` array ``X`` where
+    :func:`_svd_trunc` forms it: for a wide unfolding, ``a b >= _WIDE_RATIO
+    m``, of at least ``_GRAM_MIN_ENTRIES`` entries; else ``None``.  An
+    overflow leaves a non-finite matrix, with no warning."""
+    a, m, b = X.shape
+    if a * b < _WIDE_RATIO * m or X.size < _GRAM_MIN_ENTRIES:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _gram(X)
 
 
 def _gram(X: np.ndarray) -> np.ndarray:

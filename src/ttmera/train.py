@@ -23,7 +23,7 @@ import numpy as np
 
 from .dense import DenseTensor, _unfold
 from .errors import CapacityError, NumericError
-from .kernels import qr_thin, svd_trunc
+from .kernels import _svd_trunc, qr_thin, svd_trunc
 
 __all__ = [
     "TensorTrain",
@@ -197,15 +197,18 @@ def _tt_svd_sweep(t: DenseTensor, epsilon: float) -> tuple[TensorTrain, float]:
     cores = []
     discarded = 0.0
     C = t.data.reshape(dims[0], -1, order="F")
+    # The first unfolding is the tensor's own, whose Gram matrix it keeps.
+    G = t._leading_gram(C[None])
     r = 1
     for d in range(D - 1):
-        f = svd_trunc(C, delta)
+        f = _svd_trunc(C[None], delta, G)
+        G = None
         if f.rank == 0:
             raise ValueError(f"mode {d + 1} fully truncated; epsilon too large")
         cores.append(_from_left(f.U, r, dims[d]))
         discarded += f.discarded_energy
         r = f.rank
-        C = f.rest
+        C = f.rest[0]
         if d < D - 2:
             C = np.reshape(C, (r * dims[d + 1], -1), order="F")
     cores.append(C.reshape(r, dims[D - 1], 1))

@@ -180,7 +180,9 @@ def sthosvd_dense(
         a, n, b = math.prod(dims[:d]), dims[d], math.prod(dims[d + 1:])
         # ``rest`` comes back as the (a, r, b) array of U.T @ unfold(core),
         # so a reshape of it is the next core.
-        f = _svd_trunc(np.reshape(core, (a, n, b), order="F"), delta)
+        X = np.reshape(core, (a, n, b), order="F")
+        # Mode 1 unfolds the input itself, whose Gram matrix it keeps.
+        f = _svd_trunc(X, delta, t._leading_gram(X) if d == 0 else None)
         if f.rank == 0:
             raise ValueError(f"mode {d + 1} fully truncated; epsilon too large")
         factors.append(f.U)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ttmera import train
+from ttmera import dense, train
 from ttmera.dense import DenseTensor
 from ttmera.kernels import qr_thin
 from ttmera.rng import standard_normal, stream
@@ -37,6 +37,23 @@ def decaying_train(
     return TensorTrain(cores)
 
 
+# Shapes of 2^20 entries or more whose mode-1 unfolding is wide, so that
+# svd_trunc forms its Gram matrix, which the tensor keeps: a wide 3-way
+# shape and a 12-way one.
+KEPT_GRAM_DIMS = [(20, 200, 300), (2, 2, 2, 2) + (4,) * 8]
+
+
+def kept_gram_input(dims, order: str) -> np.ndarray:
+    """A dense array of a decaying train, stored ``order``-ordered."""
+    return np.asarray(train.tt_contract(decaying_train(5, dims)).to_array(), order=order)
+
+
+def forget_kept_gram(monkeypatch) -> None:
+    """Make every tensor report no kept Gram matrix, so that each call
+    forms its own, as it would without the memo."""
+    monkeypatch.setattr(DenseTensor, "_leading_gram", lambda self, X: None)
+
+
 def count_qr(monkeypatch) -> list:
     """Record the shape of every ``qr_thin`` call the train module makes."""
     calls = []
@@ -50,17 +67,25 @@ def count_qr(monkeypatch) -> list:
 
 
 def record_scans(monkeypatch) -> list:
-    """Record every array ``np.isfinite`` is asked to scan.  A constructor
-    that checks an ndarray scans that very object, so a test asks whether
-    an array was scanned by identity."""
+    """Record every array an entry check is asked to read: the dense
+    constructor's norm pass (``dense._checked_norm``) and every
+    ``np.isfinite`` scan, which includes that check's fallback.  A
+    constructor that checks an ndarray checks that very object, so a test
+    asks whether an array was scanned by identity."""
     scanned = []
     real = np.isfinite
+    checked_norm = dense._checked_norm
 
     def recorded(a, *args, **kwargs):
         scanned.append(a)
         return real(a, *args, **kwargs)
 
+    def recorded_norm(a):
+        scanned.append(a)
+        return checked_norm(a)
+
     monkeypatch.setattr(np, "isfinite", recorded)
+    monkeypatch.setattr(dense, "_checked_norm", recorded_norm)
     return scanned
 
 

@@ -2,12 +2,14 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ttmera import dense
 from ttmera.dense import (
     DenseTensor,
     MultiIndex,
@@ -224,3 +226,117 @@ class TestDenseTensor:
         blocks = (flat[i : i + 4096] for i in range(0, flat.size, 4096))
         loop = math.sqrt(math.fsum(float(np.dot(b, b)) for b in blocks))
         assert DenseTensor(a).norm() == loop
+
+
+def _norm_passes(monkeypatch) -> list:
+    """Record the flat array of every norm pass."""
+    passes = []
+    real = dense._block_norm
+
+    def recorded(flat):
+        passes.append(flat)
+        return real(flat)
+
+    monkeypatch.setattr(dense, "_block_norm", recorded)
+    return passes
+
+
+def _layout(a: np.ndarray, layout: str) -> np.ndarray:
+    """``a`` stored C- or F-ordered, or as a view with a step of 2 or of -1
+    along its first two axes."""
+    if layout == "F":
+        return np.asfortranarray(a)
+    if layout == "strided":
+        wide = np.zeros((a.shape[0], 2 * a.shape[1]) + a.shape[2:], order="F")
+        wide[:, ::2] = a
+        return wide[:, ::2]
+    if layout == "reversed":
+        return np.asfortranarray(a[::-1])[::-1]
+    return np.ascontiguousarray(a)
+
+
+class TestEntryCheck:
+    # 3 whole 4096-entry blocks and a tail of 17 entries
+    SIZE = 3 * 4096 + 17
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [5000, 3 * 4096 + 3], ids=["block", "tail"])
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_rejects_non_finite_in_a_block_and_in_the_tail(self, bad, at, layout):
+        entries = np.arange(float(self.SIZE))
+        entries[at] = bad
+        a = _layout(np.reshape(entries, (self.SIZE, 1)), layout)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError):
+                DenseTensor(a)
+
+    @pytest.mark.parametrize("at", [5, 3 * 4096 + 2], ids=["block", "tail"])
+    def test_overflowing_square_is_accepted_without_warning(self, at):
+        # One dot product overflows to inf: the entries are scanned, found
+        # finite, and no norm is kept, so every norm() warns and returns
+        # inf, as the sum itself does.
+        entries = np.zeros(self.SIZE)
+        entries[at] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = DenseTensor(entries)
+        for _ in range(2):
+            with pytest.warns(RuntimeWarning, match="overflow"):
+                assert t.norm() == math.inf
+
+    def test_overflowing_fsum_is_accepted_without_warning(self):
+        # Every block's dot product is finite, but their exact sum is not.
+        entries = np.zeros(2 * 4096)
+        entries[[5, 4096 + 5]] = 1e154
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = DenseTensor(entries)
+            for _ in range(2):
+                with pytest.raises(OverflowError):
+                    t.norm()
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided", "reversed"])
+    def test_check_keeps_the_norm_of_the_sum(self, layout):
+        rng = np.random.default_rng(7)
+        a = _layout(rng.standard_normal((301, 40)), layout)
+        t = DenseTensor(a)
+        assert t.norm() == dense._block_norm(a.ravel(order="K"))
+
+
+class TestNormMemo:
+    def test_one_pass_per_tensor(self, monkeypatch):
+        passes = _norm_passes(monkeypatch)
+        a = np.asfortranarray(np.random.default_rng(1).standard_normal((30, 40, 5)))
+        t = DenseTensor(a)
+        assert len(passes) == 1
+        assert np.shares_memory(passes[0], a)
+        first = t.norm()
+        assert t.norm() == first
+        assert len(passes) == 1
+
+    def test_wrapped_tensor_sums_once_on_first_use(self, monkeypatch):
+        passes = _norm_passes(monkeypatch)
+        t = DenseTensor._wrap(np.arange(24.0).reshape(2, 3, 4))
+        assert passes == []
+        assert t.norm() == t.norm()
+        assert len(passes) == 1
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided", "reversed"])
+    @pytest.mark.parametrize("op, arg", [
+        ("reshape", (24, 30)), ("reshape", (6, 120)), ("reshape", (720,)),
+        ("reshape", (3, 2, 4, 30)), ("permute", (3, 1, 2)), ("permute", (2, 3, 1)),
+    ])
+    def test_carried_norm_equals_a_fresh_one(self, monkeypatch, layout, op, arg):
+        rng = np.random.default_rng(11)
+        entries = rng.standard_normal((6, 4, 30)) * 10.0 ** rng.integers(-3, 4, (6, 4, 30))
+        t = DenseTensor(_layout(entries, layout))
+        t.norm()
+        out = getattr(t, op)(arg)
+        passes = _norm_passes(monkeypatch)
+        carried = out.norm()
+        fresh = DenseTensor._wrap(out.to_array()).norm()
+        assert carried == fresh
+        # A view carries the norm; a reshape that had to copy sums anew.
+        shared = np.may_share_memory(out.to_array(), t.to_array())
+        assert len(passes) == (1 if shared else 2)

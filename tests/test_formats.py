@@ -87,6 +87,18 @@ class TestTensorFile:
         with pytest.raises(NumericError):
             load_tensor(p)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_entry_in_a_whole_block_rejected(self, tmp_path, bad):
+        # The entry check sums squares in 4096-entry blocks; the bad entry
+        # sits inside the first whole block, not in the tail.
+        entries = np.ones(2 * 4096 + 5)
+        entries[100] = bad
+        p = tmp_path / "n.mrt"
+        header = struct.pack("<H", 1) + struct.pack("<Q", entries.size)
+        p.write_bytes(b"MRT1" + header + entries.astype("<f8").tobytes())
+        with pytest.raises(NumericError):
+            load_tensor(p)
+
 
 class TestTrainFile:
     def test_round_trip_bit_identical(self, tmp_path):

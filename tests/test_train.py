@@ -7,7 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import count_qr, decaying_train, random_dense, record_scans, scan_count
+from conftest import (
+    KEPT_GRAM_DIMS,
+    count_qr,
+    decaying_train,
+    forget_kept_gram,
+    kept_gram_input,
+    random_dense,
+    record_scans,
+    scan_count,
+)
 from ttmera.dense import DenseTensor
 from ttmera.errors import CapacityError, NumericError
 from ttmera.experiments import random_mera_plant
@@ -27,7 +36,7 @@ from ttmera.train import (
     tt_storage,
     tt_svd,
 )
-from ttmera.tucker import tucker_sweep
+from ttmera.tucker import sthosvd_dense, tucker_sweep
 
 SEEDS = st.integers(0, 2**32 - 1)
 DIMS = st.lists(st.integers(2, 5), min_size=2, max_size=5)
@@ -186,6 +195,33 @@ class TestTtSvd:
         tt = tt_svd(t, 0.0)
         assert tt.order == 1
         np.testing.assert_allclose(tt_contract(tt).data, t.data)
+
+
+    @pytest.mark.parametrize("dims", KEPT_GRAM_DIMS, ids=["3-way", "12-way"])
+    @pytest.mark.parametrize("order", ["F", "C"])
+    @pytest.mark.parametrize("epsilon", [1e-3, 1e-7])
+    def test_kept_norm_and_gram_change_no_bit(self, monkeypatch, dims, order, epsilon):
+        # The first call on a tensor keeps its norm and leading Gram matrix;
+        # a second call, and a call after sthosvd_dense formed them, return
+        # the bytes of a call on a copy whose every Gram matrix is formed
+        # afresh.
+        a = kept_gram_input(dims, order)
+
+        def run(t):
+            tt, discarded = _tt_svd_sweep(t, epsilon)
+            cores = tt.cores + tt_svd(t, epsilon).cores
+            return [x.tobytes() for x in (*cores, np.float64(discarded))]
+
+        with monkeypatch.context() as m:
+            forget_kept_gram(m)
+            fresh = run(DenseTensor(a.copy(order="K")))
+        t = DenseTensor(a)
+        cold = run(t)
+        assert t._gram is not None
+        assert run(t) == cold == fresh
+        t = DenseTensor(a.copy(order="K"))
+        sthosvd_dense(t, epsilon)
+        assert run(t) == fresh
 
 
 class TestCanonicalForms:

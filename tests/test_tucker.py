@@ -8,10 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import decaying_train, record_qr, record_scans, scan_count
-from ttmera import kernels
+from conftest import (
+    KEPT_GRAM_DIMS,
+    decaying_train,
+    forget_kept_gram,
+    kept_gram_input,
+    record_qr,
+    record_scans,
+    scan_count,
+)
+from ttmera import dense, kernels
 from ttmera.dense import DenseTensor, _fold, _unfold
-from ttmera.experiments import DESK_HEAT
+from ttmera.experiments import DESK_HEAT, run_compress
 from ttmera.heat import reshape_to_factors, solve_heat
 from ttmera.kernels import qr_thin, svd_trunc
 from ttmera.rng import standard_normal, stream
@@ -419,6 +427,58 @@ class TestSthosvdDense:
     def test_zero_tensor_refused_for_its_norm(self, epsilon):
         with pytest.raises(ValueError, match="^tensor has zero norm$"):
             sthosvd_dense(DenseTensor(np.zeros((3, 4, 2))), epsilon)
+
+
+    @pytest.mark.parametrize("dims", KEPT_GRAM_DIMS, ids=["3-way", "12-way"])
+    @pytest.mark.parametrize("order", ["F", "C"])
+    @pytest.mark.parametrize("epsilon", [1e-3, 1e-7])
+    def test_kept_norm_and_gram_change_no_bit(self, monkeypatch, dims, order, epsilon):
+        # The first call on a tensor keeps its norm and mode-1 Gram matrix;
+        # a second call, and a call after tt_svd formed them, return the
+        # bytes of a call on a copy whose every Gram matrix is formed afresh.
+        a = kept_gram_input(dims, order)
+
+        def run(t):
+            factors, core, discarded = sthosvd_dense(t, epsilon)
+            return [x.tobytes() for x in (*factors, core.to_array(), discarded)]
+
+        with monkeypatch.context() as m:
+            forget_kept_gram(m)
+            fresh = run(DenseTensor(a.copy(order="K")))
+        t = DenseTensor(a)
+        cold = run(t)
+        assert t._gram is not None
+        assert run(t) == cold == fresh
+        t = DenseTensor(a.copy(order="K"))
+        tt_svd(t, epsilon)
+        assert run(t) == fresh
+
+    def test_compare_forms_the_leading_gram_and_norm_once(self, monkeypatch):
+        # run_compress decomposes one tensor by all three methods: the
+        # mode-1 Gram matrix is formed once, and each tensor, the input and
+        # the ST-HOSVD core, gets one norm pass.
+        a = kept_gram_input(KEPT_GRAM_DIMS[0], "F")
+        leading = (1, a.shape[0], a.size // a.shape[0])
+        grams, passes = [], []
+        gram_for, block_norm = kernels._gram_for, dense._block_norm
+
+        def recorded_gram(X):
+            G = gram_for(X)
+            if G is not None and X.shape == leading:
+                grams.append(X)
+            return G
+
+        def recorded_norm(flat):
+            passes.append(flat)
+            return block_norm(flat)
+
+        monkeypatch.setattr(kernels, "_gram_for", recorded_gram)
+        monkeypatch.setattr(dense, "_block_norm", recorded_norm)
+        reports = run_compress(DenseTensor(a), 1e-3)
+        assert [r.method for r in reports] == ["sthosvd", "tt", "tt-tucker"]
+        assert len(grams) == 1
+        assert len(passes) == 2
+        assert sum(np.shares_memory(p, a) for p in passes) == 1
 
 
 class TestReconstructAndRatio:
