@@ -79,9 +79,6 @@ __all__ = [
 PAPER_HEAT = HeatConfig(ds=1e-2, dt=0.25e-4, t_end=0.25)
 DESK_HEAT = HeatConfig(ds=2e-2, dt=None, t_end=0.25)
 
-COMPRESS_METHODS = ("sthosvd", "tt", "tt-tucker")
-
-
 @dataclass(frozen=True)
 class CompressionReport:
     """One row of a compression comparison.
@@ -184,8 +181,8 @@ def run_heat2d(cfg: HeatConfig, out_path: str | Path) -> Path:
 _ERROR_BLOCK_ENTRIES = 1 << 16
 
 
-def _relative_error(tt: TensorTrain, t: DenseTensor, norm: float) -> float:
-    """``|t - tt|_F / norm`` for a train with the dimensions of ``t``.
+def _relative_error(tt: TensorTrain, t: DenseTensor) -> float:
+    """``|t - tt|_F / |t|_F`` for a train with the dimensions of ``t``.
 
     The train is cut at the bond where its two interface matrices are
     smallest, and the difference is streamed over column blocks of the
@@ -217,7 +214,7 @@ def _relative_error(tt: TensorTrain, t: DenseTensor, norm: float) -> float:
         block = left @ right[:, j : j + step]
         block -= X[:, j : j + step]
         err2 += float(np.vdot(block, block))
-    return math.sqrt(err2) / norm
+    return math.sqrt(err2) / t.norm()
 
 
 # Each builder returns the decomposition as a train with the input's
@@ -264,6 +261,14 @@ def _compress_tt_tucker(t: DenseTensor, epsilon: float):
     )
 
 
+_COMPRESS_BUILDERS = {
+    "sthosvd": _compress_sthosvd,
+    "tt": _compress_tt,
+    "tt-tucker": _compress_tt_tucker,
+}
+COMPRESS_METHODS = tuple(_COMPRESS_BUILDERS)
+
+
 def run_compress(
     source: DenseTensor | str | Path,
     epsilon: float = 1e-3,
@@ -296,18 +301,12 @@ def run_compress(
         t = load_tensor(source)
     if factorize:
         t = reshape_to_factors(t)
-    norm = t.norm()
-    if norm == 0.0:
+    if t.norm() == 0.0:
         raise ConfigError("input tensor has zero norm")
-    builders = {
-        "sthosvd": _compress_sthosvd,
-        "tt": _compress_tt,
-        "tt-tucker": _compress_tt_tucker,
-    }
     reports = []
     for m in methods:
-        tt, elapsed, storage, ranks, detail = builders[m](t, epsilon)
-        error = _relative_error(tt, t, norm)
+        tt, elapsed, storage, ranks, detail = _COMPRESS_BUILDERS[m](t, epsilon)
+        error = _relative_error(tt, t)
         reports.append(_report(m, elapsed, error, storage, t.size, ranks, detail))
     out = _out_dir(out_dir)
     if out is not None:

@@ -127,7 +127,7 @@ class TestRunCompress:
         for t in (c_order, f_order):
             tracemalloc.start()
             try:
-                err = _relative_error(tt, t, 1.0)
+                err = _relative_error(tt, t) * t.norm()
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()

@@ -206,16 +206,17 @@ class TestSvdTruncRoutes:
         assert f.rest.shape == (f.rank, M.shape[1])
 
     # Wide 8 x 2^19 inputs above the Gram size gate, at a delta below the
-    # first pass's charge for one dropped direction (below 1e-7 |M|).
+    # first pass's charge for one dropped direction (below 1e-7 |M|).  At
+    # delta > 0 the values below that charge are decided by the second pass
+    # over the trailing eigenblock, whether it keeps or drops them.
     # name: (nonzero singular values, delta, minimal rank, route)
     LOG8 = np.logspace(0, -6, 8)
     KEEP_ALL = {
-        "gram-keep-all": (LOG8, 1e-9 * np.linalg.norm(LOG8), 8, "proof"),
+        "gram-keep-all": (LOG8, 1e-9 * np.linalg.norm(LOG8), 8, "tail"),
         "gram-keep-all-zero-delta": (LOG8, 0.0, 8, "proof"),
-        # sigma_min = delta / 2: the certificate refuses to keep the last
-        # row, and the second pass over the trailing eigenblock drops it.
+        # sigma_min = delta / 2: the second pass drops the last row.
         "gram-keep-all-refused": ([1.0] * 7 + [1.25e-7], 2.5e-7, 7, "tail"),
-        "gram-keep-all-margin": ([1.0] * 7 + [1e-6], 2.5e-7, 8, "proof"),
+        "gram-keep-all-margin": ([1.0] * 7 + [1e-6], 2.5e-7, 8, "tail"),
         "gram-rank-deficient": (np.logspace(0, -6, 5), 0.0, 5, "r-svd"),
     }
 
@@ -250,9 +251,9 @@ class TestSvdTruncRoutes:
         else:
             assert tails == []
             assert f.discarded_energy == 0.0
-            # The row norms of rest carry the small values to relative
-            # accuracy; square roots of Gram eigenvalues would not.
-            np.testing.assert_allclose(f.sigma, s_exact, rtol=1e-9)
+        # The row norms of rest carry the small values to relative
+        # accuracy; square roots of Gram eigenvalues would not.
+        np.testing.assert_allclose(f.sigma, s_exact[:rank], rtol=1e-9)
 
     @pytest.mark.parametrize("m, n", [(8, 1 << 19), (2048, 2048)])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -485,7 +486,7 @@ class TestGramCertified:
         assert len(fallbacks) == 1 and fallbacks[0] is not None and qrs == []
         G, trace, U = self._parts(M)
         rest = (M.T @ U).T
-        sigma = _certified_sigma(rest @ rest.T, n, 0.0, np.sqrt(trace))
+        sigma = _certified_sigma(rest @ rest.T, n, np.sqrt(trace))
         assert f.U.tobytes() == U.tobytes()
         assert f.rest.tobytes() == rest.tobytes()
         assert f.sigma.tobytes() == sigma.tobytes()
@@ -513,32 +514,22 @@ class TestGramCertified:
         TestSvdTruncRoutes._check(M, f, 2)
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        SEEDS,
-        st.integers(2, 8),
-        st.integers(0, 60),
-        st.floats(-0.3, 1.0),
-        st.booleans(),
-    )
-    def test_a_proof_is_never_wrong_near_the_floor(self, seed, m, extra, lg, at_zero):
-        # sigma_min at 10^lg times the floor: delta, or at delta = 0 the
-        # threshold max(m, n) eps |M|_F.  Whenever the certificate of rest
-        # proves full row rank, LAPACK's sigma_min of the stored M lies
-        # above the floor.  The eigenvalue proof is tested through the
-        # route, in TestGramRouteProof.
+    @given(SEEDS, st.integers(2, 8), st.integers(0, 60), st.floats(-0.3, 1.0))
+    def test_a_proof_is_never_wrong_near_the_floor(self, seed, m, extra, lg):
+        # sigma_min at 10^lg times the delta = 0 floor, the threshold
+        # max(m, n) eps |M|_F.  Whenever the certificate of rest proves
+        # full row rank, LAPACK's sigma_min of the stored M lies above the
+        # floor.  The eigenvalue proof is tested through the route, in
+        # TestGramRouteProof.
         n = 2 * m + extra
         rng = np.random.default_rng(seed)
         s = np.sort(rng.uniform(0.5, 1.0, m))[::-1]
-        if at_zero:
-            delta = 0.0
-            s[-1] = 10.0**lg * n * self.EPS * np.linalg.norm(s)
-        else:
-            delta = s[-1] / 10.0**lg
+        s[-1] = 10.0**lg * n * self.EPS * np.linalg.norm(s)
         M = _spectrum_matrix(seed, m, n, s)
         G, trace, U = self._parts(M)
         rest = (M.T @ U).T
-        proven = _certified_sigma(rest @ rest.T, n, delta, np.sqrt(trace)) is not None
-        floor = max(delta, n * self.EPS * np.linalg.norm(M))
+        proven = _certified_sigma(rest @ rest.T, n, np.sqrt(trace)) is not None
+        floor = n * self.EPS * np.linalg.norm(M)
         if proven:
             assert np.linalg.svd(M, compute_uv=False)[-1] > floor
 
@@ -725,17 +716,20 @@ class TestMatrixCase:
 
 class TestCertifiedSigma:
     """The keep-all certificate on hand-built projections ``rest``: it
-    returns the row norms when they prove full row rank above the floor,
-    and ``None`` when the rows are too short, too parallel, or within the
-    projection's rounding of zero."""
+    returns the row norms when they prove full row rank above the
+    ``delta = 0`` floor, ``max(m, n) eps |M|_F``, and ``None`` when the
+    rows are too short, too parallel, or within the projection's rounding
+    of zero.  Rows of length 1000 with ``|M|_F`` given as ``floor / (1000
+    eps)`` put the floor where a case needs it, far above the projection's
+    rounding allowance."""
 
     EPS = np.finfo(np.float64).eps
 
     @staticmethod
-    def _certify(rest, delta, norm):
-        """The certificate as the Gram routes call it: on ``rest``'s Gram
+    def _certify(rest, norm):
+        """The certificate as the Gram route calls it: on ``rest``'s Gram
         matrix and column count."""
-        return _certified_sigma(rest @ rest.T, rest.shape[1], delta, norm)
+        return _certified_sigma(rest @ rest.T, rest.shape[1], norm)
 
     @staticmethod
     def _rows(norms, angle=np.pi / 2, n=3):
@@ -746,14 +740,16 @@ class TestCertifiedSigma:
         return rest
 
     def test_orthogonal_rows_certify_with_their_norms(self):
-        rest = self._rows([2.0, 0.5])
-        sigma = self._certify(rest, 0.1, np.linalg.norm(rest))
+        # The floor at 0.1, where a delta of 0.1 would put it.
+        rest = self._rows([2.0, 0.5], n=1000)
+        sigma = self._certify(rest, 0.1 / (1000 * self.EPS))
         np.testing.assert_array_equal(sigma, [2.0, 0.5])
 
     @pytest.mark.parametrize("short, certified", [(0.05, False), (0.4, True)])
     def test_shortest_row_against_delta(self, short, certified):
-        rest = self._rows([1.0, short])
-        got = self._certify(rest, 0.1, np.linalg.norm(rest))
+        # The floor at 0.1, where a delta of 0.1 would put it.
+        rest = self._rows([1.0, short], n=1000)
+        got = self._certify(rest, 0.1 / (1000 * self.EPS))
         assert (got is not None) is certified
 
     @pytest.mark.parametrize("short, certified", [(100, False), (4000, True)])
@@ -761,24 +757,25 @@ class TestCertifiedSigma:
         # At delta = 0 the rank rule drops values up to max(m, n) eps |M|,
         # 1000 eps here, so a shorter row is not certified.
         rest = self._rows([1.0, short * self.EPS], n=1000)
-        got = self._certify(rest, 0.0, 1.0)
+        got = self._certify(rest, 1.0)
         assert (got is not None) is certified
 
     @pytest.mark.parametrize("angle, certified", [(1e-6, False), (1.0, True)])
     def test_parallel_rows_refused(self, angle, certified):
         # Unit rows at a small angle have sigma_min ~ angle / sqrt(2): long
-        # rows alone prove nothing.
-        rest = self._rows([1.0, 1.0], angle)
-        got = self._certify(rest, 1e-3, np.linalg.norm(rest))
+        # rows alone prove nothing against a floor of 1e-3.
+        rest = self._rows([1.0, 1.0], angle, n=1000)
+        got = self._certify(rest, 1e-3 / (1000 * self.EPS))
         assert (got is not None) is certified
 
     def test_relative_to_each_row(self):
         # An overlap of 1e-17 |M|^2, the size of Gram eigenvector noise,
         # would swamp sigma_min^2 = 1e-18 in an unscaled Gershgorin bound;
         # scaled by the row norms it costs 1e-8 of the small row.
-        rest = self._rows([1.0, 1e-9])
+        # The floor at 1e-10, where a delta of 1e-10 would put it.
+        rest = self._rows([1.0, 1e-9], n=1000)
         rest[1, 0] = 1e-17
-        got = self._certify(rest, 1e-10, np.linalg.norm(rest))
+        got = self._certify(rest, 1e-10 / (1000 * self.EPS))
         assert got is not None
         assert got[1] == pytest.approx(1e-9, rel=1e-12)
 
@@ -788,7 +785,7 @@ class TestCertifiedSigma:
         # the projection, 2 (sqrt(2) + 2) eps |M|, is not certified.
         rest = self._rows([1.0, short])
         assert short > 3 * self.EPS
-        got = self._certify(rest, 0.0, 1.0)
+        got = self._certify(rest, 1.0)
         assert (got is not None) is certified
 
 

@@ -45,9 +45,10 @@ def _spy_certificates(monkeypatch) -> list:
     """Record, for each Gram call that keeps every row, reaches the
     certificate of ``rest`` or takes the second pass, which decision it
     made: ``"gram"`` (the Gram eigenvalues in hand proved full rank),
-    ``"rest"`` (the Gram matrix of the projection proved it), ``"tail"``
-    (the second pass over the trailing eigenblock decided it) or ``None``
-    (the certificate of ``rest``, or the second pass, refused)."""
+    ``"rest"`` (the Gram matrix of the projection proved it, at ``delta =
+    0`` only), ``"tail"`` (the second pass over the trailing eigenblock
+    decided it) or ``None`` (the certificate of ``rest``, or the second
+    pass, refused)."""
     certified = []
     route, certified_sigma = kernels._svd_trunc_gram, kernels._certified_sigma
     tail = kernels._svd_trunc_tail
@@ -305,11 +306,11 @@ class TestSthosvdDense:
         assert qrs == []
         ranks = (2, 5, 5, 2, 5, 5, 2, 2, 5, 5, 5, 4)
         assert tuple(U.shape[1] for U in factors) == ranks
-        # The first eight modes are proven from their Gram eigenvalues, the
-        # next three only from the Gram matrices of their projections.  The
-        # last, which truncates, is refused by the certificate of rest and
-        # decided by the second pass over its trailing eigenblock.
-        assert certified == ["gram"] * 8 + ["rest"] * 3 + [None, "tail"]
+        # The first eight modes are proven from their Gram eigenvalues.  The
+        # next three, whose smallest values lie below the first pass's
+        # charge, and the last, which truncates, are decided by the second
+        # pass over their trailing eigenblocks.
+        assert certified == ["gram"] * 8 + ["tail"] * 4
         # Each mode reads the core in place: the old core and its
         # projection are all that is alive at once, never an unfolding copy.
         assert peak < 2.5 * t.size * 8
@@ -327,7 +328,33 @@ class TestSthosvdDense:
             assert abs(discarded[d] - tails[r]) <= 1e-12 * norm2
             core = _fold(U[:, :r].T @ M, d, core.shape)
         train_ranks = (1, 2, 10, 22, 39, 71, 21, 14, 13, 10, 6, 4, 1)
+        certified = _spy_certificates(monkeypatch)
         assert tt_svd(t, 1e-7).ranks == train_ranks
+        monkeypatch.undo()
+        # The first unfolding keeps both rows on its Gram eigenvalues; the
+        # next four Gram calls of the sweep are decided by the second pass.
+        assert certified == ["gram"] + ["tail"] * 4
+
+    @pytest.mark.parametrize("epsilon", [1e-3, 1e-5, 1e-7])
+    def test_desk_tensor_never_reaches_the_certificate_of_rest(
+        self, epsilon, monkeypatch
+    ):
+        # At delta > 0 the Gram route decides every call by its first pass
+        # or its second: the certificate of rest serves delta = 0 alone.
+        t = reshape_to_factors(solve_heat(DESK_HEAT))
+        calls = []
+        certified_sigma = kernels._certified_sigma
+
+        def sigma_spy(*args):
+            calls.append(args)
+            return certified_sigma(*args)
+
+        monkeypatch.setattr(kernels, "_certified_sigma", sigma_spy)
+        tt = tt_svd(t, epsilon)
+        tt_to_hosvd(tt, epsilon)
+        sthosvd_dense(t, epsilon)
+        monkeypatch.undo()
+        assert calls == []
 
     # Dimensions and per-mode weights of a Gaussian tensor above the Gram
     # size gate.  Its modes view the core as (a, n, b) with a = 1, a small
