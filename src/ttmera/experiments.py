@@ -241,10 +241,11 @@ def _compress_tt(t: DenseTensor, epsilon: float):
 
 
 def _compress_tt_tucker(t: DenseTensor, epsilon: float):
-    # The train gets epsilon / sqrt(2); its discards add up exactly to
-    # |e_1|^2.  The conversion gets what is left, epsilon |t| - |e_1|, so by
-    # the triangle inequality |t - tucker| <= |e_1| + |tt - tucker|
-    # <= epsilon |t|.
+    # The train gets epsilon / sqrt(2); its discards add up to |e_1|^2, to
+    # rounding on the SVD routes of svd_trunc and within the Gram route's
+    # proven charge on that route.  The conversion gets what is left,
+    # epsilon |t| - |e_1|, so by the triangle inequality |t - tucker| <=
+    # |e_1| + |tt - tucker| <= epsilon |t|.
     start = time.perf_counter()
     tt, discarded = _tt_svd_sweep(t, epsilon / math.sqrt(2.0))
     t_build = time.perf_counter() - start

@@ -113,22 +113,24 @@ class TruncatedSvd:
     """Rank-``r`` factorization ``M ~ U @ rest``.
 
     ``U`` has orthonormal columns and ``rest = U.T @ M = diag(sigma) @ V.T``;
-    the right singular vectors ``V`` are never formed.  ``rest`` has
-    orthogonal rows of norms ``sigma``.  A caller that needs an orthonormal
-    right factor factors ``M.T`` and takes ``U.T``, because ``rest / sigma``
-    amplifies rounding by ``sigma_1 / sigma_r``.  ``discarded_energy`` is the
-    sum of squared singular values dropped by the truncation, so
-    ``|M - U @ rest|_F^2 == discarded_energy``.
+    neither the right singular vectors ``V`` nor the singular values
+    ``sigma`` are formed.  ``rest`` has orthogonal rows, and ``sigma`` is
+    their norms.  A caller that needs an orthonormal right factor factors
+    ``M.T`` and takes ``U.T``, because ``rest / sigma`` amplifies rounding
+    by ``sigma_1 / sigma_r``.  ``discarded_energy`` is the sum of squared
+    singular values dropped by the truncation: ``|M - U @ rest|_F^2 ==
+    discarded_energy`` holds to rounding on the SVD routes of
+    :func:`svd_trunc`, and on its Gram route within the charge that route
+    proves (:func:`_svd_trunc_gram`).
     """
 
     U: np.ndarray
-    sigma: np.ndarray
     rest: np.ndarray
     discarded_energy: float
 
     @property
     def rank(self) -> int:
-        return self.sigma.size
+        return self.U.shape[1]
 
 
 # Large wide matrices go through an eigendecomposition of ``M M^T`` instead
@@ -263,7 +265,7 @@ def _svd_trunc(
     # An energy beyond the float range is reported as inf.
     with np.errstate(over="ignore"):
         energy = float(np.ldexp(tails[r], 2 * e))
-    return TruncatedSvd(U=U, sigma=s[:r].copy(), rest=rest, discarded_energy=energy)
+    return TruncatedSvd(U=U, rest=rest, discarded_energy=energy)
 
 
 def _full_row_rank(M: np.ndarray, delta: float) -> bool:
@@ -524,11 +526,10 @@ def _svd_trunc_gram(
 
     At ``delta = 0``, ``r = m``.  Once ``lambda_m - mu - c`` exceeds the
     squared floor of :func:`_rank_floor`, above which the rank rule keeps
-    every value, ``U`` keeps every eigenvector with ``sigma =
-    sqrt(lambda)``.  Otherwise ``lambda_m`` at or below the squared floor
-    marks a numerically rank-deficient input, refused at once, and
-    :func:`_certified_sigma` decides the rest from the Gram matrix of
-    ``rest``, with that matrix's row norms as ``sigma``.
+    every value, ``U`` keeps every eigenvector.  Otherwise ``lambda_m`` at
+    or below the squared floor marks a numerically rank-deficient input,
+    refused at once, and :func:`_rest_certified` decides the rest from the
+    Gram matrix of ``rest``.
     """
     a, m, b = X.shape
     n = a * b
@@ -547,18 +548,14 @@ def _svd_trunc_gram(
         if not fits and k0 < m:
             return _svd_trunc_tail(X, P, lam, k0, delta, norm)
         U, rest = _project(P[:, :r], X)
-        return TruncatedSvd(
-            U=U, sigma=np.sqrt(lam[:r]), rest=rest, discarded_energy=float(tails[r]),
-        )
+        return TruncatedSvd(U=U, rest=rest, discarded_energy=float(tails[r]))
     floor = _rank_floor((m, n), 0.0, norm) ** 2
     if lam[-1] <= floor:
         return None
     U, rest = _project(P, X)
-    proven = lam[-1] - margin - charge > floor
-    sigma = np.sqrt(lam) if proven else _certified_sigma(_gram(rest), n, norm)
-    if sigma is None:
+    if not (lam[-1] - margin - charge > floor or _rest_certified(_gram(rest), n, norm)):
         return None
-    return TruncatedSvd(U=U, sigma=sigma, rest=rest, discarded_energy=0.0)
+    return TruncatedSvd(U=U, rest=rest, discarded_energy=0.0)
 
 
 def _svd_trunc_tail(
@@ -590,9 +587,7 @@ def _svd_trunc_tail(
     if the bound is at most ``delta``.  On the heat tensors' unfoldings at
     ``epsilon = 1e-7``, ``omega |M|_F + rho`` came to 1e-6 of ``delta`` at
     ``m = 5`` and 1e-2 at ``m = 1000``, growing as ``m^2``.  The reported
-    discard is ``tail'(r')``, and ``sigma`` is the row norms of ``rest``:
-    a kept value near the first pass's charge has them to relative
-    accuracy, where ``sqrt(lam)`` would not (4.6e-8 off at 5e-5 |M|_F).
+    discard is ``tail'(r')``.
     """
     a, m, b = X.shape
     n = a * b
@@ -614,13 +609,12 @@ def _svd_trunc_tail(
     if not omega * big + tail + rho <= delta:
         return None
     U, rest = _project(np.concatenate((P[:, :k0], B @ W[:, :r]), axis=1), X)
-    sigma = np.sqrt(np.einsum("ijk,ijk->j", rest, rest))
-    return TruncatedSvd(U=U, sigma=sigma, rest=rest, discarded_energy=float(tails[r]))
+    return TruncatedSvd(U=U, rest=rest, discarded_energy=float(tails[r]))
 
 
-def _certified_sigma(H: np.ndarray, n: int, norm: float) -> np.ndarray | None:
-    """Row norms of ``rest = U.T @ M`` if they prove that every singular
-    value of ``M`` exceeds the ``delta = 0`` rank floor, else ``None``.
+def _rest_certified(H: np.ndarray, n: int, norm: float) -> bool:
+    """Whether the rows of ``rest = U.T @ M`` prove that every singular
+    value of ``M`` exceeds the ``delta = 0`` rank floor.
 
     ``U`` is the square orthogonal ``m x m`` matrix of ``M``'s Gram
     eigenvectors, ``H = rest rest^T`` is the Gram matrix of ``rest``,
@@ -634,10 +628,7 @@ def _certified_sigma(H: np.ndarray, n: int, norm: float) -> np.ndarray | None:
     ``A`` only ``eps |M|^2 / (d_i d_j)``.  The projection's rounding and
     ``U``'s departure from orthogonality are charged ``m (sqrt(m) + 2) eps
     |M|_F``, twice their first-order bound.  What is left must exceed the
-    floor of :func:`_rank_floor`.  Sorted, the row norms match the
-    singular values of ``rest`` to a relative ``|A - I|_2``; they come in
-    the descending order of the Gram eigenvalues, which a tie may swap
-    within rounding.
+    floor of :func:`_rank_floor`.
     """
     m = H.shape[0]
     eps = np.finfo(np.float64).eps
@@ -647,10 +638,10 @@ def _certified_sigma(H: np.ndarray, n: int, norm: float) -> np.ndarray | None:
     # The bound never exceeds d_min; this also keeps zero rows out of the
     # scaling below.
     if d_min <= floor:
-        return None
+        return False
     ell = (_sigma_min_bound(H / np.outer(d, d)) - m * n * eps) * (1.0 - n * eps)
     bound = np.sqrt(max(ell, 0.0)) * d_min - m * (np.sqrt(m) + 2.0) * eps * norm
-    return d if bound > floor else None
+    return bool(bound > floor)
 
 
 def svd_full(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -410,7 +410,7 @@ def tt_to_mera(
 
     ``max_output_dim`` forces an upper bound on every isometry's output
     size in every layer.  Forced truncation can discard far more energy
-    than ``epsilon`` allows; the reported discarded energies stay exact
+    than ``epsilon`` allows; the reported discarded energies include it
     either way.
 
     Returns the MERA and the per-isometry discarded energies in

@@ -338,6 +338,16 @@ class TestRunItersVsRank:
         assert table[0] == ["rprime", "iterations", "converged"]
         assert len(table) == 3
 
+    def test_threaded_matches_serial(self):
+        # At I = 4 and a budget of 400, rank 8 exhausts it on both seeds
+        # and ranks 9 and 10 converge after seed-dependent counts: the rows
+        # must not depend on the thread that ran each point.
+        args = dict(I=4, rprimes=[8, 9, 10], seeds=2, max_iters=400)
+        serial = run_iters_vs_rank(**args, threads=1)
+        threaded = run_iters_vs_rank(**args, threads=2)
+        assert serial == threaded
+        assert [r["converged"] for r in serial] == [False, True, True]
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             run_iters_vs_rank(I=1)

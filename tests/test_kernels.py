@@ -20,13 +20,13 @@ from ttmera.heat import HeatConfig, solve_heat
 from ttmera.kernels import (
     _certified_qr,
     _cholesky_qr2,
-    _certified_sigma,
     _fix_signs,
     _full_row_rank,
     _gamma,
     _gram,
     _project,
     _rank_floor,
+    _rest_certified,
     procrustes_solve,
     qr_thin,
     svd_full,
@@ -44,6 +44,13 @@ def gaussian(seed, m, n, decay=1.0):
         U, s, Vt = np.linalg.svd(M, full_matrices=False)
         M = (U * (s * decay ** np.arange(s.size))) @ Vt
     return M
+
+
+def row_norms(rest):
+    """The singular values a truncation keeps: the row norms of its
+    ``rest``, summed by ``hypot`` so that no square overflows or
+    underflows."""
+    return np.hypot.reduce(rest, axis=1)
 
 
 class TestSvdTrunc:
@@ -67,7 +74,7 @@ class TestSvdTrunc:
         f = svd_trunc(M, delta)
         if f.rank > 0:
             # keeping one column fewer would overflow the budget
-            tail_minus = f.discarded_energy + f.sigma[-1] ** 2
+            tail_minus = f.discarded_energy + row_norms(f.rest)[-1] ** 2
             assert tail_minus > delta * delta
 
     @settings(max_examples=100, deadline=None)
@@ -76,8 +83,9 @@ class TestSvdTrunc:
         M = gaussian(seed, m, n)
         f = svd_trunc(M, 0.3 * np.linalg.norm(M))
         np.testing.assert_allclose(f.U.T @ f.U, np.eye(f.rank), atol=1e-12)
-        np.testing.assert_allclose(f.rest @ f.rest.T, np.diag(f.sigma**2), atol=1e-12)
-        assert np.all(np.diff(f.sigma) <= 1e-12)
+        sigma = row_norms(f.rest)
+        np.testing.assert_allclose(f.rest @ f.rest.T, np.diag(sigma**2), atol=1e-12)
+        assert np.all(np.diff(sigma) <= 1e-12)
 
     def test_exact_at_zero_delta(self):
         M = gaussian(0, 9, 7)
@@ -134,8 +142,9 @@ class TestSvdTrunc:
         minimal = int(np.argmax(tails <= delta * delta))
         assert f.rank == minimal
         np.testing.assert_allclose(f.U.T @ f.U, np.eye(f.rank), atol=1e-10)
+        sigma = row_norms(f.rest)
         np.testing.assert_allclose(
-            f.rest @ f.rest.T, np.diag(f.sigma**2), atol=1e-10 * f.sigma[0] ** 2
+            f.rest @ f.rest.T, np.diag(sigma**2), atol=1e-10 * sigma[0] ** 2
         )
 
 
@@ -150,7 +159,7 @@ def _spectrum_matrix(seed, m, n, s):
 
 class TestSvdTruncRoutes:
     """One contract on every route: the residual is the discarded energy,
-    ``U`` is orthonormal, ``rest`` has orthogonal rows of norm sigma, the
+    ``U`` is orthonormal, ``rest`` has orthogonal rows, the
     rank is the minimal one, and a wide input reaches the SVD only as its
     small square factor."""
 
@@ -200,8 +209,9 @@ class TestSvdTruncRoutes:
         err2 = float(np.linalg.norm(M - f.U @ f.rest) ** 2)
         assert abs(err2 - f.discarded_energy) <= 1e-10 * norm2
         np.testing.assert_allclose(f.U.T @ f.U, np.eye(f.rank), atol=1e-12)
+        sigma = row_norms(f.rest)
         np.testing.assert_allclose(
-            f.rest @ f.rest.T, np.diag(f.sigma**2), rtol=0, atol=1e-12 * norm2
+            f.rest @ f.rest.T, np.diag(sigma**2), rtol=0, atol=1e-12 * norm2
         )
         assert f.rest.shape == (f.rank, M.shape[1])
 
@@ -253,7 +263,7 @@ class TestSvdTruncRoutes:
             assert f.discarded_energy == 0.0
         # The row norms of rest carry the small values to relative
         # accuracy; square roots of Gram eigenvalues would not.
-        np.testing.assert_allclose(f.sigma, s_exact[:rank], rtol=1e-9)
+        np.testing.assert_allclose(row_norms(f.rest), s_exact[:rank], rtol=1e-9)
 
     @pytest.mark.parametrize("m, n", [(8, 1 << 19), (2048, 2048)])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -278,7 +288,7 @@ class TestSvdTruncRoutes:
         monkeypatch.undo()
         assert qrs == [(1 << 21, 2)]
         assert f.rank == 2
-        np.testing.assert_allclose(f.sigma, [1e300, 0.5e300], rtol=1e-12)
+        np.testing.assert_allclose(row_norms(f.rest), [1e300, 0.5e300], rtol=1e-12)
 
     @pytest.mark.parametrize("scale", [1e-170, 1e-160])
     @pytest.mark.parametrize("frac", [0.0, 0.5])
@@ -294,7 +304,7 @@ class TestSvdTruncRoutes:
         assert qrs == [(1 << 21, 2)]
         assert f.rank == 2
         assert f.discarded_energy == 0.0
-        np.testing.assert_allclose(f.sigma, [scale, 0.5 * scale], rtol=1e-12)
+        np.testing.assert_allclose(row_norms(f.rest), [scale, 0.5 * scale], rtol=1e-12)
 
     @pytest.mark.parametrize("name", ["wide", "square"])
     @pytest.mark.parametrize("k", [-1000, -500, 500, 1000])
@@ -316,7 +326,9 @@ class TestSvdTruncRoutes:
                 energy = np.ldexp(f.discarded_energy, 2 * k)
             assert g.rank == f.rank
             assert g.discarded_energy == pytest.approx(energy, rel=1e-12, abs=0.0)
-            np.testing.assert_allclose(g.sigma, np.ldexp(f.sigma, k), rtol=1e-12)
+            np.testing.assert_allclose(
+                row_norms(g.rest), np.ldexp(row_norms(f.rest), k), rtol=1e-12
+            )
 
     def test_overflowing_values_keep_their_rank(self):
         # sigma = (1e300, 5e299) at delta = 1e299 keeps both; squared
@@ -382,7 +394,7 @@ class TestGramFloors:
         assert f.rank == wide.rank == 4
         TestSvdTruncRoutes._check(M, f, 4)
         # Within the route's eigenvalue-noise margin of the exact tail.
-        margin = m * self.EPS * f.sigma[0] ** 2
+        margin = m * self.EPS * row_norms(f.rest)[0] ** 2
         assert abs(f.discarded_energy - tails[4]) <= margin
 
     # cut 10 puts delta at 4.4e-6 |M|_F, just below the gate: a delta far
@@ -423,7 +435,7 @@ class TestGramFloors:
         for j in range(0, M.shape[1], 1 << 14):
             R = M[:, j : j + (1 << 14)] - f.U @ f.rest[:, j : j + (1 << 14)]
             residual += float(np.vdot(R, R))
-        margin = M.shape[0] * self.EPS * f.sigma[0] ** 2
+        margin = M.shape[0] * self.EPS * row_norms(f.rest)[0] ** 2
         assert abs(f.discarded_energy - residual) <= margin
         assert margin <= 2.5e-14 * t.norm() ** 2
 
@@ -431,9 +443,9 @@ class TestGramFloors:
 class TestGramCertified:
     """The keep-all proofs of the Gram route, run through ``svd_trunc``:
     the eigenvalues prove full row rank of well-conditioned inputs without
-    another pass, an input below their rounding charge is proven by the
-    certificate of ``rest`` with the bytes it always had, and the smallest
-    value decides against ``delta``."""
+    another pass, an input below their rounding charge is answered exactly
+    when the certificate of ``rest`` proves it, and the smallest value
+    decides against ``delta``."""
 
     EPS = np.finfo(np.float64).eps
 
@@ -448,10 +460,10 @@ class TestGramCertified:
     @staticmethod
     def _route(monkeypatch, M, delta):
         """``svd_trunc(M, delta)`` with every size gate of the Gram route
-        open, and the ``_certified_sigma`` results and QR shapes it
+        open, and the ``_rest_certified`` results and QR shapes it
         recorded."""
         monkeypatch.setattr(kernels, "_GRAM_MIN_ENTRIES", 0)
-        fallbacks = _spy(monkeypatch, "_certified_sigma")
+        fallbacks = _spy(monkeypatch, "_rest_certified")
         qrs = record_qr(monkeypatch)
         f = svd_trunc(M, delta)
         monkeypatch.undo()
@@ -461,7 +473,7 @@ class TestGramCertified:
         m, n = 8, 1 << 19
         M = _spectrum_matrix(7, m, n, np.linspace(1.0, 0.5, m))
         grams = _spy(monkeypatch, "_gram")
-        fallbacks = _spy(monkeypatch, "_certified_sigma")
+        fallbacks = _spy(monkeypatch, "_rest_certified")
         svds, qrs = record_svd(monkeypatch), record_qr(monkeypatch)
         f = svd_trunc(M, 0.0)
         monkeypatch.undo()
@@ -470,26 +482,27 @@ class TestGramCertified:
         TestSvdTruncRoutes._check(M, f, m)
         assert f.discarded_energy == 0.0
         s_exact = np.linalg.svd(M, compute_uv=False)
-        np.testing.assert_allclose(f.sigma, s_exact, rtol=1e-9)
+        np.testing.assert_allclose(row_norms(f.rest), s_exact, rtol=1e-9)
 
     def test_below_the_rounding_charge_falls_back_to_rest(self, monkeypatch):
         # sigma_min / |M|_F = 3.8e-7, below sqrt(n u) = 7.6e-6: the Gram
         # matrix's own rounding could hide it, so only rest's Gram matrix
-        # proves it, and U, rest and sigma are the bytes of that route.
+        # proves it.  The call answers, with the bytes of that route's U and
+        # rest, if and only if the certificate proves.
         m, n = 8, 1 << 19
         M = _spectrum_matrix(7, m, n, [1.0] * 7 + [1e-6])
         assert 1e-6 / np.linalg.norm(M) < np.sqrt(n * self.EPS / 2)
-        fallbacks = _spy(monkeypatch, "_certified_sigma")
+        fallbacks = _spy(monkeypatch, "_rest_certified")
         qrs = record_qr(monkeypatch)
         f = svd_trunc(M, 0.0)
         monkeypatch.undo()
-        assert len(fallbacks) == 1 and fallbacks[0] is not None and qrs == []
         G, trace, U = self._parts(M)
         rest = (M.T @ U).T
-        sigma = _certified_sigma(rest @ rest.T, n, np.sqrt(trace))
+        proven = _rest_certified(rest @ rest.T, n, np.sqrt(trace))
+        assert proven and fallbacks == [proven]
+        assert (qrs == []) is proven
         assert f.U.tobytes() == U.tobytes()
         assert f.rest.tobytes() == rest.tobytes()
-        assert f.sigma.tobytes() == sigma.tobytes()
         TestSvdTruncRoutes._check(M, f, m)
 
     @pytest.mark.parametrize("ratio, certified", [(0.9, True), (1.1, False)])
@@ -528,7 +541,7 @@ class TestGramCertified:
         M = _spectrum_matrix(seed, m, n, s)
         G, trace, U = self._parts(M)
         rest = (M.T @ U).T
-        proven = _certified_sigma(rest @ rest.T, n, np.sqrt(trace)) is not None
+        proven = _rest_certified(rest @ rest.T, n, np.sqrt(trace))
         floor = n * self.EPS * np.linalg.norm(M)
         if proven:
             assert np.linalg.svd(M, compute_uv=False)[-1] > floor
@@ -715,13 +728,14 @@ class TestMatrixCase:
 
 
 class TestCertifiedSigma:
-    """The keep-all certificate on hand-built projections ``rest``: it
-    returns the row norms when they prove full row rank above the
-    ``delta = 0`` floor, ``max(m, n) eps |M|_F``, and ``None`` when the
-    rows are too short, too parallel, or within the projection's rounding
-    of zero.  Rows of length 1000 with ``|M|_F`` given as ``floor / (1000
-    eps)`` put the floor where a case needs it, far above the projection's
-    rounding allowance."""
+    """The keep-all certificate of ``rest``, ``_rest_certified``, on
+    hand-built projections ``rest``: it proves full row rank above the
+    ``delta = 0`` floor, ``max(m, n) eps |M|_F``, from the row norms and
+    their unit-diagonal Gram matrix, and refuses when the rows are too
+    short, too parallel, or within the projection's rounding of zero.  Rows
+    of length 1000 with ``|M|_F`` given as ``floor / (1000 eps)`` put the
+    floor where a case needs it, far above the projection's rounding
+    allowance."""
 
     EPS = np.finfo(np.float64).eps
 
@@ -729,7 +743,7 @@ class TestCertifiedSigma:
     def _certify(rest, norm):
         """The certificate as the Gram route calls it: on ``rest``'s Gram
         matrix and column count."""
-        return _certified_sigma(rest @ rest.T, rest.shape[1], norm)
+        return _rest_certified(rest @ rest.T, rest.shape[1], norm)
 
     @staticmethod
     def _rows(norms, angle=np.pi / 2, n=3):
@@ -742,15 +756,14 @@ class TestCertifiedSigma:
     def test_orthogonal_rows_certify_with_their_norms(self):
         # The floor at 0.1, where a delta of 0.1 would put it.
         rest = self._rows([2.0, 0.5], n=1000)
-        sigma = self._certify(rest, 0.1 / (1000 * self.EPS))
-        np.testing.assert_array_equal(sigma, [2.0, 0.5])
+        assert self._certify(rest, 0.1 / (1000 * self.EPS)) is True
 
     @pytest.mark.parametrize("short, certified", [(0.05, False), (0.4, True)])
     def test_shortest_row_against_delta(self, short, certified):
         # The floor at 0.1, where a delta of 0.1 would put it.
         rest = self._rows([1.0, short], n=1000)
         got = self._certify(rest, 0.1 / (1000 * self.EPS))
-        assert (got is not None) is certified
+        assert got is certified
 
     @pytest.mark.parametrize("short, certified", [(100, False), (4000, True)])
     def test_zero_delta_floor(self, short, certified):
@@ -758,7 +771,7 @@ class TestCertifiedSigma:
         # 1000 eps here, so a shorter row is not certified.
         rest = self._rows([1.0, short * self.EPS], n=1000)
         got = self._certify(rest, 1.0)
-        assert (got is not None) is certified
+        assert got is certified
 
     @pytest.mark.parametrize("angle, certified", [(1e-6, False), (1.0, True)])
     def test_parallel_rows_refused(self, angle, certified):
@@ -766,7 +779,7 @@ class TestCertifiedSigma:
         # rows alone prove nothing against a floor of 1e-3.
         rest = self._rows([1.0, 1.0], angle, n=1000)
         got = self._certify(rest, 1e-3 / (1000 * self.EPS))
-        assert (got is not None) is certified
+        assert got is certified
 
     def test_relative_to_each_row(self):
         # An overlap of 1e-17 |M|^2, the size of Gram eigenvector noise,
@@ -775,9 +788,7 @@ class TestCertifiedSigma:
         # The floor at 1e-10, where a delta of 1e-10 would put it.
         rest = self._rows([1.0, 1e-9], n=1000)
         rest[1, 0] = 1e-17
-        got = self._certify(rest, 1e-10 / (1000 * self.EPS))
-        assert got is not None
-        assert got[1] == pytest.approx(1e-9, rel=1e-12)
+        assert self._certify(rest, 1e-10 / (1000 * self.EPS)) is True
 
     @pytest.mark.parametrize("short, certified", [(1e-15, False), (4e-15, True)])
     def test_projection_rounding_allowance(self, short, certified):
@@ -786,7 +797,7 @@ class TestCertifiedSigma:
         rest = self._rows([1.0, short])
         assert short > 3 * self.EPS
         got = self._certify(rest, 1.0)
-        assert (got is not None) is certified
+        assert got is certified
 
 
 class TestFullRowRank:

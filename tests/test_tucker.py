@@ -50,7 +50,7 @@ def _spy_certificates(monkeypatch) -> list:
     decided it) or ``None`` (the certificate of ``rest``, or the second
     pass, refused)."""
     certified = []
-    route, certified_sigma = kernels._svd_trunc_gram, kernels._certified_sigma
+    route, rest_certified = kernels._svd_trunc_gram, kernels._rest_certified
     tail = kernels._svd_trunc_tail
 
     def route_spy(X, *args):
@@ -60,10 +60,10 @@ def _spy_certificates(monkeypatch) -> list:
             certified.append("gram")
         return f
 
-    def sigma_spy(*args):
-        sigma = certified_sigma(*args)
-        certified.append(None if sigma is None else "rest")
-        return sigma
+    def rest_spy(*args):
+        proven = rest_certified(*args)
+        certified.append("rest" if proven else None)
+        return proven
 
     def tail_spy(*args):
         f = tail(*args)
@@ -71,7 +71,7 @@ def _spy_certificates(monkeypatch) -> list:
         return f
 
     monkeypatch.setattr(kernels, "_svd_trunc_gram", route_spy)
-    monkeypatch.setattr(kernels, "_certified_sigma", sigma_spy)
+    monkeypatch.setattr(kernels, "_rest_certified", rest_spy)
     monkeypatch.setattr(kernels, "_svd_trunc_tail", tail_spy)
     return certified
 
@@ -129,17 +129,39 @@ class TestHosvdFromTrain:
 
 
 class TestRankCaps:
-    def test_caps_bound_ranks_and_keep_accounting_exact(self):
-        tt = decaying_train(11, (5, 4, 5), max_rank=8)
+    @staticmethod
+    def _check_capped(tt, delta, max_rank):
         t = tt_contract(tt)
         ortho = orthogonalize(tt, 1)
-        factors, core, discarded = tucker_sweep(ortho, 0.0, max_rank=2)
-        assert core.dims == (2, 2, 2)
+        factors, core, discarded = tucker_sweep(ortho, delta, max_rank=max_rank)
+        assert core.dims == (max_rank,) * tt.order
         tuck = TuckerTT(factors=factors, core=core, mode_discarded=discarded)
         err2 = dense_error_sq(tuck, t)
         total = float(np.sum(discarded))
         assert total > 0.0
         assert abs(err2 - total) / max(err2, total) <= 1e-9
+
+    def test_caps_bound_ranks_and_keep_accounting_exact(self, monkeypatch):
+        self._check_capped(decaying_train(11, (5, 4, 5), max_rank=8), 0.0, 2)
+        # A middle centre whose (64, 16 * 1024) unfolding, 2^20 entries,
+        # takes the Gram route, which keeps more rows than the cap.
+        cores = [np.eye(16)[None],
+                 standard_normal(stream(12, 1), (16, 64, 1024))
+                 * (0.9 ** np.arange(64))[:, None],
+                 standard_normal(stream(12, 2), (1024, 1024, 1))]
+        tt = TensorTrain(cores)
+        answers = []
+        route = kernels._svd_trunc_gram
+
+        def route_spy(X, *args):
+            answers.append((X.shape, route(X, *args)))
+            return answers[-1][1]
+
+        monkeypatch.setattr(kernels, "_svd_trunc_gram", route_spy)
+        self._check_capped(tt, 1e-2 * tt_norm(tt), 16)
+        monkeypatch.undo()
+        assert [shape for shape, _ in answers] == [(16, 64, 1024)]
+        assert answers[0][1].rank > 16
 
     def test_cap_length_validated(self):
         tt = orthogonalize(decaying_train(0, (3, 3)), 1)
@@ -156,13 +178,13 @@ def transposed_centre_sweep(tt, delta, max_rank):
         r, n, s = cores[d].shape
         center = np.reshape(cores[d].transpose(1, 0, 2), (n, r * s), order="F")
         f = svd_trunc(center, delta)
-        keep = f.rank
-        extra = 0.0
-        if max_rank is not None and max_rank < keep:
-            keep = max_rank
-            extra = float(np.sum(f.sigma[keep:] ** 2))
+        keep = f.rank if max_rank is None else min(f.rank, max_rank)
+        # The energy of the rest rows the cap cuts, read in the layout
+        # the sweep reads them.
+        cut = np.reshape(f.rest[keep:], (f.rank - keep, r, s), order="F")
+        cut = cut.transpose(1, 0, 2)
         factors.append(f.U[:, :keep])
-        discarded.append(f.discarded_energy + extra)
+        discarded.append(f.discarded_energy + float(np.vdot(cut, cut)))
         T = np.reshape(f.rest[:keep], (keep, r, s), order="F").transpose(1, 0, 2)
         if d == len(cores) - 1:
             out.append(T)
@@ -343,13 +365,13 @@ class TestSthosvdDense:
         # or its second: the certificate of rest serves delta = 0 alone.
         t = reshape_to_factors(solve_heat(DESK_HEAT))
         calls = []
-        certified_sigma = kernels._certified_sigma
+        rest_certified = kernels._rest_certified
 
-        def sigma_spy(*args):
+        def rest_spy(*args):
             calls.append(args)
-            return certified_sigma(*args)
+            return rest_certified(*args)
 
-        monkeypatch.setattr(kernels, "_certified_sigma", sigma_spy)
+        monkeypatch.setattr(kernels, "_rest_certified", rest_spy)
         tt = tt_svd(t, epsilon)
         tt_to_hosvd(tt, epsilon)
         sthosvd_dense(t, epsilon)
