@@ -107,11 +107,14 @@ class DenseTensor:
 
     Two facts that do not depend on a tolerance are computed once per
     tensor and kept: the norm, which views of the same memory share, and
-    the Gram matrix ``M M^T`` of the mode-1 unfolding ``M``, which
-    ``tt_svd`` and ``sthosvd_dense`` truncate first.  The Gram matrix is
-    kept only when ``svd_trunc`` would form it, for a wide ``M`` with
-    ``N / I_1 >= 2 I_1``, so it holds at most ``N / 2`` entries for a
-    tensor of ``N``.
+    the Gram matrix ``M M^T`` of the unfolding ``M`` of the leading group
+    of modes (``kernels._group_end``): the modes from the first whose
+    sizes multiply to at most ``kernels._GROUP_MAX_ROWS``, or mode 1 alone
+    if it is larger.  ``sthosvd_dense`` decides its first run of modes
+    from it, and ``tt_svd`` truncates mode 1 on its partial trace.  It is
+    kept only when ``svd_trunc`` would form it, for a wide ``M`` of ``N_g``
+    rows with ``N / N_g >= 2 N_g``, so it holds at most ``N / 2`` entries
+    for a tensor of ``N``.
     """
 
     __slots__ = ("_a", "_norm", "_gram")
@@ -261,11 +264,12 @@ class DenseTensor:
         return self._norm
 
     def _leading_gram(self, X: np.ndarray) -> np.ndarray | None:
-        """``kernels._gram_for(X)`` of the caller's ``(1, I_1, N / I_1)``
-        array ``X`` of the mode-1 unfolding, formed by the first call and
-        kept read-only.  It is formed from the array the caller already
-        holds, so an input not stored first-index-fastest is not copied
-        again.  Two threads that form it at once store the same bits."""
+        """``kernels._gram_for(X)`` of the caller's ``(1, N_g, N / N_g)``
+        array ``X`` of the unfolding of the leading group of modes, formed
+        by the first call and kept read-only.  It is formed from the array
+        the caller already holds, so an input not stored first-index-fastest
+        is not copied again.  Two threads that form it at once store the
+        same bits."""
         if self._gram is None:
             from .kernels import _gram_for  # kernels imports this module
 

@@ -241,16 +241,16 @@ def _compress_tt(t: DenseTensor, epsilon: float):
 
 
 def _compress_tt_tucker(t: DenseTensor, epsilon: float):
-    # The train gets epsilon / sqrt(2); its discards add up to |e_1|^2, to
-    # rounding on the SVD routes of svd_trunc and within the Gram route's
-    # proven charge on that route.  The conversion gets what is left,
-    # epsilon |t| - |e_1|, so by the triangle inequality |t - tucker| <=
-    # |e_1| + |tt - tucker| <= epsilon |t|.
+    # The train gets epsilon / sqrt(2); its truncation error |e_1|^2 is at
+    # most the sum of their proven bounds: the Gram route's, and the
+    # reported discard on the SVD routes.  The conversion gets what is
+    # left, epsilon |t| - sqrt(bound), so by the triangle inequality
+    # |t - tucker| <= |e_1| + |tt - tucker| <= epsilon |t|.
     start = time.perf_counter()
-    tt, discarded = _tt_svd_sweep(t, epsilon / math.sqrt(2.0))
+    tt, _, bound = _tt_svd_sweep(t, epsilon / math.sqrt(2.0))
     t_build = time.perf_counter() - start
     start = time.perf_counter()
-    stage_eps = (epsilon * t.norm() - math.sqrt(discarded)) / tt_norm(tt)
+    stage_eps = (epsilon * t.norm() - math.sqrt(bound)) / tt_norm(tt)
     tuck = tt_to_hosvd(tt, stage_eps)
     t_convert = time.perf_counter() - start
     return (

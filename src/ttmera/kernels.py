@@ -41,18 +41,34 @@ row rank is proven, by a ladder of proofs, cheapest first:
    more pass;
 4. failing that, the call takes the wide R-SVD route.
 
+The Gram route is split into a decision and a projection.  The decision
+(``_svd_trunc_gram``, with its second pass ``_svd_trunc_tail``) returns
+a ``_Decision``: the kept directions ``U``, the reported discard and a
+proven bound on the true one, and it reads ``M`` only through its Gram
+matrix and, on the second pass, one projection onto the trailing
+eigenblock.  ``_svd_trunc`` then projects ``rest = U.T @ M`` in one more
+pass.  Dense ST-HOSVD defers the projection of modes it keeps whole and
+applies a run of decisions in one Kronecker projection
+(``_run_decisions``, ``_project_run``); the decisions then charge the
+skew of the deferred factors, which is zero for ``svd_trunc``.
+
 Dense ST-HOSVD truncates the mode-2 unfolding of its core viewed as an
 ``(a, n, b)`` array, through the private ``_svd_trunc``; a matrix is the
-case ``a = 1``.  The Gram route reads that array in place: its Gram
-matrices and projections are formed from one ``(a n, b)`` view of it, of
-which a matrix is the one-slab case, or from runs of its ``b`` slabs, so
-it copies no more than a run.  The wide R-SVD and direct SVD routes build
-the 2-D unfolding with ``dense._unfold``, a view of the array only when
-``a = 1`` or ``b = 1``, and fold back by ``_fold``.
+case ``a = 1``, and a group of consecutive modes of ``N`` rows is read as
+one ``(a, N, b)`` array, whose Gram matrix gives each member's by a
+partial trace (``_partial_trace``).  The Gram route reads that array in
+place: its Gram matrices and projections are formed from one ``(a n,
+b)`` view of it, of which a matrix is the one-slab case, or from runs of
+its ``b`` slabs, so it copies no more than a run.  The wide R-SVD and
+direct SVD routes build the 2-D unfolding with ``dense._unfold``, a view
+of the array only when ``a = 1`` or ``b = 1``, and fold back by
+``_fold``.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -159,6 +175,16 @@ _WIDE_RATIO = 2
 # a n = 100, and the slab runs time alike from 2^14 entries up.
 _VIEW_MAX_ROWS = 64
 _SLAB_STACK = 1 << 16
+# ST-HOSVD reads a run of consecutive modes as one unfolding of at most this
+# many rows (tucker.sthosvd_dense).  On the 12-way desk tensor (2 cores,
+# OpenBLAS, best of seven), a Gram pass over a group of 2 to 50 rows took
+# 14 to 18 ms at a = 1 and a projection 16 to 20 ms, against 21 and 31 ms at
+# 100 rows and 47 and 76 ms at 500; at a = 100 the Gram pass took 16, 29 and
+# 40 ms at 2, 50 and 100 rows.  The whole call at 1e-7, median of nine,
+# took 206-213 ms with groups of up to 50 rows, 207-209 ms at 100, 231-259
+# ms at 125, 319-329 ms at 625 and 442-451 ms with no groups; at 1e-5,
+# 161-166 ms at 50 against 192-205 ms at 100.
+_GROUP_MAX_ROWS = 50
 
 
 def svd_trunc(M: np.ndarray, delta: float) -> TruncatedSvd:
@@ -197,30 +223,31 @@ def svd_trunc(M: np.ndarray, delta: float) -> TruncatedSvd:
       ``m x r`` left factor anyway, and its right factor is the small side,
       so reducing it first saves nothing.
     """
-    f = _svd_trunc(_as_matrix(M, "M")[None], delta)
+    f, _ = _svd_trunc(_as_matrix(M, "M")[None], delta)
     return replace(f, rest=f.rest[0])
 
 
 def _svd_trunc(
     X: np.ndarray, delta: float, G: np.ndarray | None = None
-) -> TruncatedSvd:
+) -> tuple[TruncatedSvd, float]:
     """:func:`svd_trunc` of the mode-2 unfolding ``M`` of the non-empty
     float ``(a, m, b)`` array ``X``: the ``m x a b`` matrix whose column
     ``i + a k`` is ``X[i, :, k]``.  ``rest`` comes back as the ``(a, r,
-    b)`` array whose unfolding is ``U.T @ M``.
+    b)`` array whose unfolding is ``U.T @ M``.  The second value is a
+    proven bound on the discarded energy: the Gram route's
+    (:class:`_Decision`), and the reported discard on the SVD routes.
 
-    The Gram route reads ``X`` in place, fast when it is stored
-    first-index-fastest, and stores ``rest`` that way; a matrix, ``a = 1``,
-    is the one-slab case of its ``(a n, b)`` view.  The wide and direct
-    routes build ``M`` by ``_unfold``, a copy unless ``a = 1`` or ``b = 1``,
-    and return the ``_fold`` view of their 2-D ``rest``.  ``G``, if given,
-    is ``_gram_for(X)`` already formed, which the call does not form again.
+    The Gram route decides (:func:`_svd_trunc_gram`) and then projects
+    ``X`` in place, fast when it is stored first-index-fastest, and stores
+    ``rest`` that way; a matrix, ``a = 1``, is the one-slab case of its
+    ``(a n, b)`` view.  The wide and direct routes build ``M`` by
+    ``_unfold``, a copy unless ``a = 1`` or ``b = 1``, and return the
+    ``_fold`` view of their 2-D ``rest``.  ``G``, if given, is the Gram
+    matrix of ``M`` already formed (``_gram_for(X)`` or a partial trace,
+    :func:`_partial_trace`), which the call does not form again.
     """
     if not delta >= 0:
         raise ValueError(f"delta must be non-negative, got {delta}")
-    a, m, b = X.shape
-    n = a * b
-    wide = n >= _WIDE_RATIO * m
     if G is None:
         G = _gram_for(X)
     # A non-finite entry of M reaches the diagonal of M M^T, so a finite
@@ -229,9 +256,13 @@ def _svd_trunc(
     if G is None or not np.all(np.isfinite(G)):
         _require_finite(X, "M")
     else:
-        f = _svd_trunc_gram(X, G, delta)
-        if f is not None:
-            return f
+        c = _svd_trunc_gram(X, G, delta)
+        if c is not None:
+            U, rest = (c.U, c.rest) if c.rest is not None else _project(c.U, X)
+            return TruncatedSvd(U=U, rest=rest, discarded_energy=c.discarded_energy), c.bound
+    a, m, b = X.shape
+    n = a * b
+    wide = n >= _WIDE_RATIO * m
     # A view of X when a = 1 or b = 1, else a copy.
     M = _unfold(X, 1)
     if wide:
@@ -265,7 +296,7 @@ def _svd_trunc(
     # An energy beyond the float range is reported as inf.
     with np.errstate(over="ignore"):
         energy = float(np.ldexp(tails[r], 2 * e))
-    return TruncatedSvd(U=U, rest=rest, discarded_energy=energy)
+    return TruncatedSvd(U=U, rest=rest, discarded_energy=energy), energy
 
 
 def _full_row_rank(M: np.ndarray, delta: float) -> bool:
@@ -445,27 +476,83 @@ def _gram(X: np.ndarray) -> np.ndarray:
 
 
 def _project(U: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sign-fixed copy of the orthonormal ``U`` and the ``(a, r, b)`` array
-    whose mode-2 unfolding is ``U.T @ M`` for the unfolding ``M`` of the
-    ``(a, n, b)`` array ``X``, stored first-index-fastest.
+    """:func:`_project_run` of the one factor ``U``."""
+    (U,), rest = _project_run([U], X)
+    return U, rest
 
-    Fixing the signs first means ``rest`` needs no compensation.  With
-    ``a = 1`` or ``a n <= _VIEW_MAX_ROWS`` it is ``kron(U, I_a)`` applied
-    to the ``(a n, b)`` view of ``X``, which for a matrix is ``(M.T @
-    U).T`` with an exact copy of ``U``; otherwise ``X[:, :, k] @ U``
-    written slab by slab into place.
+
+def _project_run(
+    Us: list[np.ndarray], X: np.ndarray
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Sign-fixed copies of the orthonormal factors ``Us`` of a run of the
+    modes grouped, first fastest, in the middle mode of the ``(a, N, b)``
+    array ``X``, and ``X`` projected by all of them in one product
+    (:func:`_apply`): by ``K = kron(U_L, ..., U_1)``, whose rows and
+    columns run over the group's indices first-fastest.  Fixing the signs
+    first means the projection needs no compensation.  A factor already
+    stored C-ordered is not copied but flipped in place."""
+    Us = [np.ascontiguousarray(U) for U in Us]
+    for U in Us:
+        _fix_signs(U, np.zeros((U.shape[1], 0)))
+    return Us, _apply(functools.reduce(lambda K, U: np.kron(U, K), Us), X)
+
+
+def _apply(U: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The ``(a, r, b)`` array whose mode-2 unfolding is ``U.T @ M`` for
+    the ``n x r`` matrix ``U`` and the unfolding ``M`` of the ``(a, n, b)``
+    array ``X``, stored first-index-fastest: every projection's one pass
+    over ``X``.
+
+    With ``a = 1`` or ``a n <= _VIEW_MAX_ROWS`` it is ``kron(U, I_a)``
+    applied to the ``(a n, b)`` view of ``X``, which for a matrix is
+    ``(M.T @ U).T`` with an exact copy of ``U``; otherwise ``X[:, :, k] @
+    U`` written slab by slab into place.
     """
-    U = np.ascontiguousarray(U)
-    _fix_signs(U, np.zeros((U.shape[1], 0)))
     a, n, b = X.shape
     r = U.shape[1]
     if a == 1 or a * n <= _VIEW_MAX_ROWS:
         Y = np.reshape(X, (a * n, b), order="F")
         rest = (Y.T @ np.kron(U, np.eye(a))).T
-        return U, np.reshape(rest, (a, r, b), order="F")
+        return np.reshape(rest, (a, r, b), order="F")
     rest = np.empty((a, r, b), order="F")
     np.matmul(U.T, X.transpose(2, 1, 0), out=rest.transpose(2, 1, 0))
-    return U, rest
+    return rest
+
+
+def _group_end(dims: tuple[int, ...], d: int) -> int:
+    """End, exclusive, of the group of modes from ``d`` that ST-HOSVD reads
+    as one unfolding: the longest run whose sizes multiply to at most
+    ``_GROUP_MAX_ROWS``, or mode ``d`` alone if it is larger."""
+    e, rows = d + 1, dims[d]
+    while e < len(dims) and rows * dims[e] <= _GROUP_MAX_ROWS:
+        rows *= dims[e]
+        e += 1
+    return e
+
+
+def _partial_trace(G: np.ndarray, sizes: tuple[int, ...], k: int) -> np.ndarray:
+    """Gram matrix of the unfolding of member ``k`` of a group of modes of
+    ``sizes``, first fastest, from the Gram matrix ``G`` of the group's
+    unfolding: the sum of its diagonal blocks over the other members'
+    indices.  Each entry still sums the products of one pair of rows of the
+    member's unfolding, so its rounding is bounded as the Gram product's.
+    A group of one is ``G`` itself."""
+    if len(sizes) == 1:
+        return G
+    pre, n, post = math.prod(sizes[:k]), sizes[k], math.prod(sizes[k + 1:])
+    blocks = np.reshape(G, (pre, n, post, pre, n, post), order="F")
+    return np.einsum("piqpjq->ij", blocks)
+
+
+def _departure(U: np.ndarray) -> tuple[float, float]:
+    """``(omega, q2)`` for a matrix ``U`` of ``m`` rows meant to have
+    orthonormal columns: ``q2 = tr(U^T U)`` and ``omega``, the measured
+    ``|U^T U - I|_F`` plus ``2 gamma_m q2`` for its rounding, which bounds
+    the exact ``|U^T U - I|_2``."""
+    F = U.T @ U
+    q2 = float(np.trace(F))
+    F[np.diag_indices(F.shape[0])] -= 1.0
+    return float(np.linalg.norm(F)) + 2.0 * _gamma(U.shape[0]) * q2, q2
 
 
 def _eigen_rank(
@@ -488,48 +575,74 @@ def _eigen_rank(
     return lam, P[:, ::-1], margin, tails, r
 
 
+@dataclass(frozen=True)
+class _Decision:
+    """What the Gram route keeps of a wide ``M``, before any projection.
+
+    ``U`` holds the kept directions, orthonormal to rounding and not yet
+    under the sign convention; ``discarded_energy`` is the discard the
+    route reports; ``bound`` is a proven bound on the true discard ``|M' -
+    U U^T M'|_F^2``, where ``M' = M K`` for a square ``K`` with ``|K K^T -
+    I|_2 <= skew`` (``M`` itself at ``skew = 0``).  ``rest`` is the
+    sign-fixed ``U``'s projection when the decision had to form it to
+    decide (the certificate of ``rest`` at ``delta = 0``), else ``None``.
+    """
+
+    U: np.ndarray
+    discarded_energy: float
+    bound: float
+    rest: np.ndarray | None = None
+
+    @property
+    def rank(self) -> int:
+        return self.U.shape[1]
+
+
 def _svd_trunc_gram(
-    X: np.ndarray, G: np.ndarray, delta: float
-) -> TruncatedSvd | None:
-    """Gram route of :func:`svd_trunc` for the wide mode-2 unfolding ``M``
-    of ``X``, given the finite ``G = fl(M M^T)``; ``None`` sends the call
-    to the wide R-SVD route.
+    X: np.ndarray, G: np.ndarray, delta: float, skew: float = 0.0
+) -> _Decision | None:
+    """Decision of the Gram route of :func:`svd_trunc` for the wide mode-2
+    unfolding ``M`` of ``X``, given the finite ``G = fl(M M^T)``; ``None``
+    sends the call to the wide R-SVD route.  :func:`_svd_trunc` projects.
 
     The eigenpairs of ``G``, ``lambda_1 >= ... >= lambda_m``, stand in for
-    the squared singular values and left singular vectors of ``M``, and
-    ``rest`` is one projection ``U.T @ M``.  Every decision is charged two
-    roundings.  Each entry of ``G`` sums ``n`` products, so ``E = G - M
-    M^T`` has ``|E|_2 <= gamma_n |M|_F^2`` (:func:`_gamma`; Higham, Thm.
-    3.5), which ``c = 2 gamma_n tr(G)`` covers together with the rounding
-    of the trace.  The one analysis the route trusts is the backward-stable
-    symmetric eigensolver's (LAPACK Users' Guide, section 4.7): its
-    eigenvectors are orthonormal to rounding, and ``mu = m eps lambda_1``
-    bounds the error of ``lambda_m`` and of any tail ``tail(r) = lambda_{r+1}
-    + ... + lambda_m`` as the energy of ``G`` outside the first ``r``
-    eigenvectors.  The rank ``r`` is the smallest with ``tail(r) <= delta^2
-    - mu``, or ``m`` if ``delta^2 < mu``.
+    the squared singular values and left singular vectors of ``M``.  Every
+    decision is charged two roundings.  Each entry of ``G`` sums ``n``
+    products, so ``E = G - M M^T`` has ``|E|_2 <= gamma_n |M|_F^2``
+    (:func:`_gamma`; Higham, Thm. 3.5), which ``c = 2 gamma_n tr(G)``
+    covers together with the rounding of the trace.  The one analysis the
+    route trusts is the backward-stable symmetric eigensolver's (LAPACK
+    Users' Guide, section 4.7): its eigenvectors are orthonormal to
+    rounding, and ``mu = m eps lambda_1`` bounds the error of ``lambda_m``
+    and of any tail ``tail(r) = lambda_{r+1} + ... + lambda_m`` as the
+    energy of ``G`` outside the first ``r`` eigenvectors.  The rank ``r``
+    is the smallest with ``tail(r) <= delta^2 - mu``, or ``m`` if
+    ``delta^2 < mu``.
 
     At ``delta > 0``, with ``P`` the ``m - r`` dropped eigenvectors and
     ``U`` the kept ones, the discard is ``|M - U U^T M|_F^2 = tr(P^T M M^T
     P) = tr(P^T G P) - tr(P^T E P)``: at most ``tail(r) + mu`` plus ``(m -
-    r) |E|_2 <= (m - r) c``.  So ``U`` is kept if ``tail(r) + (m - r) c <=
-    delta^2 - mu``, which proves the discard at most ``delta^2``; the
-    reported ``tail(r)`` lies within ``(m - r) c + mu`` of it.  By Weyl's
-    inequality ``sigma_i(M)^2 >= lambda_i - mu - c``, so the first ``k0``
-    eigenvectors, those with ``lambda_i - mu - c > delta^2``, have
-    ``sigma_i > delta`` and belong to every rank the rule allows.  With
-    ``k0 = m`` (then ``r = m``) ``U`` keeps every eigenvector.  A call
-    that has neither is never given a higher rank: it keeps the first
-    ``k0`` and :func:`_svd_trunc_tail` decides the rest by a second Gram
-    pass, proving ``sqrt(discard) <= omega |M|_F + (1 + omega) sqrt(tail'
-    + mu' + (k - r') c') + rho <= delta``.
+    r) |E|_2 <= (m - r) c``.  ST-HOSVD decides a mode on ``M`` but keeps
+    ``U`` for ``M' = M K`` (``tucker.sthosvd_dense``), whose discard is at
+    most ``|K|_2^2 <= 1 + skew`` times ``M``'s, so the bound is ``(1 +
+    skew) (tail(r) + mu + (m - r) c)``, and ``U`` is kept if it is at most
+    ``delta^2``; the reported ``tail(r)`` lies within ``(m - r) c + mu`` of
+    ``M``'s discard.  By Weyl's inequality ``sigma_i(M)^2 >= lambda_i - mu
+    - c``, and ``sigma_i(M')^2 >= (1 - skew) sigma_i(M)^2``, so the first
+    ``k0`` eigenvectors, those with ``(1 - skew) (lambda_i - mu - c) >
+    delta^2``, have ``sigma_i(M') > delta`` and belong to every rank the
+    rule allows.  With ``k0 = m`` (then ``r = m``) ``U`` keeps every
+    eigenvector, with bound ``0``.  A call that has neither is never given
+    a higher rank: it keeps the first ``k0`` and :func:`_svd_trunc_tail`
+    decides the rest by a second Gram pass.
 
-    At ``delta = 0``, ``r = m``.  Once ``lambda_m - mu - c`` exceeds the
-    squared floor of :func:`_rank_floor`, above which the rank rule keeps
-    every value, ``U`` keeps every eigenvector.  Otherwise ``lambda_m`` at
-    or below the squared floor marks a numerically rank-deficient input,
-    refused at once, and :func:`_rest_certified` decides the rest from the
-    Gram matrix of ``rest``.
+    At ``delta = 0``, ``r = m``, and ``skew`` is not read.  Once ``lambda_m
+    - mu - c`` exceeds the squared floor of :func:`_rank_floor`, above
+    which the rank rule keeps every value, ``U`` keeps every eigenvector.
+    Otherwise ``lambda_m`` at or below the squared floor marks a
+    numerically rank-deficient input, refused at once, and
+    :func:`_rest_certified` decides the rest from the Gram matrix of
+    ``rest``, which the decision hands over.
     """
     a, m, b = X.shape
     n = a * b
@@ -543,24 +656,33 @@ def _svd_trunc_gram(
     lam, P, margin, tails, r = _eigen_rank(G, delta)
     charge = 2.0 * _gamma(n) * trace
     if delta > 0.0:
-        k0 = int(np.count_nonzero(lam - margin - charge > delta * delta))
-        fits = r < m and tails[r] + (m - r) * charge <= delta * delta - margin
-        if not fits and k0 < m:
-            return _svd_trunc_tail(X, P, lam, k0, delta, norm)
-        U, rest = _project(P[:, :r], X)
-        return TruncatedSvd(U=U, rest=rest, discarded_energy=float(tails[r]))
+        k0 = int(np.count_nonzero((1.0 - skew) * (lam - margin - charge) > delta * delta))
+        if k0 == m:
+            return _Decision(U=P, discarded_energy=0.0, bound=0.0)
+        bound = (1.0 + skew) * (tails[r] + margin + (m - r) * charge)
+        if r < m and bound <= delta * delta:
+            return _Decision(U=P[:, :r], discarded_energy=float(tails[r]), bound=float(bound))
+        return _svd_trunc_tail(X, P, lam, k0, delta, norm, skew)
     floor = _rank_floor((m, n), 0.0, norm) ** 2
     if lam[-1] <= floor:
         return None
+    if lam[-1] - margin - charge > floor:
+        return _Decision(U=P, discarded_energy=0.0, bound=0.0)
     U, rest = _project(P, X)
-    if not (lam[-1] - margin - charge > floor or _rest_certified(_gram(rest), n, norm)):
+    if not _rest_certified(_gram(rest), n, norm):
         return None
-    return TruncatedSvd(U=U, rest=rest, discarded_energy=0.0)
+    return _Decision(U=U, discarded_energy=0.0, bound=0.0, rest=rest)
 
 
 def _svd_trunc_tail(
-    X: np.ndarray, P: np.ndarray, lam: np.ndarray, k0: int, delta: float, norm: float
-) -> TruncatedSvd | None:
+    X: np.ndarray,
+    P: np.ndarray,
+    lam: np.ndarray,
+    k0: int,
+    delta: float,
+    norm: float,
+    skew: float = 0.0,
+) -> _Decision | None:
     """Second Gram pass of :func:`_svd_trunc_gram`: keep the first ``k0``
     columns ``P1`` of the eigenvectors ``P = [P1, B]`` of ``fl(M M^T)``,
     of eigenvalues ``lam`` and trace ``norm^2``, and decide the trailing
@@ -570,24 +692,25 @@ def _svd_trunc_tail(
     ``Y = fl(B^T M)`` has ``k`` rows, and the eigenvalues ``lambda'`` of
     ``H = fl(Y Y^T)`` give the rank ``r'`` by :func:`_eigen_rank`, with
     ``mu' = k eps lambda'_1``.  With ``W_keep`` their first ``r'``
-    eigenvectors, ``U = [P1, fl(B W_keep)]``, sign-fixed, and ``rest =
-    fl(U^T M)``, formed once ``Y`` is gone.  Up to the rounding of the
-    three products, ``M - U rest = (I - P P^T) M + B W_d W_d^T Y`` for the
-    dropped eigenvectors ``W_d``, so
+    eigenvectors, ``U = [P1, fl(B W_keep)]``, and ``rest = fl(U^T M)`` is
+    the caller's projection, formed once ``Y`` is gone.  Up to the rounding
+    of the three products, ``M - U rest = (I - P P^T) M + B W_d W_d^T Y``
+    for the dropped eigenvectors ``W_d``, so
 
         sqrt(discard) <= omega |M|_F
                          + (1 + omega) sqrt(tail' + mu' + (k - r') c') + rho
 
     charges every rounding unsquared or at the block's own scale:
-    ``omega`` is the measured ``|P^T P - I|_F`` plus ``2 gamma_m tr(P^T
-    P)`` for its rounding; ``c' = 2 gamma_n tr(H)`` covers the rounding of
-    ``H`` as ``c`` does for ``G``; ``rho = 4 (m + sqrt(m)) gamma_m (1 +
-    omega)^2 |M|_F`` is twice the first-order bound of the products'
-    rounding; ``|M|_F`` is read as ``(1 + gamma_n) norm``.  ``U`` is kept
-    if the bound is at most ``delta``.  On the heat tensors' unfoldings at
-    ``epsilon = 1e-7``, ``omega |M|_F + rho`` came to 1e-6 of ``delta`` at
-    ``m = 5`` and 1e-2 at ``m = 1000``, growing as ``m^2``.  The reported
-    discard is ``tail'(r')``.
+    ``omega`` bounds ``|P^T P - I|`` (:func:`_departure`); ``c' = 2 gamma_n
+    tr(H)`` covers the rounding of ``H`` as ``c`` does for ``G``; ``rho =
+    4 (m + sqrt(m)) gamma_m (1 + omega)^2 |M|_F`` is twice the first-order
+    bound of the products' rounding; ``|M|_F`` is read as ``(1 + gamma_n)
+    norm``.  For ``M' = M K`` as in :class:`_Decision` the right side is
+    multiplied by ``sqrt(1 + skew)``; ``U`` is kept if the result is at
+    most ``delta``, and its square is the bound.  On the heat tensors'
+    unfoldings at ``epsilon = 1e-7``, ``omega |M|_F + rho`` came to 1e-6 of
+    ``delta`` at ``m = 5`` and 1e-2 at ``m = 1000``, growing as ``m^2``.
+    The reported discard is ``tail'(r')``.
     """
     a, m, b = X.shape
     n = a * b
@@ -599,17 +722,54 @@ def _svd_trunc_tail(
     # Floored at k n times the smallest normal number, so that it covers
     # the subnormal products of H as the first pass's guard does for G.
     charge = 2.0 * _gamma(n) * max(float(np.trace(H)), k * n * np.finfo(np.float64).tiny)
-    F = P.T @ P
-    q2 = float(np.trace(F))
-    F[np.diag_indices(m)] -= 1.0
-    omega = float(np.linalg.norm(F)) + 2.0 * _gamma(m) * q2
+    omega, _ = _departure(P)
     big = (1.0 + _gamma(n)) * norm
     rho = 4.0 * (m + np.sqrt(m)) * _gamma(m) * (1.0 + omega) ** 2 * big
     tail = (1.0 + omega) * np.sqrt(tails[r] + margin + (k - r) * charge)
-    if not omega * big + tail + rho <= delta:
+    error = np.sqrt(1.0 + skew) * (omega * big + tail + rho)
+    if not error <= delta:
         return None
-    U, rest = _project(np.concatenate((P[:, :k0], B @ W[:, :r]), axis=1), X)
-    return TruncatedSvd(U=U, rest=rest, discarded_energy=float(tails[r]))
+    U = np.concatenate((P[:, :k0], B @ W[:, :r]), axis=1)
+    return _Decision(U=U, discarded_energy=float(tails[r]), bound=float(error * error))
+
+
+def _run_decisions(
+    X: np.ndarray, sizes: tuple[int, ...], G: np.ndarray, delta: float
+) -> tuple[list[_Decision], bool]:
+    """Decisions of one run of ``tucker.sthosvd_dense``, whose docstring
+    proves its rule: the modes of ``sizes`` are grouped, first fastest, in
+    the middle mode of the ``(a, N, b)`` array ``X``, and ``G`` is the Gram
+    matrix of the group's unfolding.  Each member is decided in turn on
+    :func:`_partial_trace` of ``G`` by :func:`_svd_trunc_gram`, charged the
+    skew of the members kept before it; one the route refuses, or whose
+    bound and the run's projection rounding exceed ``delta``, is left out
+    and ends the run, as does the first member that truncates, which is
+    its last.  The flag tells whether the route refused the member after
+    the run.  The run is empty at ``delta = 0``, where the keep-all ladder
+    reads ``rest``, and for a non-finite ``G``.
+    """
+    if delta == 0.0 or not np.all(np.isfinite(G)):
+        return [], False
+    a, _, b = X.shape
+    big = (1.0 + _gamma(a * b)) * np.sqrt(float(np.trace(G)))
+    run: list[_Decision] = []
+    growth, frob, rows = 1.0, 1.0, 1
+    for k, n in enumerate(sizes):
+        Xk = np.reshape(X, (a * rows, n, -1), order="F")
+        c = _svd_trunc_gram(Xk, _partial_trace(G, sizes, k), delta, growth - 1.0)
+        if c is None:
+            return run, True
+        omega, q2 = _departure(c.U)
+        rows *= n
+        rho = 2.0 * _gamma(rows + k + 1) * np.sqrt(frob * q2 * growth * (1.0 + omega)) * big
+        if not np.sqrt(c.bound) + rho <= delta:
+            break
+        run.append(c)
+        growth *= 1.0 + omega
+        frob *= q2
+        if c.rank < n:
+            break
+    return run, False
 
 
 def _rest_certified(H: np.ndarray, n: int, norm: float) -> bool:

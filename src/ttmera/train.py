@@ -23,7 +23,7 @@ import numpy as np
 
 from .dense import DenseTensor, _unfold
 from .errors import CapacityError, NumericError
-from .kernels import _svd_trunc, qr_thin, svd_trunc
+from .kernels import _group_end, _partial_trace, _svd_trunc, qr_thin, svd_trunc
 
 __all__ = [
     "TensorTrain",
@@ -179,12 +179,18 @@ def tt_svd(t: DenseTensor, epsilon: float) -> TensorTrain:
     return _tt_svd_sweep(t, epsilon)[0]
 
 
-def _tt_svd_sweep(t: DenseTensor, epsilon: float) -> tuple[TensorTrain, float]:
-    """``tt_svd`` plus the energy its truncations discarded.
+def _tt_svd_sweep(
+    t: DenseTensor, epsilon: float
+) -> tuple[TensorTrain, float, float]:
+    """``tt_svd`` plus the energy its truncations discarded and a proven
+    bound on it.
 
     Every truncation acts on the orthogonal complement of the left-orthogonal
-    cores kept so far, so the discards add up exactly:
-    ``|t - reconstruction|_F^2 == discarded``.
+    cores kept so far, so the discards add up: ``|t -
+    reconstruction|_F^2 == discarded`` to rounding on the SVD routes of
+    ``svd_trunc`` and within the Gram route's proven charge there.  The
+    bound adds up each truncation's own (``kernels._svd_trunc``): the Gram
+    route's proven bound, and the reported discard on the SVD routes.
     """
     if not epsilon >= 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
@@ -195,24 +201,28 @@ def _tt_svd_sweep(t: DenseTensor, epsilon: float) -> tuple[TensorTrain, float]:
         raise ValueError("tensor has zero norm")
     delta = epsilon * norm / math.sqrt(max(1, D - 1))
     cores = []
-    discarded = 0.0
+    discarded = bound = 0.0
     C = t.data.reshape(dims[0], -1, order="F")
-    # The first unfolding is the tensor's own, whose Gram matrix it keeps.
-    G = t._leading_gram(C[None])
+    # The first unfolding is the tensor's own: its Gram matrix is a partial
+    # trace of the one of the leading group, which the tensor keeps.
+    sizes = dims[: _group_end(dims, 0)]
+    G = t._leading_gram(np.reshape(C, (1, math.prod(sizes), -1), order="F"))
+    G = None if G is None else _partial_trace(G, sizes, 0)
     r = 1
     for d in range(D - 1):
-        f = _svd_trunc(C[None], delta, G)
+        f, proven = _svd_trunc(C[None], delta, G)
         G = None
         if f.rank == 0:
             raise ValueError(f"mode {d + 1} fully truncated; epsilon too large")
         cores.append(_from_left(f.U, r, dims[d]))
         discarded += f.discarded_energy
+        bound += proven
         r = f.rank
         C = f.rest[0]
         if d < D - 2:
             C = np.reshape(C, (r * dims[d + 1], -1), order="F")
     cores.append(C.reshape(r, dims[D - 1], 1))
-    return TensorTrain._wrap(cores, D), discarded
+    return TensorTrain._wrap(cores, D), discarded, bound
 
 
 def orthogonalize(tt: TensorTrain, d: int) -> TensorTrain:

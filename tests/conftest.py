@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ttmera import dense, train
+from ttmera import dense, kernels, train
 from ttmera.dense import DenseTensor
 from ttmera.kernels import qr_thin
 from ttmera.rng import standard_normal, stream
@@ -49,9 +49,9 @@ def kept_gram_input(dims, order: str) -> np.ndarray:
 
 
 def forget_kept_gram(monkeypatch) -> None:
-    """Make every tensor report no kept Gram matrix, so that each call
-    forms its own, as it would without the memo."""
-    monkeypatch.setattr(DenseTensor, "_leading_gram", lambda self, X: None)
+    """Make every tensor keep no Gram matrix, so that each call forms its
+    own, as it would without the memo."""
+    monkeypatch.setattr(DenseTensor, "_leading_gram", lambda self, X: kernels._gram_for(X))
 
 
 def count_qr(monkeypatch) -> list:

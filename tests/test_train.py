@@ -166,7 +166,7 @@ class TestTtSvd:
     @given(SEEDS, st.sampled_from([1e-1, 1e-2]))
     def test_discards_add_up_to_the_error(self, seed, epsilon):
         t = tt_contract(decaying_train(seed, (4, 3, 4, 3)))
-        tt, discarded = _tt_svd_sweep(t, epsilon)
+        tt, discarded, _ = _tt_svd_sweep(t, epsilon)
         err2 = float(np.linalg.norm(tt_contract(tt).data - t.data) ** 2)
         scale = max(err2, 1e-12 * t.norm() ** 2)
         assert abs(err2 - discarded) <= 1e-9 * scale
@@ -208,9 +208,9 @@ class TestTtSvd:
         a = kept_gram_input(dims, order)
 
         def run(t):
-            tt, discarded = _tt_svd_sweep(t, epsilon)
+            tt, discarded, bound = _tt_svd_sweep(t, epsilon)
             cores = tt.cores + tt_svd(t, epsilon).cores
-            return [x.tobytes() for x in (*cores, np.float64(discarded))]
+            return [x.tobytes() for x in (*cores, np.float64(discarded), np.float64(bound))]
 
         with monkeypatch.context() as m:
             forget_kept_gram(m)

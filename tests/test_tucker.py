@@ -17,7 +17,7 @@ from conftest import (
     record_scans,
     scan_count,
 )
-from ttmera import dense, kernels
+from ttmera import dense, kernels, tucker
 from ttmera.dense import DenseTensor, _fold, _unfold
 from ttmera.experiments import DESK_HEAT, run_compress
 from ttmera.heat import reshape_to_factors, solve_heat
@@ -320,6 +320,19 @@ class TestSthosvdDense:
         t = reshape_to_factors(solve_heat(DESK_HEAT))
         certified = _spy_certificates(monkeypatch)
         qrs = record_qr(monkeypatch)
+        passes = {"_gram": 0, "_apply": 0}
+
+        def count(name):
+            real = getattr(kernels, name)
+
+            def spy(*args):
+                passes[name] += args[-1].size == t.size
+                return real(*args)
+
+            monkeypatch.setattr(kernels, name, spy)
+
+        count("_gram")
+        count("_apply")
         tracemalloc.start()
         factors, _, discarded = sthosvd_dense(t, 1e-7)
         peak = tracemalloc.get_traced_memory()[1]
@@ -333,6 +346,11 @@ class TestSthosvdDense:
         # charge, and the last, which truncates, are decided by the second
         # pass over their trailing eigenblocks.
         assert certified == ["gram"] * 8 + ["tail"] * 4
+        # The modes run in groups (2, 5, 5), (2, 5, 5), (2, 2, 5), (5, 5)
+        # and 5: one Gram pass and one projection over the full-size core
+        # per group, and the four second passes read it once each (12 Gram
+        # passes and 16 reads, 12 of them projections, one mode at a time).
+        assert passes == {"_gram": 5, "_apply": 5 + 4}
         # Each mode reads the core in place: the old core and its
         # projection are all that is alive at once, never an unfolding copy.
         assert peak < 2.5 * t.size * 8
@@ -419,18 +437,20 @@ class TestSthosvdDense:
         # Every mode took the Gram route on a view of the core, and each
         # that kept all of its rows was proven: all seven at the tight
         # tolerance, the first six from their eigenvalues at the loose one.
-        # The Gram matrix of rest, formed only when the mode's eigenvalues
-        # do not prove it, has the shape of the mode's own.
+        # Each group of modes, (2, 3), 40, (5, 10), 120 and 4, is read by
+        # one Gram pass over its own view of the core.
         assert [n for _, n, _ in modes] == list(self.VIEW_DIMS)
         if epsilon < 1e-7:
             assert [c is not None for c in certified] == [True] * t.order
         else:
             assert certified == ["gram"] * (t.order - 1)
-        expected = []
-        for d, shape in enumerate(modes):
-            expected.append(shape)
-            if d < len(certified) and certified[d] == "rest":
-                expected.append(shape)
+        dims = self.VIEW_DIMS
+        groups = [(0, 2), (2, 3), (3, 5), (5, 6), (6, 7)]
+        assert [kernels._group_end(dims, d) for d, _ in groups] == [e for _, e in groups]
+        expected = [
+            (math.prod(dims[:d]), math.prod(dims[d:e]), math.prod(dims[e:]))
+            for d, e in groups
+        ]
         assert shapes == expected
         a, n, b = zip(*modes)
         assert a[0] == 1 and b[-1] == 1
@@ -460,6 +480,109 @@ class TestSthosvdDense:
             margin = size * eps * t.norm() ** 2
             assert abs(discarded[d] - ref_discarded[d]) <= margin
         assert np.count_nonzero(discarded) == (1 if last_rank == 3 else 0)
+
+    # Gaussian tensors above the Gram gate whose groups of modes, of at
+    # most 50 rows, meet each way a run can end or go on.  At 1e-2 the
+    # run of (2, 5, 5) ends at the cap, and the group (3, 4, 4) loses the
+    # 1e-3 direction of its middle mode, which ends the run there.  At
+    # 1e-12 mode 2 of the group (2, 25) has a direction at 3e-6, below the
+    # first pass's charge, whose 25-row trailing block the second pass
+    # cannot prove at delta = 3.8e-13 |t|: the route refuses it inside the
+    # run and the R-SVD keeps it; mode 4 of the group (2, 5, 5) has one at
+    # 1e-6, which the second pass keeps inside the run.
+    @staticmethod
+    def _grouped_tensor(dims, special, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal(dims)
+        for d, n in enumerate(dims):
+            w = np.array(special.get(d, 0.97 ** np.arange(n)))
+            a *= np.reshape(w, (1,) * d + (n,) + (1,) * (a.ndim - d - 1))
+        return DenseTensor(np.asfortranarray(a))
+
+    @staticmethod
+    def _lapack_sthosvd(t, epsilon):
+        """The sequential truncation on LAPACK's SVD, one mode at a time,
+        with the package's sign convention."""
+        delta = epsilon * t.norm() / math.sqrt(t.order)
+        core, factors, discarded = t.to_array(), [], []
+        for d in range(t.order):
+            M = _unfold(core, d)
+            U, s, _ = np.linalg.svd(M, full_matrices=False)
+            tails = np.concatenate([np.cumsum(s[::-1] ** 2)[::-1], [0.0]])
+            r = int(np.argmax(tails <= delta * delta))
+            U = U[:, :r].copy()
+            kernels._fix_signs(U, np.zeros((r, 0)))
+            factors.append(U)
+            discarded.append(tails[r])
+            core = _fold(U.T @ M, d, core.shape)
+        return factors, core, discarded
+
+    @pytest.mark.parametrize("epsilon", [1e-2, 1e-12])
+    def test_grouped_runs_match_the_sequential_lapack_loop(self, epsilon, monkeypatch):
+        if epsilon == 1e-2:
+            dims, special, seed = (2, 5, 5, 3, 4, 4, 6, 7, 14), {4: [1.0, 0.5, 0.25, 1e-3]}, 3
+        else:
+            w25, w5 = 0.97 ** np.arange(25), 0.97 ** np.arange(5)
+            w25[-1], w5[-1] = 3e-6, 1e-6
+            dims, special, seed = (2, 25, 2, 5, 5, 20, 21), {1: w25, 3: w5}, 4
+        t = self._grouped_tensor(dims, special, seed)
+        assert t.size >= kernels._GRAM_MIN_ENTRIES
+        runs, inner, qrs = [], [], record_qr(monkeypatch)
+        project_run, route = tucker._project_run, kernels._svd_trunc_gram
+        tail = kernels._svd_trunc_tail
+
+        def run_spy(Us, X):
+            Us, rest = project_run(Us, X)
+            runs.append([U.shape for U in Us])
+            return Us, rest
+
+        def route_spy(X, G, delta, skew=0.0):
+            c = route(X, G, delta, skew)
+            if skew > 0.0:
+                inner.append(("gram", X.shape[1], None if c is None else c.rank))
+            return c
+
+        def tail_spy(X, P, lam, k0, delta, norm, skew=0.0):
+            c = tail(X, P, lam, k0, delta, norm, skew)
+            if skew > 0.0:
+                inner.append(("tail", X.shape[1], None if c is None else c.rank))
+            return c
+
+        monkeypatch.setattr(tucker, "_project_run", run_spy)
+        monkeypatch.setattr(kernels, "_svd_trunc_gram", route_spy)
+        monkeypatch.setattr(kernels, "_svd_trunc_tail", tail_spy)
+        factors, core, discarded = sthosvd_dense(t, epsilon)
+        monkeypatch.undo()
+        if epsilon == 1e-2:
+            assert kernels._group_end(dims, 0) == 3 and kernels._group_end(dims, 3) == 6
+            assert runs == [
+                [(2, 2), (5, 5), (5, 5)],
+                [(3, 3), (4, 3)],
+                [(4, 4), (6, 6)],
+                [(7, 7)],
+                [(14, 14)],
+            ]
+            assert ("gram", 4, 3) in inner and qrs == []
+        else:
+            # Mode 2 is refused in the run of (2, 25), decided alone on the
+            # wide R-SVD route, and the next group is a run of three.
+            assert runs == [[(2, 2)], [(2, 2), (5, 5), (5, 5)], [(20, 20)], [(21, 21)]]
+            assert ("gram", 25, None) in inner and ("tail", 5, 5) in inner
+            assert len(qrs) == 1
+        ref_factors, ref_core, ref_discarded = self._lapack_sthosvd(t, epsilon)
+        assert [U.shape[1] for U in factors] == [U.shape[1] for U in ref_factors]
+        for U, V in zip(factors, ref_factors):
+            assert np.linalg.norm(U @ U.T - V @ V.T) <= 1e-12
+        assert core.dims == ref_core.shape
+        assert np.linalg.norm(core.to_array() - ref_core) <= 1e-12 * t.norm()
+        # Within the first pass's charge for the dropped directions and the
+        # eigensolver's margin.
+        eps, norm2, size = np.finfo(np.float64).eps, t.norm() ** 2, t.size
+        for U, got, want in zip(factors, discarded, ref_discarded):
+            m, r = U.shape
+            margin = m * eps * norm2 + (m - r) * 2.0 * kernels._gamma(size // m) * norm2
+            assert abs(got - want) <= margin
+            size = size // m * r
 
     def test_agrees_with_train_route_on_ranks(self):
         # both routes see the same per-mode singular spectra, so at a clear
